@@ -3,7 +3,8 @@
 Subcommands: pretext, plan, run, coldstart, correlate, ablate. Each takes
 a JSON config file (see README for the schema), writes its outputs plus a
 JSON manifest into the output directory, and returns 0 on success, 1 on
-validation errors, and 2 on runtime failures. Identical config and seed
+validation errors (config, flags, or a loss-record file that breaks its
+contract with the pool), and 2 on runtime failures. Identical config and seed
 reproduce byte-identical output files; no command mutates its inputs.
 """
 from __future__ import annotations
@@ -188,8 +189,8 @@ def cmd_pretext(args) -> int:
     learner.save_checkpoint(state, ckpt_path)
     pretext.write_loss_records(losses_path, report.records)
     write_manifest(out_dir / "pretext_manifest.json", "pretext", config, [], [ckpt_path, losses_path])
-    print(f"pretext: best epoch {report.best_epoch}, rotation accuracy {report.rotation_accuracy:.4f}, "
-          f"{len(report.records)} loss records -> {losses_path}")
+    print(f"pretext: best epoch {report.best_epoch} of {report.epochs_run} run, {cfg.epochs} max, "
+          f"rotation accuracy {report.rotation_accuracy:.4f}, {len(report.records)} loss records -> {losses_path}")
     return 0
 
 
@@ -381,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, pretext.LossRecordError) as exc:
         print(f"pt4al {args.command}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: report, do not traceback

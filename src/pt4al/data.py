@@ -252,34 +252,49 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
     templates = class_templates(classes, size)
     bodies = _body_masks(classes, size)
     lo, hi = 3, size - 3
+    n = classes * n_per_class
+    labels = np.repeat(np.arange(classes), n_per_class)
+    u = np.empty(n)
+    partner = np.empty(n, dtype=np.int64)
+    junk = np.empty(n, dtype=bool)
+    eps = np.empty((n, size, size, 1))
+    # The draws stay per sample and in this order: integers() and the
+    # ziggurat normal consume a variable number of words, so the stream
+    # cannot be drawn array-wise without changing every sample.
     rng = np.random.default_rng(seed)
-    samples: list[Sample] = []
-    sid = 0
+    junk_p = _JUNK_FRAC * min(noise, 1.0)
+    for i in range(n):
+        u[i] = rng.random()
+        partner[i] = rng.integers(0, classes - 1)
+        rng.standard_normal(out=eps[i])
+        junk[i] = rng.random() < junk_p
+    partner += partner >= labels
+
+    # Pixel arithmetic on whole arrays, in the same operation order as the
+    # per-sample formula, (template + body blend) + noise, so every pixel
+    # keeps its bits. The noise buffer becomes the corpus, and the base
+    # images are built one class at a time to keep the peak memory low.
+    d = np.maximum(0.0, u - _DUPLICATE_FRAC) / (1.0 - _DUPLICATE_FRAC)
+    mix = np.minimum(_MIX_GAIN, _MIX_GAIN * noise * d)
+    gain = _NOISE_GAIN * noise * d
+    # Junk samples: class-averaged body under a crisp marker. Trivial for
+    # the rotation task but carries no class signal, so labels look
+    # conflicting and posteriors stay maximally uncertain.
+    junk_base = np.full((size, size, 1), _BACKGROUND)
+    junk_base[0:2, :, :] = _MARKER_VALUE
+    junk_base[:, 0:2, :] = _MARKER_VALUE
+    junk_base[lo:hi, lo:hi, 0] += _BODY_GAIN * bodies.mean(axis=0)
+    gain[junk] = _JUNK_NOISE * noise
+    pixels = eps
+    pixels *= gain[:, None, None, None]
     for c in range(classes):
-        for _ in range(n_per_class):
-            u = rng.random()
-            partner = int(rng.integers(0, classes - 1))
-            if partner >= c:
-                partner += 1
-            eps = rng.standard_normal((size, size, 1))
-            junk = rng.random() < _JUNK_FRAC * min(noise, 1.0)
-            if junk:
-                # Class-averaged body under a crisp marker: trivial for the
-                # rotation task but carries no class signal, so labels look
-                # conflicting and posteriors stay maximally uncertain.
-                pix = np.full((size, size, 1), _BACKGROUND)
-                pix[0:2, :, :] = _MARKER_VALUE
-                pix[:, 0:2, :] = _MARKER_VALUE
-                pix[lo:hi, lo:hi, 0] += _BODY_GAIN * bodies.mean(axis=0)
-                pix = np.clip(pix + _JUNK_NOISE * noise * eps, 0.0, 1.0)
-            else:
-                d = max(0.0, u - _DUPLICATE_FRAC) / (1.0 - _DUPLICATE_FRAC)
-                mix = min(_MIX_GAIN, _MIX_GAIN * noise * d)
-                pix = templates[c].copy()
-                pix[lo:hi, lo:hi, 0] += _BODY_GAIN * mix * (bodies[partner] - bodies[c])
-                pix = np.clip(pix + _NOISE_GAIN * noise * d * eps, 0.0, 1.0)
-            samples.append(Sample(sid, Image(pix), c))
-            sid += 1
+        rows = slice(c * n_per_class, (c + 1) * n_per_class)
+        base = np.repeat(templates[c:c + 1], n_per_class, axis=0)
+        base[:, lo:hi, lo:hi, 0] += (_BODY_GAIN * mix[rows])[:, None, None] * (bodies[partner[rows]] - bodies[c])
+        base[junk[rows]] = junk_base
+        pixels[rows] += base
+    np.clip(pixels, 0.0, 1.0, out=pixels)
+    samples = [Sample(i, Image(pixels[i]), int(c)) for i, c in enumerate(labels)]
     return Pool(samples, ROLE_LABELED)
 
 

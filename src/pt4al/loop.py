@@ -27,7 +27,7 @@ from .data import (
     unlabeled_view,
 )
 from .learner import LearnerConfig, LearnerState
-from .pretext import LossRecord, train_pretext
+from .pretext import LossRecord, check_records_cover, train_pretext
 from .sampler import (
     ORDER_HIGH_FIRST,
     ORDER_LOW_FIRST,
@@ -244,8 +244,7 @@ def _build_plan(config: ALConfig, unlabeled: Pool, loss_records: list[LossRecord
         if records is None:
             records = pretext_loss_records(config, unlabeled)
         else:
-            if {r.sample_id for r in records} != set(unlabeled.ids()):
-                raise ValueError("loss records do not cover the unlabeled pool")
+            check_records_cover(records, unlabeled.ids())
         order = ORDER_LOW_FIRST if config.strategy == STRATEGY_LOW_LOSS_FIRST else ORDER_HIGH_FIRST
         return build_batch_plan(records, config.iterations, order)
     if config.strategy == STRATEGY_SAMPLING_ONLY:

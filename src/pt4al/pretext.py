@@ -33,6 +33,7 @@ class LossRecord:
 @dataclass
 class PretextReport:
     best_epoch: int
+    epochs_run: int
     rotation_accuracy: float
     records: list[LossRecord]
 
@@ -73,6 +74,8 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     After every epoch the rotation accuracy is evaluated on the same pool
     (all four orientations) and the best-accuracy checkpoint is kept; ties
     go to the earliest epoch, and only post-epoch states are candidates.
+    `config.epochs` is an upper bound: training stops after the first
+    epoch with rotation accuracy 1.0, since no later epoch can beat it.
     The four orientations of one sample always share a minibatch. Returns
     the best state and a report whose loss records are extracted with that
     state, in pool order.
@@ -107,8 +110,11 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
             best_acc = acc
             best_state = state.copy()
             best_epoch = epoch
+        if best_acc == 1.0:
+            break
     records = extract_losses(best_state, unlabeled)
-    return best_state, PretextReport(best_epoch=best_epoch, rotation_accuracy=best_acc, records=records)
+    return best_state, PretextReport(best_epoch=best_epoch, epochs_run=epoch + 1,
+                                     rotation_accuracy=best_acc, records=records)
 
 
 def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
@@ -145,14 +151,40 @@ def write_loss_records(path, records: list[LossRecord]) -> None:
             writer.writerow([rec.sample_id, f"{rec.loss:.12g}"])
 
 
+class LossRecordError(ValueError):
+    """Loss records that break the contract: one finite, nonnegative loss per pool sample."""
+
+
 def read_loss_records(path) -> list[LossRecord]:
+    """Parse a loss-record CSV, rejecting bad losses and repeated sample ids."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["sample_id", "pretext_loss"]:
-            raise ValueError(f"{path}: not a loss-record file")
-        records = [LossRecord(int(row[0]), float(row[1])) for row in reader if row]
+            raise LossRecordError(f"{path}: not a loss-record file")
+        try:
+            records = [LossRecord(int(row[0]), float(row[1])) for row in reader if row]
+        except (ValueError, IndexError) as exc:
+            raise LossRecordError(f"{path}: malformed loss record: {exc}") from exc
+    seen: set[int] = set()
     for rec in records:
         if not np.isfinite(rec.loss) or rec.loss < 0:
-            raise ValueError(f"{path}: invalid loss for sample {rec.sample_id}")
+            raise LossRecordError(f"{path}: invalid loss for sample {rec.sample_id}")
+        if rec.sample_id in seen:
+            raise LossRecordError(f"{path}: repeated sample id {rec.sample_id}")
+        seen.add(rec.sample_id)
     return records
+
+
+def check_records_cover(records: list[LossRecord], pool_ids: list[int]) -> None:
+    """Raise LossRecordError unless `records` hold exactly one entry per pool id."""
+    ids = [r.sample_id for r in records]
+    named, pool = set(ids), set(pool_ids)
+    if len(named) != len(ids):
+        raise LossRecordError("loss records repeat a sample id")
+    missing, foreign = pool - named, named - pool
+    if missing or foreign:
+        raise LossRecordError(
+            f"loss records do not cover the unlabeled pool: {len(missing)} pool samples have no record, "
+            f"{len(foreign)} records name samples outside the pool"
+        )

@@ -28,9 +28,10 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
-def test_pretext_writes_losses_for_every_unlabeled_sample(tmp_path):
+def test_pretext_writes_losses_for_every_unlabeled_sample(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["pretext", str(cfg)]) == 0
+    assert "best epoch 0 of 1 run, 3 max" in capsys.readouterr().out
     out = tmp_path / "out"
     losses = (out / "losses.csv").read_text().splitlines()
     assert losses[0] == "sample_id,pretext_loss"
@@ -62,6 +63,36 @@ def test_run_requires_losses_for_pt4al(tmp_path):
     cfg = write_config(tmp_path)
     rc = main(["run", str(cfg)])
     assert rc == 1
+
+
+def edit_loss_rows(tmp_path, edit):
+    """Run pretext, then rewrite losses.csv with `edit` applied to its data rows."""
+    cfg = write_config(tmp_path)
+    assert main(["pretext", str(cfg)]) == 0
+    path = tmp_path / "out" / "losses.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    return cfg
+
+
+def test_run_rejects_repeated_loss_ids_before_work(tmp_path, capsys):
+    cfg = edit_loss_rows(tmp_path, lambda rows: rows + rows[:1])
+    assert main(["run", str(cfg)]) == 1
+    assert "repeated sample id" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reports.csv").exists()
+
+
+def test_run_rejects_losses_not_covering_pool(tmp_path, capsys):
+    cfg = edit_loss_rows(tmp_path, lambda rows: rows[1:] + ["999999,0.5"])
+    assert main(["run", str(cfg)]) == 1
+    assert "1 pool samples have no record, 1 records name samples outside the pool" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reports.csv").exists()
+
+
+def test_plan_rejects_repeated_loss_ids(tmp_path):
+    cfg = edit_loss_rows(tmp_path, lambda rows: rows + rows[-1:])
+    assert main(["plan", str(cfg)]) == 1
+    assert not (tmp_path / "out" / "plan.csv").exists()
 
 
 def test_run_random_skips_pretext_requirement(tmp_path):

@@ -1,0 +1,213 @@
+"""Golden output digests: the bytes every command writes, pinned across changes.
+
+Each case runs `pt4al pretext`, `plan` and `run` on a small config and
+compares the sha256 of every deterministic output file with the table
+below. The synthetic corpus arrays are pinned the same way. The table was
+recorded once from the code as it stood before any performance work, so a
+refactor or optimisation that claims to keep behaviour must leave it
+untouched. A change that alters an output byte on purpose re-records the
+affected rows and says why in CHANGES.md.
+
+The digests are tied to float64 arithmetic on numpy 2.4.6 with OpenBLAS
+0.3.31. Another numpy or BLAS build may round matrix products differently,
+and then the table has to be re-recorded on that build.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pt4al.cli import main
+from pt4al.data import gen_synthetic
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+OUTPUTS = ("losses.csv", "plan.csv", "reports.csv", "queries.csv", "pretext_checkpoint.json")
+
+BASE = {
+    "seed": 3,
+    "dataset": {"kind": "synthetic", "classes": 3, "n_per_class": 50,
+                "size": 10, "noise": 1.0, "test_fraction": 0.2},
+    "pretext": {"hidden": [16], "epochs": 3, "batch_size": 16, "learning_rate": 0.3},
+    "main": {"hidden": [16], "epochs": 4, "batch_size": 16, "learning_rate": 0.3},
+    "al": {"iterations": 3, "budget": 8, "strategy": "pt4al"},
+}
+
+CONV = {"filters": 4, "kernel": 3}
+
+# Overrides of BASE, one dict per section. On BASE the rotation model is
+# perfect after epoch 0. The two "pretext-" cases slow it down: one first
+# reaches accuracy 1.0 at epoch 1 of 4, the other never does and keeps
+# epoch 2 of a plateau.
+CASES = {
+    "pt4al": {},
+    "random": {"al": {"strategy": "random"}},
+    "entropy": {"al": {"strategy": "entropy"}},
+    "pt4al-sampling-only": {"al": {"strategy": "pt4al-sampling-only"}},
+    "pt4al-pretext-only-high": {"al": {"strategy": "pt4al-pretext-only-high"}},
+    "pt4al-pretext-only-low": {"al": {"strategy": "pt4al-pretext-only-low"}},
+    "pt4al-low-loss-first": {"al": {"strategy": "pt4al-low-loss-first"}},
+    "conv": {"pretext": {"conv": CONV}, "main": {"conv": CONV}},
+    "imbalanced": {"dataset": {"imbalance_counts": [20, 35, 50]}},
+    "pretext-perfect-at-epoch-1": {"pretext": {"learning_rate": 0.01, "epochs": 4}},
+    "pretext-never-perfect": {"pretext": {"learning_rate": 0.005, "epochs": 4}},
+}
+
+GOLDEN_RUNS: dict[str, dict[str, str]] = {
+    "conv": {
+        "losses.csv": "176bf49333b4903b1fd2e50ebc8f5c0495c7f774fc1c27535e8e1175811e569f",
+        "plan.csv": "4e246ceba9a9e82e9e5733726a2a79d01a6fd5f0e740b729b664f918098273cb",
+        "reports.csv": "d41ef198259e1c46aeff80782af39a7afbc347faa441afea0c788c8ecf468e38",
+        "queries.csv": "f903ad49d7f8d3f2920a8942bf26e00214c5346aa681e9b072ea54b867e04a65",
+        "pretext_checkpoint.json": "68ac28b864dfea090344183129659cdcfe2f0f3f13d194bc4d5d4f49bca7c90f",
+    },
+    "entropy": {
+        "losses.csv": "327a381c4f4c5bbe3672f37fe28c3f0027a3d606daa9cdf1e42c47627a2ed811",
+        "plan.csv": "e2fd8dd2229010b1c46647a73b00bd912734c2b359d9acd90c55b27d46deb351",
+        "reports.csv": "d13a800e48378c1173fe88db2c3dd71a03f79e4fbbd807c7af768b30d7f83a68",
+        "queries.csv": "a5717c4b31fdbe0bf5f30262517dd1b8f09aa6c687a0c91b142c70fd52f2283d",
+        "pretext_checkpoint.json": "c66ad66d83176b5480f978ae23b0f88e634d46979482738eaceb65a0b0276226",
+    },
+    "imbalanced": {
+        "losses.csv": "9dfb5eca0caf75d0d8abfa0a024ece2112ff8461278a0e3eaf9234e6008d3bd6",
+        "plan.csv": "b61d6861f529c234ef5ae65a7eca51916dd96f80c2a3eb86490205bb6e0a0d02",
+        "reports.csv": "52ebe5187fa3222f58dd4518a8cd12533ba326e94e81c36dc89dc4e8f895af40",
+        "queries.csv": "e2b1e16cc87ee4c87864af3c01bbf0d2e8c00733f7d4e73a8ee988fbd2e7368d",
+        "pretext_checkpoint.json": "40ce7024513d704ea8d06f205b0ad794feae32d4efd8b8e038e56349f19f94da",
+    },
+    "pretext-never-perfect": {
+        "losses.csv": "deb25adc0ef515c274de28af5d540d880e6570f35a4dbfac7235409ea0fbe527",
+        "plan.csv": "6c6b99ea3a4d182c32f2cdefa8d75ab02cc078635cc8712c2ac848bc22ba7240",
+        "reports.csv": "029ad3beb90f69bbfe80903882f1699f0921b0594f9775368ed0048fecce30d6",
+        "queries.csv": "5a00c315ba11721b2fa51ffbef10e6a49cea1acdd4ebf7362fb46493dc139701",
+        "pretext_checkpoint.json": "3096525eb5f670a33b1b9f3f9bb0c6ba33f50b01a7ac8f3c85b734287ac53dee",
+    },
+    "pretext-perfect-at-epoch-1": {
+        "losses.csv": "0badce34ba2af5e6e74d0828ebcdae8dd32601ad0a6d1148bf9b27bdd4967af0",
+        "plan.csv": "4a1bc55adab731b9057d49fef48b408a3047173147be7a45af96fcd716b35d6f",
+        "reports.csv": "9920e6744ea7a5ed433359fcdeee0496209853ee17e8847228715d753694418e",
+        "queries.csv": "f41967abfbe7f49871022b9956000ae3baa37a5e79d287db2333d3314acc5b89",
+        "pretext_checkpoint.json": "900ec8755aa73a663b6d867dd30af74b8a3def0083aa79c347eb6d063874e4fb",
+    },
+    "pt4al": {
+        "losses.csv": "327a381c4f4c5bbe3672f37fe28c3f0027a3d606daa9cdf1e42c47627a2ed811",
+        "plan.csv": "e2fd8dd2229010b1c46647a73b00bd912734c2b359d9acd90c55b27d46deb351",
+        "reports.csv": "cfeb292d527c003d4ae42aa88a204e0ca054f834ed3058b536c8e3e6569f0f4b",
+        "queries.csv": "5f30b7bda5141dbbbfa7798bdd4bf2567f98114c7fbcaedd020d5092d6ae9a9f",
+        "pretext_checkpoint.json": "c66ad66d83176b5480f978ae23b0f88e634d46979482738eaceb65a0b0276226",
+    },
+    "pt4al-low-loss-first": {
+        "losses.csv": "327a381c4f4c5bbe3672f37fe28c3f0027a3d606daa9cdf1e42c47627a2ed811",
+        "plan.csv": "a6acb7f8e261e81f5db4acc38c7e11984d866760b83b4ad631003ef7d727f99b",
+        "reports.csv": "3b7a9acdacc49893dc773113f6d9d6fb1ecfcd94d8217d757083361a76cef2c5",
+        "queries.csv": "abb3b1dffb9fe5a4a62e5aeafddcc9d86c0a6670b9ce6e872ed5160e044a47c3",
+        "pretext_checkpoint.json": "c66ad66d83176b5480f978ae23b0f88e634d46979482738eaceb65a0b0276226",
+    },
+    "pt4al-pretext-only-high": {
+        "losses.csv": "327a381c4f4c5bbe3672f37fe28c3f0027a3d606daa9cdf1e42c47627a2ed811",
+        "plan.csv": "e2fd8dd2229010b1c46647a73b00bd912734c2b359d9acd90c55b27d46deb351",
+        "reports.csv": "3d86ebc9ff4c740c536d1e25a5c31ec1d2de9f35c8a3979a9bea81d4516da4f6",
+        "queries.csv": "7bde7f794e6ae604533af82121374299eaedc822a67892ca874bcd76d47f0356",
+        "pretext_checkpoint.json": "c66ad66d83176b5480f978ae23b0f88e634d46979482738eaceb65a0b0276226",
+    },
+    "pt4al-pretext-only-low": {
+        "losses.csv": "327a381c4f4c5bbe3672f37fe28c3f0027a3d606daa9cdf1e42c47627a2ed811",
+        "plan.csv": "e2fd8dd2229010b1c46647a73b00bd912734c2b359d9acd90c55b27d46deb351",
+        "reports.csv": "e09fdac12b0808b2f262f0822da00d09b31f33de2390b5bf386750a3a5435d3d",
+        "queries.csv": "a36a84ac97fe5eb3126788e5604fbc507812bbd0b6f3ca2986c506433a554135",
+        "pretext_checkpoint.json": "c66ad66d83176b5480f978ae23b0f88e634d46979482738eaceb65a0b0276226",
+    },
+    "pt4al-sampling-only": {
+        "losses.csv": "327a381c4f4c5bbe3672f37fe28c3f0027a3d606daa9cdf1e42c47627a2ed811",
+        "plan.csv": "e2fd8dd2229010b1c46647a73b00bd912734c2b359d9acd90c55b27d46deb351",
+        "reports.csv": "60459fdc61ff6673fb3bc7053d5f2f9e239262519ed8de411c276de5722098af",
+        "queries.csv": "eecac1fa985b38f8c5051ddf9fcf63c70e725a2fa3721d1cb7e09eb33ca5b36c",
+        "pretext_checkpoint.json": "c66ad66d83176b5480f978ae23b0f88e634d46979482738eaceb65a0b0276226",
+    },
+    "random": {
+        "losses.csv": "327a381c4f4c5bbe3672f37fe28c3f0027a3d606daa9cdf1e42c47627a2ed811",
+        "plan.csv": "e2fd8dd2229010b1c46647a73b00bd912734c2b359d9acd90c55b27d46deb351",
+        "reports.csv": "4ed76b45d7aa958e0ec2385c628db50a3071a7303c296e5b6d6a1fe98f5330be",
+        "queries.csv": "6945caf73ec24ec238fd45332c73abeee2159db75e468e8b0b616b4baefed377",
+        "pretext_checkpoint.json": "c66ad66d83176b5480f978ae23b0f88e634d46979482738eaceb65a0b0276226",
+    },
+}
+
+# (classes, noise) -> sha256 of x and y from gen_synthetic(60, classes, 12, noise, seed=5).
+# Noise 0.7 is not a power of two, so regrouping a product with it changes bits.
+GOLDEN_CORPUS: dict[tuple[int, float], tuple[str, str]] = {
+    (3, 0.0): ("713164de5c1bd06d5c2e11442f5b1c0b5eb30e5dbfeff2f2fea2ea28704d4533",
+              "b77f47b98f607c5b08dc0e48a2ed964cc4ab6d9ce232a5f2646014f9dad28915"),
+    (3, 0.5): ("867041b87731abddb266383089c0ec3c6711b3c1b6dcde5c1c78e514613720e9",
+              "b77f47b98f607c5b08dc0e48a2ed964cc4ab6d9ce232a5f2646014f9dad28915"),
+    (3, 0.7): ("1cc2d6089e8842e7f700c26f282b5847e9dec565e2d98b250dd03da177433cd2",
+              "b77f47b98f607c5b08dc0e48a2ed964cc4ab6d9ce232a5f2646014f9dad28915"),
+    (3, 1.0): ("575b11e3fd7b0334be95d8946472ac0f51ca1662932961b6683bbda9bc9751e4",
+              "b77f47b98f607c5b08dc0e48a2ed964cc4ab6d9ce232a5f2646014f9dad28915"),
+    (3, 2.0): ("80505144d340909facfd5fa3313acf3e11b47f3dfd0ad087303fb00df8dfcb88",
+              "b77f47b98f607c5b08dc0e48a2ed964cc4ab6d9ce232a5f2646014f9dad28915"),
+    (10, 0.0): ("ab8be8745e47f2f72f99a0bc04251c2f9f1e8b19566cfd6566ac9389744658e0",
+              "925583f47741e03804e535fcf2bd77f8d6959d963e91ee70a8d0134a55a47914"),
+    (10, 0.5): ("78224c5807610bca0157835dd692762ddcaa04b125c08a9dabf930fe1ea70bea",
+              "925583f47741e03804e535fcf2bd77f8d6959d963e91ee70a8d0134a55a47914"),
+    (10, 0.7): ("9a7fb2536159beb44eec8883f575bd95a09ae05336f0561b9b2fe0ac6c85b66a",
+              "925583f47741e03804e535fcf2bd77f8d6959d963e91ee70a8d0134a55a47914"),
+    (10, 1.0): ("ff8cc66c8ae812a45a74be4218418003f1645de0412932d2dbbaee0d7f16467b",
+              "925583f47741e03804e535fcf2bd77f8d6959d963e91ee70a8d0134a55a47914"),
+    (10, 2.0): ("1fb4d21447177a2506c4b4794c16f86a0156b72bcd9b7fdd2895df610bbc738c",
+              "925583f47741e03804e535fcf2bd77f8d6959d963e91ee70a8d0134a55a47914"),
+}
+
+
+def write_case_config(tmp_path: Path, overrides: dict) -> Path:
+    cfg = json.loads(json.dumps(BASE))
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def output_digests(out_dir: Path) -> dict[str, str]:
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUTS}
+
+
+def array_digest(a: np.ndarray) -> str:
+    return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_outputs_match_golden_digests(tmp_path, case):
+    path = write_case_config(tmp_path, CASES[case])
+    for command in ("pretext", "plan", "run"):
+        assert main([command, str(path)]) == 0
+    assert output_digests(tmp_path / "out") == GOLDEN_RUNS[case]
+
+
+@pytest.mark.parametrize("classes, noise", sorted(GOLDEN_CORPUS))
+def test_synthetic_corpus_matches_golden_digests(classes, noise):
+    x, y = gen_synthetic(60, classes, 12, noise, seed=5).stack()
+    assert (array_digest(x), array_digest(y)) == GOLDEN_CORPUS[(classes, noise)]
+
+
+def test_outputs_independent_of_blas_thread_count(tmp_path):
+    digests = []
+    for threads in ("1", "2"):
+        case_dir = tmp_path / f"threads{threads}"
+        case_dir.mkdir()
+        path = write_case_config(case_dir, {})
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        for command in ("pretext", "plan", "run"):
+            subprocess.run([sys.executable, "-m", "pt4al.cli", command, str(path)],
+                           env=env, check=True, capture_output=True, timeout=120)
+        digests.append(output_digests(case_dir / "out"))
+    assert digests[0] == digests[1]

@@ -115,6 +115,10 @@ def test_loss_records_must_cover_pool():
     cfg = tiny_config()
     with pytest.raises(ValueError, match="cover"):
         run_al(cfg, loss_records=[LossRecord(0, 1.0), LossRecord(1, 0.5)])
+    train_pool, _ = loop.build_dataset(cfg.dataset, cfg.seed)
+    covering = [LossRecord(sid, 1.0) for sid in train_pool.ids()]
+    with pytest.raises(ValueError, match="repeat"):
+        run_al(cfg, loss_records=covering + covering[:1])
 
 
 def test_histogram_entropy_emitted_on_imbalanced_runs():

@@ -10,7 +10,14 @@ import pytest
 from pt4al import learner, pretext
 from pt4al.data import Image, Pool, Sample, class_templates, gen_synthetic, rotate, unlabeled_view
 from pt4al.learner import LearnerConfig
-from pt4al.pretext import LossRecord, extract_losses, read_loss_records, train_pretext, write_loss_records
+from pt4al.pretext import (
+    LossRecord,
+    LossRecordError,
+    extract_losses,
+    read_loss_records,
+    train_pretext,
+    write_loss_records,
+)
 
 
 def pretext_config(size, **kw):
@@ -25,12 +32,63 @@ def constant_pool(n=24, size=8, value=0.4):
     return Pool([Sample(i, img, None) for i in range(n)], "unlabeled")
 
 
-def test_constant_images_hit_chance_accuracy_and_ln4_loss():
+def count_calls(monkeypatch, name):
+    """Replace learner.<name> with a wrapper that logs each call's arguments."""
+    calls = []
+    fn = getattr(learner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(learner, name, counted)
+    return calls
+
+
+def test_constant_images_hit_chance_accuracy_and_ln4_loss(monkeypatch):
     pool = constant_pool()
+    lr_calls = count_calls(monkeypatch, "lr_at")
     _, report = train_pretext(pool, pretext_config(8))
     assert abs(report.rotation_accuracy - 0.25) <= 0.05
     losses = np.array([r.loss for r in report.records])
     assert np.all(np.abs(losses - math.log(4.0)) < 0.05)
+    # Never perfect, so every epoch runs.
+    assert report.epochs_run == 6
+    assert [args[1] for args in lr_calls] == list(range(6))
+
+
+def test_pretext_stops_after_first_perfect_epoch(monkeypatch):
+    pool = unlabeled_view(gen_synthetic(40, 3, 10, 1.0, seed=5))
+    cfg = pretext_config(10, hidden=(16,), batch_size=16)
+    lr_calls = count_calls(monkeypatch, "lr_at")
+    step_calls = count_calls(monkeypatch, "sgd_step")
+    _, report = train_pretext(pool, cfg)
+    assert (report.best_epoch, report.epochs_run, report.rotation_accuracy) == (0, 1, 1.0)
+    assert [args[1] for args in lr_calls] == [0]
+    assert len(step_calls) == math.ceil(len(pool) / (cfg.batch_size // 4))
+
+
+def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
+    # Slow learner: accuracy climbs for three epochs, then plateaus below 1.0.
+    pool = unlabeled_view(gen_synthetic(20, 3, 10, 1.0, seed=5))
+    cfg = pretext_config(10, hidden=(16,), batch_size=16, learning_rate=0.005)
+    snapshots, accuracies = [], []
+    measure = pretext._rotation_accuracy
+
+    def recording(state, flat_x, flat_y):
+        snapshots.append(state.copy())
+        accuracies.append(measure(state, flat_x, flat_y))
+        return accuracies[-1]
+
+    monkeypatch.setattr(pretext, "_rotation_accuracy", recording)
+    state, report = train_pretext(pool, cfg)
+    assert report.epochs_run == cfg.epochs == len(accuracies)
+    assert 0 < report.best_epoch < cfg.epochs - 1
+    assert report.best_epoch == accuracies.index(max(accuracies))
+    assert report.rotation_accuracy == max(accuracies) < 1.0
+    kept = snapshots[report.best_epoch]
+    for a, b in zip(state.weights + state.biases, kept.weights + kept.biases):
+        assert np.array_equal(a, b)
 
 
 def test_rotation_sensitive_pool_is_learnable_and_learned():
@@ -156,4 +214,15 @@ def test_loss_record_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
+        read_loss_records(path)
+    for row in ("7", "x,0.5", "7,nan"):
+        path.write_text(f"sample_id,pretext_loss\n{row}\n")
+        with pytest.raises(LossRecordError):
+            read_loss_records(path)
+
+
+def test_loss_record_csv_rejects_repeated_ids(tmp_path):
+    path = tmp_path / "losses.csv"
+    write_loss_records(path, [LossRecord(3, 0.5), LossRecord(1, 0.2), LossRecord(3, 0.5)])
+    with pytest.raises(LossRecordError, match="repeated sample id 3"):
         read_loss_records(path)
