@@ -290,6 +290,13 @@ def cmd_correlate(args) -> int:
             pretext_state = learner.load_checkpoint(ckpt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        ckpt_cfg = pretext_state.config
+        if ckpt_cfg.n_classes != pretext.N_ORIENTATIONS:
+            raise ConfigError(f"{ckpt}: pretext checkpoint has {ckpt_cfg.n_classes} classes, "
+                              f"expected {pretext.N_ORIENTATIONS} rotations")
+        if tuple(ckpt_cfg.input_shape) != tuple(shape):
+            raise ConfigError(f"{ckpt}: pretext checkpoint input shape {tuple(ckpt_cfg.input_shape)} "
+                              f"does not match the dataset's image shape {tuple(shape)}")
         inputs.append(ckpt)
     else:
         pcfg = replace(config.pretext, input_shape=tuple(shape), n_classes=4,

@@ -148,16 +148,6 @@ def init_learner(config: LearnerConfig) -> LearnerState:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
-
-
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return 1.0 - a * a
-    return (z > 0.0).astype(np.float64)
-
-
 def as_batch(config: LearnerConfig, x) -> np.ndarray:
     """Canonicalize a batch to (B, *input_shape) float64, accepting flat rows."""
     arr = np.asarray(x, dtype=np.float64)
@@ -171,18 +161,6 @@ def as_batch(config: LearnerConfig, x) -> np.ndarray:
     raise ValueError(f"input shape mismatch: got {arr.shape}, expected batch of {want}")
 
 
-def _single_to_batch(config: LearnerConfig, x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    want = tuple(config.input_shape)
-    if arr.shape == want:
-        return arr[None]
-    if arr.ndim == 1 and arr.size == config.input_dim:
-        return arr.reshape(1, *want)
-    if len(want) == 3 and want[2] == 1 and arr.shape == want[:2]:
-        return arr[None, ..., None]
-    raise ValueError(f"input shape mismatch: got {arr.shape}, expected {want}")
-
-
 def _as_labels(config: LearnerConfig, y, n: int) -> np.ndarray:
     arr = np.asarray(y)
     if arr.ndim != 1 or len(arr) != n:
@@ -193,39 +171,127 @@ def _as_labels(config: LearnerConfig, y, n: int) -> np.ndarray:
     return arr
 
 
-def _forward(state: LearnerState, xb: np.ndarray):
-    cfg = state.config
-    cache: dict = {}
-    offset = 0
-    if cfg.conv is not None:
-        k = cfg.conv.kernel
-        h, w, _ = cfg.input_shape
-        ho, wo = h - k + 1, w - k + 1
-        kern = state.weights[0]
-        z = np.zeros((len(xb), ho, wo, cfg.conv.filters)) + state.biases[0]
-        for di in range(k):
-            for dj in range(k):
-                z += xb[:, di:di + ho, dj:dj + wo, :] @ kern[di, dj]
-        a = _act(z, cfg.activation)
-        cache["conv_x"], cache["conv_z"], cache["conv_a"] = xb, z, a
-        h0 = a.reshape(len(xb), -1)
-        offset = 1
+class _Workspace:
+    """Buffers for one forward and backward pass over batches of `m` rows.
+
+    `acts[l]` holds the activation of layer l for every layer but the last,
+    as (m, width) rows; the conv layer's also has the 4-d view `conv`.
+    `dacts[l]` holds the loss gradient with respect to `acts[l]`. `x` and `y`
+    are the gathered rows and labels of the batch when training.
+    """
+
+    def __init__(self, config: LearnerConfig, m: int):
+        widths = list(config.hidden) if config.conv is None else [config.feature_dim, *config.hidden]
+        self.x = np.empty((m, config.input_dim))
+        self.y = np.empty(m, dtype=np.int64)
+        self.rows = np.arange(m)
+        self.acts = [np.empty((m, d)) for d in widths]
+        self.dacts = [np.empty((m, d)) for d in widths]
+        self.logits = np.empty((m, config.n_classes))
+        self.delta = np.empty((m, config.n_classes))
+        if config.conv is not None:
+            h, w, _ = config.input_shape
+            k = config.conv.kernel
+            self.conv = self.acts[0].reshape(m, h - k + 1, w - k + 1, config.conv.filters)
+
+
+def _activate(z: np.ndarray, kind: str) -> None:
+    """Replace pre-activations `z` with their activations, in place."""
+    if kind == "tanh":
+        np.tanh(z, out=z)
     else:
-        h0 = xb.reshape(len(xb), -1)
-    acts = [h0]
-    zs = []
-    for j in range(len(cfg.hidden)):
-        z = acts[-1] @ state.weights[offset + j] + state.biases[offset + j]
-        zs.append(z)
-        acts.append(_act(z, cfg.activation))
-    logits = acts[-1] @ state.weights[-1] + state.biases[-1]
-    cache["acts"], cache["zs"], cache["offset"] = acts, zs, offset
-    return logits, cache
+        np.maximum(z, 0.0, out=z)
+
+
+def _activation_grad(a: np.ndarray, kind: str) -> None:
+    """Replace activations `a` with the activation's derivative there, in place.
+
+    For relu, a > 0 exactly where the pre-activation is > 0.
+    """
+    if kind == "tanh":
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+    else:
+        np.greater(a, 0.0, out=a)
+
+
+def _conv_windows(config: LearnerConfig, x: np.ndarray):
+    """(di, dj, input window) per kernel offset of the conv layer, x as (m, H, W, C)."""
+    k = config.conv.kernel
+    h, w, _ = config.input_shape
+    ho, wo = h - k + 1, w - k + 1
+    return [(di, dj, x[:, di:di + ho, dj:dj + wo, :]) for di in range(k) for dj in range(k)]
+
+
+def _forward(config: LearnerConfig, weights, biases, x: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Logits of the (m, input_dim) rows `x`, keeping every activation in `ws`."""
+    h, first = x, 0
+    if config.conv is not None:
+        z = ws.conv
+        z.fill(0.0)
+        z += biases[0]  # 0.0 + b, not b: a -0.0 bias must start the sum as 0.0
+        for di, dj, window in _conv_windows(config, x.reshape(len(x), *config.input_shape)):
+            z += window @ weights[0][di, dj]
+        _activate(z, config.activation)
+        h, first = ws.acts[0], 1
+    for layer in range(first, len(weights) - 1):
+        a = ws.acts[layer]
+        np.matmul(h, weights[layer], out=a)
+        a += biases[layer]
+        _activate(a, config.activation)
+        h = a
+    np.matmul(h, weights[-1], out=ws.logits)
+    ws.logits += biases[-1]
+    return ws.logits
+
+
+def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarray,
+              ws: _Workspace, gws, gbs) -> float:
+    """Mean cross-entropy of one batch; writes its gradient into `gws` / `gbs`.
+
+    `x` holds (m, input_dim) rows and `y` valid labels. The activations in
+    `ws` are overwritten on the way back. The gradient with respect to a
+    layer's input is formed only when a layer below needs it, so a dense
+    network never computes the one with respect to `x`.
+    """
+    m = len(x)
+    logits = _forward(config, weights, biases, x, ws)
+    lse = _logsumexp(logits)
+    loss = float(np.add.reduce(lse - logits[ws.rows, y]) / m)
+
+    dz = ws.delta
+    np.subtract(logits, lse[:, None], out=dz)
+    np.exp(dz, out=dz)
+    dz[ws.rows, y] -= 1.0
+    dz /= m
+    first = 0 if config.conv is None else 1
+    for layer in range(len(weights) - 1, first - 1, -1):
+        a = x if layer == 0 else ws.acts[layer - 1]
+        np.matmul(a.T, dz, out=gws[layer])
+        np.add.reduce(dz, axis=0, out=gbs[layer])
+        if layer == 0:
+            break
+        da = ws.dacts[layer - 1]
+        np.matmul(dz, weights[layer].T, out=da)
+        _activation_grad(a, config.activation)
+        da *= a
+        dz = da
+    if config.conv is not None:
+        dz = dz.reshape(ws.conv.shape)
+        for di, dj, window in _conv_windows(config, x.reshape(m, *config.input_shape)):
+            gws[0][di, dj] = np.tensordot(window, dz, axes=([0, 1, 2], [0, 1, 2]))
+        np.add.reduce(dz, axis=(0, 1, 2), out=gbs[0])
+    return loss
+
+
+def _logits(state: LearnerState, xb: np.ndarray) -> np.ndarray:
+    """Logits of a canonical batch, with buffers of its own."""
+    cfg = state.config
+    return _forward(cfg, state.weights, state.biases, xb.reshape(len(xb), -1), _Workspace(cfg, len(xb)))
 
 
 def predict_logits(state: LearnerState, xs) -> np.ndarray:
-    logits, _ = _forward(state, as_batch(state.config, xs))
-    return logits
+    return _logits(state, as_batch(state.config, xs))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -235,14 +301,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _logsumexp(logits: np.ndarray) -> np.ndarray:
-    zmax = logits.max(axis=1)
-    return zmax + np.log(np.exp(logits - zmax[:, None]).sum(axis=1))
+    zmax = np.maximum.reduce(logits, axis=1)
+    return zmax + np.log(np.add.reduce(np.exp(logits - zmax[:, None]), axis=1))
 
 
 def predict_proba(state: LearnerState, x) -> np.ndarray:
     """Class-probability vector for a single input; entries sum to 1."""
-    logits, _ = _forward(state, _single_to_batch(state.config, x))
-    return _softmax(logits)[0]
+    return predict_proba_batch(state, as_batch(state.config, np.asarray(x)[None]))[0]
 
 
 def predict_proba_batch(state: LearnerState, xs) -> np.ndarray:
@@ -251,17 +316,14 @@ def predict_proba_batch(state: LearnerState, xs) -> np.ndarray:
 
 def per_sample_loss(state: LearnerState, x, y: int) -> float:
     """Cross-entropy -log p_y for one input; always >= 0."""
-    if not 0 <= int(y) < state.config.n_classes:
-        raise ValueError(f"label {y} outside [0, {state.config.n_classes})")
-    logits, _ = _forward(state, _single_to_batch(state.config, x))
-    return float(_logsumexp(logits)[0] - logits[0, int(y)])
+    return float(per_sample_losses(state, as_batch(state.config, np.asarray(x)[None]), [y])[0])
 
 
 def per_sample_losses(state: LearnerState, xs, ys) -> np.ndarray:
     """Vectorized -log p_y per row, computed with the stable log-sum-exp form."""
     xb = as_batch(state.config, xs)
     yb = _as_labels(state.config, ys, len(xb))
-    logits, _ = _forward(state, xb)
+    logits = _logits(state, xb)
     return _logsumexp(logits) - logits[np.arange(len(xb)), yb]
 
 
@@ -276,46 +338,18 @@ def loss_and_grad(state: LearnerState, x, y):
     """Mean minibatch cross-entropy and its analytic gradient.
 
     Returns (loss, grad_weights, grad_biases) with the gradient lists
-    mirroring state.weights / state.biases layer for layer.
+    mirroring state.weights / state.biases layer for layer. Together with
+    `sgd_step` this is the reference that `train` must match bit for bit.
     """
     cfg = state.config
     xb = as_batch(cfg, x)
     if len(xb) == 0:
         raise ValueError("empty minibatch")
     yb = _as_labels(cfg, y, len(xb))
-    logits, cache = _forward(state, xb)
-    lse = _logsumexp(logits)
-    rows = np.arange(len(xb))
-    loss = float(np.mean(lse - logits[rows, yb]))
-
-    delta = np.exp(logits - lse[:, None])
-    delta[rows, yb] -= 1.0
-    delta /= len(xb)
-
-    gws: list = [None] * len(state.weights)
-    gbs: list = [None] * len(state.biases)
-    acts, zs, offset = cache["acts"], cache["zs"], cache["offset"]
-    gws[-1] = acts[-1].T @ delta
-    gbs[-1] = delta.sum(axis=0)
-    dh = delta @ state.weights[-1].T
-    for j in range(len(cfg.hidden) - 1, -1, -1):
-        dz = dh * _act_grad(zs[j], acts[j + 1], cfg.activation)
-        gws[offset + j] = acts[j].T @ dz
-        gbs[offset + j] = dz.sum(axis=0)
-        dh = dz @ state.weights[offset + j].T
-    if cfg.conv is not None:
-        k = cfg.conv.kernel
-        h, w, _ = cfg.input_shape
-        ho, wo = h - k + 1, w - k + 1
-        da = dh.reshape(len(xb), ho, wo, cfg.conv.filters)
-        dz = da * _act_grad(cache["conv_z"], cache["conv_a"], cfg.activation)
-        gk = np.zeros_like(state.weights[0])
-        xc = cache["conv_x"]
-        for di in range(k):
-            for dj in range(k):
-                gk[di, dj] = np.tensordot(xc[:, di:di + ho, dj:dj + wo, :], dz, axes=([0, 1, 2], [0, 1, 2]))
-        gws[0] = gk
-        gbs[0] = dz.sum(axis=(0, 1, 2))
+    gws = [np.empty(w.shape) for w in state.weights]
+    gbs = [np.empty(b.shape) for b in state.biases]
+    loss = _backprop(cfg, state.weights, state.biases, xb.reshape(len(xb), -1), yb,
+                     _Workspace(cfg, len(xb)), gws, gbs)
     return loss, gws, gbs
 
 
@@ -340,22 +374,48 @@ def lr_at(config: LearnerConfig, epoch: int) -> float:
     return config.learning_rate * config.decay_factor ** drops
 
 
+def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copies of `arrays` laid back to back in one float64 vector, plus a view of each."""
+    flat = np.empty(sum(a.size for a in arrays))
+    views, start = [], 0
+    for a in arrays:
+        view = flat[start:start + a.size].reshape(a.shape)
+        view[...] = a
+        views.append(view)
+        start += a.size
+    return flat, views
+
+
 def train(state: LearnerState, x, y, config: LearnerConfig | None = None):
     """Minibatch SGD from `state`; returns (final state, per-epoch mean loss trace).
 
-    The shuffling stream is seeded from the config, so identical
-    (state, data, config) triples reproduce bit-identical results. The
-    input state is not mutated.
+    Architecture and activation come from `state.config`, the schedule
+    (epochs, learning rate, decay, batch size, shuffle seed) from `config`,
+    which defaults to `state.config`. The shuffling stream is seeded from
+    the config, so identical (state, data, config) triples reproduce
+    bit-identical results. The input state is not mutated.
+
+    The result equals a loop of `sgd_step` over the same permutations bit
+    for bit. The inputs are validated once; the weights and the gradient
+    each live in one flat vector, so a step's update is two in-place ops,
+    and every batch size gets its own preallocated buffers.
     """
     cfg = config if config is not None else state.config
     cfg.validate()
-    xb = as_batch(cfg, x)
-    if len(xb) == 0:
-        raise ValueError("empty dataset")
-    yb = _as_labels(cfg, y, len(xb))
-    out = state.copy()
-    rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
+    arch = state.config
+    xb = as_batch(arch, x)
     n = len(xb)
+    if n == 0:
+        raise ValueError("empty dataset")
+    yb = _as_labels(arch, y, n)
+    rows = xb.reshape(n, -1)
+    arrays = [*state.weights, *state.biases]
+    params, views = _packed(arrays)
+    grads, gviews = _packed(arrays)
+    k = len(state.weights)
+    weights, biases, gws, gbs = views[:k], views[k:], gviews[:k], gviews[k:]
+    workspaces: dict[int, _Workspace] = {}
+    rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         lr = lr_at(cfg, epoch)
@@ -363,9 +423,20 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None):
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            total += sgd_step(out, xb[idx], yb[idx], lr) * len(idx)
+            m = len(idx)
+            ws = workspaces.get(m)
+            if ws is None:
+                ws = workspaces[m] = _Workspace(arch, m)
+            # idx is part of a permutation of range(n): "clip" never clips, and
+            # unlike "raise" it lets np.take write straight into the buffer.
+            np.take(rows, idx, axis=0, out=ws.x, mode="clip")
+            np.take(yb, idx, out=ws.y, mode="clip")
+            step_mean = _backprop(arch, weights, biases, ws.x, ws.y, ws, gws, gbs)
+            grads *= lr
+            params -= grads
+            total += step_mean * m
         trace.append(total / n)
-    return out, trace
+    return LearnerState(arch, weights, biases), trace
 
 
 # ---------------------------------------------------------------------------

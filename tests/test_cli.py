@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from pt4al import learner
 from pt4al.cli import main
+from pt4al.learner import LearnerConfig
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -170,6 +172,24 @@ def test_correlate_rejects_missing_or_invalid_checkpoint(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"magic": "nope"}')
     assert main(["correlate", str(cfg), "--pretext-checkpoint", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("n_classes, input_shape", [(3, (10, 10, 1)), (4, (8, 8, 1))],
+                         ids=["not-4-class", "wrong-input-shape"])
+def test_correlate_rejects_mismatched_checkpoint_before_training(tmp_path, monkeypatch, capsys,
+                                                                 n_classes, input_shape):
+    cfg = write_config(tmp_path)
+    ckpt = tmp_path / "ckpt.json"
+    learner.save_checkpoint(learner.init_learner(
+        LearnerConfig(input_shape=input_shape, n_classes=n_classes, hidden=(4,))), ckpt)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("correlate trained before checking its checkpoint")
+
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["correlate", str(cfg), "--pretext-checkpoint", str(ckpt)]) == 1
+    assert "pretext checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_correlate_reuses_checkpoint(tmp_path):

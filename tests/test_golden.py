@@ -24,8 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pt4al import learner
 from pt4al.cli import main
 from pt4al.data import gen_synthetic
+from pt4al.learner import ConvSpec, LearnerConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -166,6 +168,26 @@ GOLDEN_CORPUS: dict[tuple[int, float], tuple[str, str]] = {
 }
 
 
+# name -> (LearnerConfig fields, rows n) for learner.train on Gaussian data
+# from default_rng(17). Batch 7 does not divide n = 50, so the last batch
+# of every epoch is short.
+TRAIN_CASES: dict[str, tuple[dict, int]] = {
+    "dense-tanh-b16": (dict(input_shape=(8, 8, 1), n_classes=3, hidden=(16, 8), activation="tanh",
+                            learning_rate=0.3, epochs=4, batch_size=16, seed=5), 80),
+    "dense-relu-b7": (dict(input_shape=(10,), n_classes=4, hidden=(12,), activation="relu",
+                           learning_rate=0.2, epochs=5, batch_size=7, seed=6), 50),
+    "conv-tanh-b16": (dict(input_shape=(6, 6, 2), n_classes=3, hidden=(8,), conv=ConvSpec(filters=3, kernel=3),
+                           learning_rate=0.3, epochs=3, batch_size=16, seed=7), 40),
+}
+
+# name -> sha256 of the trained weights, biases and per-epoch loss trace.
+GOLDEN_TRAIN: dict[str, str] = {
+    "conv-tanh-b16": "02e6e36ef2d13a20e6a2383cf4614eb12ac39650b76a03efea4a320a5888e0f9",
+    "dense-relu-b7": "05ab90947bb10b28abf6e3967e3bca5877bbdd3dcd786e1fe291703e5584d258",
+    "dense-tanh-b16": "7cd19ffc282eeace85f94365f98bc358a84d240c8cd51687068c9bd04909b631",
+}
+
+
 def write_case_config(tmp_path: Path, overrides: dict) -> Path:
     cfg = json.loads(json.dumps(BASE))
     for section, values in overrides.items():
@@ -190,6 +212,27 @@ def test_cli_outputs_match_golden_digests(tmp_path, case):
     for command in ("pretext", "plan", "run"):
         assert main([command, str(path)]) == 0
     assert output_digests(tmp_path / "out") == GOLDEN_RUNS[case]
+
+
+def train_digest(state: learner.LearnerState, trace: list[float]) -> str:
+    h = hashlib.sha256()
+    for a in (*state.weights, *state.biases, np.asarray(trace, dtype=np.float64)):
+        h.update(array_digest(a).encode())
+    return h.hexdigest()
+
+
+def train_case(name: str):
+    fields, n = TRAIN_CASES[name]
+    cfg = LearnerConfig(**fields)
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((n, *cfg.input_shape))
+    y = rng.integers(0, cfg.n_classes, size=n)
+    return learner.train(learner.init_learner(cfg), x, y, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(TRAIN_CASES))
+def test_train_matches_golden_digests(name):
+    assert train_digest(*train_case(name)) == GOLDEN_TRAIN[name]
 
 
 @pytest.mark.parametrize("classes, noise", sorted(GOLDEN_CORPUS))

@@ -9,6 +9,7 @@ import pytest
 
 from pt4al import learner
 from pt4al.learner import ConvSpec, LearnerConfig
+from pt4al.seeds import derive_seed
 
 
 def small_config(**kw):
@@ -96,6 +97,22 @@ def test_predict_proba_shape_mismatch():
         learner.predict_proba(state, np.zeros(5))
 
 
+def test_single_input_accepts_image_grid_and_flat_shapes():
+    cfg = LearnerConfig(input_shape=(3, 3, 1), n_classes=3, hidden=(4,), seed=2)
+    state = learner.init_learner(cfg)
+    img = np.random.default_rng(4).standard_normal((3, 3, 1))
+    want_p = learner.predict_proba_batch(state, img[None])[0]
+    want_l = learner.per_sample_losses(state, img[None], [1])[0]
+    for x in (img, img[..., 0], img.ravel()):
+        assert np.array_equal(learner.predict_proba(state, x), want_p)
+        assert learner.per_sample_loss(state, x, 1) == want_l
+    for bad in (img[None], np.zeros(8)):
+        with pytest.raises(ValueError):
+            learner.predict_proba(state, bad)
+        with pytest.raises(ValueError):
+            learner.per_sample_loss(state, bad, 1)
+
+
 def test_per_sample_loss_uniform_predictor():
     state = learner.init_learner(small_config(n_classes=4, init_scale=0.0))
     loss = learner.per_sample_loss(state, np.zeros(4), 2)
@@ -115,7 +132,7 @@ def test_per_sample_loss_matches_log_softmax_oracle():
         state = learner.init_learner(cfg)
         x = rng.standard_normal(4)
         y = int(rng.integers(0, 3))
-        logits, _ = learner._forward(state, learner.as_batch(cfg, x[None]))
+        logits = learner.predict_logits(state, x[None])
         probs = np.exp(logits[0]) / np.exp(logits[0]).sum()
         oracle = -math.log(probs[y])
         assert abs(learner.per_sample_loss(state, x, y) - oracle) < 1e-10
@@ -286,6 +303,65 @@ def test_train_empty_dataset_rejected():
     state = learner.init_learner(cfg)
     with pytest.raises(ValueError):
         learner.train(state, np.zeros((0, 4)), np.zeros(0, dtype=int), cfg)
+
+
+def reference_train(state, x, y, config):
+    """`learner.train` spelled out as a plain loop of `learner.sgd_step` calls."""
+    out = state.copy()
+    xb = learner.as_batch(state.config, x)
+    yb = np.asarray(y)
+    n = len(xb)
+    rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
+    trace = []
+    for epoch in range(config.epochs):
+        lr = learner.lr_at(config, epoch)
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            total += learner.sgd_step(out, xb[idx], yb[idx], lr) * len(idx)
+        trace.append(total / n)
+    return out, trace
+
+
+N_EQUIV = 24
+CONV_EQUIV = dict(input_shape=(5, 5, 2), conv=ConvSpec(filters=3, kernel=2))
+
+# id -> (LearnerConfig overrides, pass x as flat rows, schedule overrides for the `config` argument)
+EQUIV_CASES = {
+    **{f"{act}-depth{len(hidden)}": (dict(activation=act, hidden=hidden), False, {})
+       for act in ("tanh", "relu") for hidden in ((7,), (7, 5), (7, 5, 6))},
+    **{f"batch{b}": (dict(batch_size=b), False, {}) for b in (1, 8, 7, 40)},
+    "conv-tanh": (dict(CONV_EQUIV, activation="tanh"), False, {}),
+    "conv-relu": (dict(CONV_EQUIV, activation="relu", batch_size=5), False, {}),
+    "flat-rows": (dict(input_shape=(3, 3, 1)), True, {}),
+    "other-schedule": (dict(), False, dict(learning_rate=0.05, epochs=7, batch_size=9,
+                                           decay_milestones=(0.3,), decay_factor=0.5, seed=99)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIV_CASES))
+def test_train_equals_sgd_step_loop(case):
+    overrides, flat, schedule = EQUIV_CASES[case]
+    arch = small_config(**{"hidden": (7, 5), "epochs": 4, "batch_size": 5, "learning_rate": 0.3, **overrides})
+    config = replace(arch, **schedule)
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((N_EQUIV, *arch.input_shape))
+    if flat:
+        x = x.reshape(N_EQUIV, -1)
+    y = rng.integers(0, arch.n_classes, size=N_EQUIV)
+    state = learner.init_learner(arch)
+    before = state.copy()
+
+    got, got_trace = learner.train(state, x, y, config)
+    want, want_trace = reference_train(state, x, y, config)
+
+    assert got.config == arch
+    assert got_trace == want_trace
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    for a, b in zip(state.weights + state.biases, before.weights + before.biases):
+        assert np.array_equal(a, b)
 
 
 def test_lr_schedule_multi_stage():
