@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .data import Image, Pool, Sample, gen_synthetic, load_idx, rotate, split_train_test
+from .data import Pool, gen_synthetic, load_idx, rotate, split_train_test
 from .diagnostics import CorrelationReport, correlation_report, normalized_rank, spearman_rho
 from .learner import (
     ConvSpec,
@@ -18,7 +18,6 @@ from .loop import (
     ColdStartSummary,
     DatasetSpec,
     IterationReport,
-    Oracle,
     cold_start_experiment,
     run_ablation,
     run_al,
@@ -37,8 +36,8 @@ from .sampler import (
 __all__ = [
     "__version__",
     "ALConfig", "BatchPlan", "ColdStartSummary", "ConvSpec", "CorrelationReport",
-    "DatasetSpec", "Image", "IterationReport", "LearnerConfig", "LearnerState",
-    "LossRecord", "Oracle", "Pool", "PretextReport", "QueryResult", "Sample",
+    "DatasetSpec", "IterationReport", "LearnerConfig", "LearnerState",
+    "LossRecord", "Pool", "PretextReport", "QueryResult",
     "build_batch_plan", "cold_start_experiment", "correlation_report",
     "entropy_sample", "extract_losses", "gen_synthetic", "init_learner",
     "load_idx", "normalized_rank", "per_sample_loss", "predict_proba",

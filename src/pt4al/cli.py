@@ -89,13 +89,15 @@ def load_config(path: str, overrides: argparse.Namespace) -> tuple[ALConfig, Pat
         config = ALConfig(
             iterations=int(al.get("iterations", 5)),
             budget=int(al.get("budget", 100)),
-            strategy=str(al.get("strategy", loop.STRATEGY_PT4AL)),
+            strategy=str(al.get("strategy", "pt4al")),
             dataset=dataset,
             pretext=pretext_cfg,
             main=main_cfg,
             seed=int(raw.get("seed", 0)),
         )
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
     if getattr(overrides, "seed", None) is not None:
@@ -177,11 +179,7 @@ def cmd_pretext(args) -> int:
     config, out_dir = load_config(args.config, args)
     _validate_dataset_files(config)
     train_pool, _ = loop.build_dataset(config.dataset, config.seed)
-    unlabeled = loop.unlabeled_view(train_pool)
-    shape = train_pool.samples[0].image.pixels.shape
-    cfg = replace(config.pretext, input_shape=tuple(shape), n_classes=4,
-                  seed=derive_seed(config.seed, "pretext"))
-    state, report = pretext.train_pretext(unlabeled, cfg)
+    state, report = loop.pretext_model(config, train_pool.unlabeled())
 
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "pretext_checkpoint.json"
@@ -189,7 +187,7 @@ def cmd_pretext(args) -> int:
     learner.save_checkpoint(state, ckpt_path)
     pretext.write_loss_records(losses_path, report.records)
     write_manifest(out_dir / "pretext_manifest.json", "pretext", config, [], [ckpt_path, losses_path])
-    print(f"pretext: best epoch {report.best_epoch} of {report.epochs_run} run, {cfg.epochs} max, "
+    print(f"pretext: best epoch {report.best_epoch} of {report.epochs_run} run, {config.pretext.epochs} max, "
           f"rotation accuracy {report.rotation_accuracy:.4f}, {len(report.records)} loss records -> {losses_path}")
     return 0
 
@@ -200,7 +198,10 @@ def cmd_plan(args) -> int:
     if not losses_path.is_file():
         raise ConfigError(f"loss records not found at {losses_path}; run pretext first")
     records = pretext.read_loss_records(losses_path)
-    order = sampler.ORDER_LOW_FIRST if config.strategy == loop.STRATEGY_LOW_LOSS_FIRST else sampler.ORDER_HIGH_FIRST
+    # Strategies without a loss-sorted plan still get the high-loss-first one.
+    order = loop.STRATEGY_TABLE[config.strategy][0]
+    if config.strategy not in loop.PRETEXT_STRATEGIES:
+        order = sampler.ORDER_HIGH_FIRST
     plan = sampler.build_batch_plan(records, config.iterations, order)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan_path = out_dir / "plan.csv"
@@ -277,9 +278,7 @@ def cmd_correlate(args) -> int:
     config, out_dir = load_config(args.config, args)
     _validate_dataset_files(config)
     train_pool, test_pool = loop.build_dataset(config.dataset, config.seed)
-    unlabeled = loop.unlabeled_view(train_pool)
-    shape = train_pool.samples[0].image.pixels.shape
-    n_classes = max(s.label for s in train_pool.samples) + 1
+    shape = train_pool.x.shape[1:]
 
     inputs: list[Path] = []
     if args.pretext_checkpoint:
@@ -294,19 +293,14 @@ def cmd_correlate(args) -> int:
         if ckpt_cfg.n_classes != pretext.N_ORIENTATIONS:
             raise ConfigError(f"{ckpt}: pretext checkpoint has {ckpt_cfg.n_classes} classes, "
                               f"expected {pretext.N_ORIENTATIONS} rotations")
-        if tuple(ckpt_cfg.input_shape) != tuple(shape):
+        if tuple(ckpt_cfg.input_shape) != shape:
             raise ConfigError(f"{ckpt}: pretext checkpoint input shape {tuple(ckpt_cfg.input_shape)} "
-                              f"does not match the dataset's image shape {tuple(shape)}")
+                              f"does not match the dataset's image shape {shape}")
         inputs.append(ckpt)
     else:
-        pcfg = replace(config.pretext, input_shape=tuple(shape), n_classes=4,
-                       seed=derive_seed(config.seed, "pretext"))
-        pretext_state, _ = pretext.train_pretext(unlabeled, pcfg)
+        pretext_state, _ = loop.pretext_model(config, train_pool.unlabeled())
 
-    x, y = train_pool.stack()
-    mcfg = replace(config.main, input_shape=tuple(shape), n_classes=n_classes,
-                   seed=derive_seed(config.seed, "correlate-main"))
-    main_state, _ = learner.train(learner.init_learner(mcfg), x, y, mcfg)
+    main_state = loop.train_main(config, train_pool, train_pool.n_classes, derive_seed(config.seed, "correlate-main"))
 
     report = diagnostics.correlation_report(pretext_state, main_state, test_pool,
                                             scatter_seed=derive_seed(config.seed, "scatter"))

@@ -5,7 +5,6 @@ mutated in place.
 """
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,94 +14,63 @@ import numpy as np
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
-ROLE_LABELED = "labeled"
-ROLE_UNLABELED = "unlabeled"
-ROLE_TEST = "test"
 
-
-@dataclass
-class Image:
-    """Pixel grid (H, W, C) with float64 values in [0, 1]."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise ValueError(f"image must be (H, W, C), got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("pixel values must be finite and within [0, 1]")
-        self.pixels = arr
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
-
-
-@dataclass
-class Sample:
-    id: int
-    image: Image
-    label: int | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class Pool:
-    """Ordered collection of samples with a role tag.
+    """Samples as parallel arrays, validated once on construction.
 
-    Role "labeled" requires every sample to carry a label; "unlabeled"
-    requires labels to be hidden. Ids must be unique.
+    `ids` is int64[N] and unique, `x` is float64[N, H, W, C] with finite
+    pixels in [0, 1], and `y` is int64[N] with nonnegative labels, or None
+    when the labels are hidden.
     """
 
-    samples: list[Sample]
-    role: str = ROLE_LABELED
+    ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray | None = None
 
     def __post_init__(self):
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
+        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.x = np.asarray(self.x, dtype=np.float64)
+        n = len(self.ids)
+        if self.ids.ndim != 1 or self.x.ndim != 4 or len(self.x) != n:
+            raise ValueError(f"pool needs ids (N,) and images (N, H, W, C), got {self.ids.shape} and {self.x.shape}")
+        if len(np.unique(self.ids)) != n:
             raise ValueError("duplicate sample ids in pool")
-        if self.role == ROLE_LABELED and any(s.label is None for s in self.samples):
-            raise ValueError("labeled pool contains samples without labels")
-        if self.role == ROLE_UNLABELED and any(s.label is not None for s in self.samples):
-            raise ValueError("unlabeled pool contains revealed labels")
+        # NaN fails both comparisons, so this also rejects non-finite pixels.
+        if n and not (self.x.min() >= 0.0 and self.x.max() <= 1.0):
+            raise ValueError("pixel values must be finite and within [0, 1]")
+        if self.y is not None:
+            self.y = np.asarray(self.y, dtype=np.int64)
+            if self.y.shape != (n,):
+                raise ValueError(f"labels must have shape ({n},), got {self.y.shape}")
+            if n and self.y.min() < 0:
+                raise ValueError("labels must be nonnegative")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
-    def ids(self) -> list[int]:
-        return [s.id for s in self.samples]
+    def take(self, positions) -> Pool:
+        """The samples at `positions`, in that order."""
+        positions = np.asarray(positions, dtype=np.int64)
+        return Pool(self.ids[positions], self.x[positions], None if self.y is None else self.y[positions])
 
-    def labels(self) -> list[int | None]:
-        return [s.label for s in self.samples]
+    def unlabeled(self) -> Pool:
+        """The same samples with their labels hidden."""
+        return Pool(self.ids, self.x, None)
 
-    def stack(self):
-        """(X, y) arrays in pool order; y is None if any label is hidden."""
-        x = np.stack([s.image.pixels for s in self.samples])
-        if any(s.label is None for s in self.samples):
-            return x, None
-        return x, np.array([s.label for s in self.samples], dtype=np.int64)
+    @property
+    def n_classes(self) -> int:
+        """One more than the largest label."""
+        return int(self._labels().max()) + 1
 
     def class_histogram(self, n_classes: int) -> list[int]:
-        hist = [0] * n_classes
-        for s in self.samples:
-            if s.label is not None:
-                hist[s.label] += 1
-        return hist
+        """Number of samples per label 0..n_classes-1."""
+        return np.bincount(self._labels(), minlength=n_classes).tolist()
 
-
-def unlabeled_view(pool: Pool) -> Pool:
-    """Same samples with labels hidden, tagged as the unlabeled pool."""
-    return Pool([Sample(s.id, s.image, None) for s in pool.samples], ROLE_UNLABELED)
+    def _labels(self) -> np.ndarray:
+        if self.y is None:
+            raise ValueError("pool labels are hidden")
+        return self.y
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +107,15 @@ def load_idx(images_path, labels_path) -> Pool:
         raise ValueError(f"count mismatch: {n} images vs {ln} labels")
     labels = np.frombuffer(_read_exact(lab_data, 8, ln, labels_path), dtype=np.uint8)
 
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols).astype(np.float64) / 255.0
-    samples = [Sample(i, Image(pixels[i][:, :, None]), int(labels[i])) for i in range(n)]
-    return Pool(samples, ROLE_LABELED)
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols, 1).astype(np.float64) / 255.0
+    return Pool(np.arange(n), pixels, labels)
 
 
 def write_idx(pool: Pool, images_path, labels_path) -> None:
     """Inverse of load_idx for pools whose pixels are multiples of 1/255."""
     if len(pool) == 0:
         raise ValueError("cannot write an empty pool")
-    x, y = pool.stack()
+    x, y = pool.x, pool.y
     if y is None:
         raise ValueError("IDX export requires labels on every sample")
     if x.shape[3] != 1:
@@ -294,21 +261,20 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
         base[junk[rows]] = junk_base
         pixels[rows] += base
     np.clip(pixels, 0.0, 1.0, out=pixels)
-    samples = [Sample(i, Image(pixels[i]), int(c)) for i, c in enumerate(labels)]
-    return Pool(samples, ROLE_LABELED)
+    return Pool(np.arange(n), pixels, labels)
 
 
 # ---------------------------------------------------------------------------
 # rotations
 # ---------------------------------------------------------------------------
 
-def rotate(image: Image, y: int) -> Image:
-    """Exact counter-clockwise rotation by y * 90 degrees (y in 0..3)."""
-    if image.height != image.width:
-        raise ValueError(f"rotation requires square images, got {image.height}x{image.width}")
+def rotate(image: np.ndarray, y: int) -> np.ndarray:
+    """Exact counter-clockwise rotation of one (H, W, C) image by y * 90 degrees (y in 0..3)."""
+    if image.shape[0] != image.shape[1]:
+        raise ValueError(f"rotation requires square images, got {image.shape[0]}x{image.shape[1]}")
     if y not in (0, 1, 2, 3):
         raise ValueError(f"orientation index must be 0..3, got {y}")
-    return Image(np.ascontiguousarray(np.rot90(image.pixels, k=y, axes=(0, 1))))
+    return np.ascontiguousarray(np.rot90(image, k=y, axes=(0, 1)))
 
 
 def rotate_batch(x: np.ndarray, y: int) -> np.ndarray:
@@ -334,52 +300,34 @@ def imbalance_ramp(classes: int, factor: float) -> list[int]:
 
 def make_imbalanced(pool: Pool, counts, seed: int) -> Pool:
     """Seeded subsample with exactly `counts[c]` samples of each class c."""
-    labels = pool.labels()
-    if any(l is None for l in labels):
+    if pool.y is None:
         raise ValueError("imbalanced subsampling requires a fully labeled pool")
-    n_classes = max(labels) + 1
+    n_classes = pool.n_classes
     if len(counts) != n_classes:
         raise ValueError(f"counts has {len(counts)} entries but pool has {n_classes} classes")
-    positions_by_class = {c: [i for i, l in enumerate(labels) if l == c] for c in range(n_classes)}
     rng = np.random.default_rng(seed)
-    keep: list[int] = []
+    keep: list[np.ndarray] = []
     for c in range(n_classes):
-        avail = positions_by_class[c]
+        avail = np.flatnonzero(pool.y == c)
         want = int(counts[c])
         if want < 0:
             raise ValueError("counts must be nonnegative")
         if want > len(avail):
             raise ValueError(f"class {c}: requested {want} samples but only {len(avail)} available")
-        chosen = rng.choice(len(avail), size=want, replace=False)
-        keep.extend(avail[i] for i in chosen)
-    keep.sort()
-    return Pool([pool.samples[i] for i in keep], pool.role)
+        keep.append(avail[rng.choice(len(avail), size=want, replace=False)])
+    return pool.take(np.sort(np.concatenate(keep)))
 
 
 def split_train_test(pool: Pool, test_fraction: float, seed: int) -> tuple[Pool, Pool]:
     """Disjoint, exhaustive, per-class stratified split, deterministic per seed."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction}")
-    groups: dict = {}
-    for i, s in enumerate(pool.samples):
-        groups.setdefault(s.label, []).append(i)
+    if pool.y is None:
+        raise ValueError("a stratified split requires labels")
     rng = np.random.default_rng(seed)
-    test_positions: set[int] = set()
-    for label in sorted(groups, key=lambda l: (l is None, l)):
-        positions = groups[label]
+    is_test = np.zeros(len(pool), dtype=bool)
+    for label in np.unique(pool.y):
+        positions = np.flatnonzero(pool.y == label)
         k = int(test_fraction * len(positions) + 0.5)
-        perm = rng.permutation(len(positions))
-        test_positions.update(positions[perm[i]] for i in range(k))
-    train = [s for i, s in enumerate(pool.samples) if i not in test_positions]
-    test = [s for i, s in enumerate(pool.samples) if i in test_positions]
-    return Pool(train, pool.role), Pool(test, ROLE_TEST)
-
-
-def write_pool_manifest(path, pools: list[tuple[Pool, str]]) -> None:
-    """CSV manifest `id,label,split` covering the given pools."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label", "split"])
-        for pool, split in pools:
-            for s in pool.samples:
-                writer.writerow([s.id, "" if s.label is None else s.label, split])
+        is_test[positions[rng.permutation(len(positions))[:k]]] = True
+    return pool.take(np.flatnonzero(~is_test)), pool.take(np.flatnonzero(is_test))

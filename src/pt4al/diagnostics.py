@@ -81,16 +81,15 @@ def correlation_report(
     labeled. rho uses the full pool; the scatter is a seeded subsample of
     at most `scatter_cap` normalized-rank pairs for plotting.
     """
-    x, y = eval_pool.stack()
-    if y is None:
+    if eval_pool.y is None:
         raise ValueError("correlation report requires a labeled evaluation pool")
     pretext_losses = np.array([r.loss for r in pretext.extract_losses(pretext_model, eval_pool)])
-    main_losses = learner.per_sample_losses(main_model, x, y)
+    main_losses = learner.per_sample_losses(main_model, eval_pool.x, eval_pool.y)
     rho = spearman_rho(pretext_losses, main_losses)
 
     p_ranks = normalized_rank(pretext_losses)
     m_ranks = normalized_rank(main_losses)
-    ids = eval_pool.ids()
+    ids = eval_pool.ids.tolist()
     n = len(ids)
     if n > scatter_cap:
         rng = np.random.default_rng(scatter_seed)

@@ -2,9 +2,9 @@
 
 A run builds the dataset, optionally trains the rotation pretext model to
 obtain the batch plan, then iterates: select K samples from the current
-batch, reveal their labels through the simulated oracle, retrain the main
-classifier from scratch on everything labeled so far, and evaluate on the
-held-out test split.
+batch with their labels hidden, then read those labels from the train pool
+(the simulated annotator), retrain the main classifier from scratch on
+everything labeled so far, and evaluate on the held-out test split.
 """
 from __future__ import annotations
 
@@ -15,22 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import learner, sampler
-from .data import (
-    Pool,
-    Sample,
-    gen_synthetic,
-    imbalance_ramp,
-    load_idx,
-    make_imbalanced,
-    split_train_test,
-    unlabeled_view,
-)
+from . import learner
+from .data import Pool, gen_synthetic, imbalance_ramp, load_idx, make_imbalanced, split_train_test
 from .learner import LearnerConfig, LearnerState
-from .pretext import LossRecord, check_records_cover, train_pretext
+from .pretext import N_ORIENTATIONS, LossRecord, PretextReport, check_records_cover, train_pretext
 from .sampler import (
     ORDER_HIGH_FIRST,
     ORDER_LOW_FIRST,
+    ORDER_RANDOM,
     BatchPlan,
     QueryResult,
     build_batch_plan,
@@ -42,38 +34,31 @@ from .sampler import (
 )
 from .seeds import derive_seed
 
-STRATEGY_PT4AL = "pt4al"
-STRATEGY_RANDOM = "random"
-STRATEGY_ENTROPY = "entropy"
-STRATEGY_SAMPLING_ONLY = "pt4al-sampling-only"
-STRATEGY_PRETEXT_ONLY_HIGH = "pt4al-pretext-only-high"
-STRATEGY_PRETEXT_ONLY_LOW = "pt4al-pretext-only-low"
-STRATEGY_LOW_LOSS_FIRST = "pt4al-low-loss-first"
+# strategy -> (batch plan order or None, round-1 rule, later-round rule).
+# A strategy without a plan selects from every unlabeled sample; one with a
+# plan selects from batch i in round i. Rules: "uniform" takes even-interval
+# positions, "head"/"tail" the first/last K of the batch, "random" a seeded
+# draw, "confidence"/"entropy" score the candidates under the previous
+# round's model. Rules are names, so each call resolves the sampler
+# function through this module's globals at call time.
+STRATEGY_TABLE: dict[str, tuple[str | None, str, str]] = {
+    "pt4al": (ORDER_HIGH_FIRST, "uniform", "confidence"),
+    "random": (None, "random", "random"),
+    "entropy": (None, "random", "entropy"),
+    "pt4al-sampling-only": (ORDER_RANDOM, "head", "entropy"),
+    "pt4al-pretext-only-high": (ORDER_HIGH_FIRST, "head", "head"),
+    "pt4al-pretext-only-low": (ORDER_HIGH_FIRST, "tail", "tail"),
+    "pt4al-low-loss-first": (ORDER_LOW_FIRST, "uniform", "confidence"),
+}
 
-STRATEGIES = (
-    STRATEGY_PT4AL,
-    STRATEGY_RANDOM,
-    STRATEGY_ENTROPY,
-    STRATEGY_SAMPLING_ONLY,
-    STRATEGY_PRETEXT_ONLY_HIGH,
-    STRATEGY_PRETEXT_ONLY_LOW,
-    STRATEGY_LOW_LOSS_FIRST,
-)
+STRATEGIES = tuple(STRATEGY_TABLE)
 
 # Strategies whose batch plan comes from pretext losses.
-PRETEXT_STRATEGIES = (
-    STRATEGY_PT4AL,
-    STRATEGY_PRETEXT_ONLY_HIGH,
-    STRATEGY_PRETEXT_ONLY_LOW,
-    STRATEGY_LOW_LOSS_FIRST,
-)
+PRETEXT_STRATEGIES = tuple(s for s, (order, _, _) in STRATEGY_TABLE.items()
+                           if order in (ORDER_HIGH_FIRST, ORDER_LOW_FIRST))
 
-ABLATION_VARIANTS = {
-    "sampling-only": STRATEGY_SAMPLING_ONLY,
-    "pretext-only-high": STRATEGY_PRETEXT_ONLY_HIGH,
-    "pretext-only-low": STRATEGY_PRETEXT_ONLY_LOW,
-    "low-loss-first": STRATEGY_LOW_LOSS_FIRST,
-}
+# The component ablations of the full method, named without the prefix.
+ABLATION_VARIANTS = {s.removeprefix("pt4al-"): s for s in STRATEGIES if s.startswith("pt4al-")}
 
 
 @dataclass(frozen=True)
@@ -114,7 +99,7 @@ def default_main_config() -> LearnerConfig:
 class ALConfig:
     iterations: int = 5
     budget: int = 100
-    strategy: str = STRATEGY_PT4AL
+    strategy: str = "pt4al"
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     pretext: LearnerConfig = field(default_factory=default_pretext_config)
     main: LearnerConfig = field(default_factory=default_main_config)
@@ -164,28 +149,6 @@ class ColdStartSummary:
         }
 
 
-class Oracle:
-    """Simulated annotator over the master dataset's ground-truth labels."""
-
-    def __init__(self, master: Pool):
-        if any(s.label is None for s in master.samples):
-            raise ValueError("oracle requires ground-truth labels for every sample")
-        self._labels = {s.id: s.label for s in master.samples}
-        self._revealed: dict[int, int] = {}
-
-    def oracle_label(self, sample_id: int) -> int:
-        """Reveal the true label; repeat calls return the same value."""
-        if sample_id not in self._labels:
-            raise KeyError(f"unknown sample id {sample_id}")
-        if sample_id not in self._revealed:
-            self._revealed[sample_id] = self._labels[sample_id]
-        return self._revealed[sample_id]
-
-    @property
-    def n_revealed(self) -> int:
-        return len(self._revealed)
-
-
 def normalized_histogram_entropy(histogram: list[int]) -> float:
     """Entropy of the class histogram divided by ln(n_classes); 1 = balanced."""
     total = sum(histogram)
@@ -207,97 +170,61 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
         if spec.imbalance_counts is not None:
             counts = list(spec.imbalance_counts)
         else:
-            n_classes = max(s.label for s in master.samples) + 1
-            counts = imbalance_ramp(n_classes, spec.imbalance_factor)
+            counts = imbalance_ramp(master.n_classes, spec.imbalance_factor)
         master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
     return split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
 
 
-def _pool_n_classes(pool: Pool) -> int:
-    return max(s.label for s in pool.samples) + 1
+def pretext_model(config: ALConfig, unlabeled: Pool) -> tuple[LearnerState, PretextReport]:
+    """Train this config's rotation model on the unlabeled pool."""
+    cfg = replace(config.pretext, input_shape=unlabeled.x.shape[1:], n_classes=N_ORIENTATIONS,
+                  seed=derive_seed(config.seed, "pretext"))
+    return train_pretext(unlabeled, cfg)
 
 
-def _materialize(config: LearnerConfig, image_shape: tuple[int, ...], n_classes: int, seed: int) -> LearnerConfig:
-    return replace(config, input_shape=tuple(image_shape), n_classes=n_classes, seed=seed)
-
-
-def _train_main(config: ALConfig, labeled: list[Sample], shape, n_classes: int, iteration: int) -> LearnerState:
-    x = np.stack([s.image.pixels for s in labeled])
-    y = np.array([s.label for s in labeled], dtype=np.int64)
-    cfg = _materialize(config.main, shape, n_classes, derive_seed(config.seed, "main", iteration))
-    state = learner.init_learner(cfg)
-    trained, _ = learner.train(state, x, y, cfg)
+def train_main(config: ALConfig, labeled: Pool, n_classes: int, seed: int) -> LearnerState:
+    """Train this config's main classifier from scratch on a labeled pool."""
+    cfg = replace(config.main, input_shape=labeled.x.shape[1:], n_classes=n_classes, seed=seed)
+    trained, _ = learner.train(learner.init_learner(cfg), labeled.x, labeled.y, cfg)
     return trained
 
 
-def pretext_loss_records(config: ALConfig, unlabeled: Pool) -> list[LossRecord]:
-    """Train the pretext model for this config and extract its loss records."""
-    shape = unlabeled.samples[0].image.pixels.shape
-    cfg = _materialize(config.pretext, shape, 4, derive_seed(config.seed, "pretext"))
-    _, report = train_pretext(unlabeled, cfg)
-    return report.records
+def _positions(pool: Pool) -> dict[int, int]:
+    return {sid: i for i, sid in enumerate(pool.ids.tolist())}
 
 
 def _build_plan(config: ALConfig, unlabeled: Pool, loss_records: list[LossRecord] | None) -> BatchPlan | None:
-    if config.strategy in PRETEXT_STRATEGIES:
-        records = loss_records
-        if records is None:
-            records = pretext_loss_records(config, unlabeled)
-        else:
-            check_records_cover(records, unlabeled.ids())
-        order = ORDER_LOW_FIRST if config.strategy == STRATEGY_LOW_LOSS_FIRST else ORDER_HIGH_FIRST
-        return build_batch_plan(records, config.iterations, order)
-    if config.strategy == STRATEGY_SAMPLING_ONLY:
+    order = STRATEGY_TABLE[config.strategy][0]
+    if order is None:
+        return None
+    if order == ORDER_RANDOM:
         # The segmentation shares the iteration-1 sampling substream, so the
         # head of the first batch coincides with the random strategy's first
         # draw: the two first iterations are identical by construction.
-        return build_random_plan(unlabeled.ids(), config.iterations, derive_seed(config.seed, "sampling", 1))
-    return None
+        return build_random_plan(unlabeled.ids.tolist(), config.iterations, derive_seed(config.seed, "sampling", 1))
+    if loss_records is None:
+        loss_records = pretext_model(config, unlabeled)[1].records
+    else:
+        check_records_cover(loss_records, unlabeled.ids.tolist())
+    return build_batch_plan(loss_records, config.iterations, order)
 
 
-def _select(
-    config: ALConfig,
-    iteration: int,
-    plan: BatchPlan | None,
-    remaining: dict[int, Sample],
-    remaining_order: list[int],
-    prev_model: LearnerState | None,
-) -> QueryResult:
+def _select(config: ALConfig, iteration: int, candidates: Pool, prev_model: LearnerState | None) -> QueryResult:
+    _, first, later = STRATEGY_TABLE[config.strategy]
+    rule = first if iteration == 1 else later
     k = config.budget
-    strategy = config.strategy
-    seed = derive_seed(config.seed, "sampling", iteration)
-    if strategy == STRATEGY_RANDOM:
-        return random_sample(remaining_order, k, seed, iteration)
-    if strategy == STRATEGY_ENTROPY:
-        if iteration == 1:
-            return random_sample(remaining_order, k, seed, iteration)
-        batch = [remaining[sid] for sid in remaining_order]
-        return entropy_sample(batch, prev_model, k, iteration)
-
-    batch_ids = plan.batches[iteration - 1]
-    if strategy == STRATEGY_SAMPLING_ONLY:
-        if iteration == 1:
-            # The batch is already in seeded random order; its head is the
-            # uniform draw (identical to the random strategy's iteration 1).
-            if k > len(batch_ids):
-                raise ValueError(f"K={k} exceeds batch size {len(batch_ids)}")
-            return QueryResult(iteration, batch_ids[:k], [float(r) for r in range(k)])
-        batch = [remaining[sid] for sid in batch_ids]
-        return entropy_sample(batch, prev_model, k, iteration)
-    if strategy == STRATEGY_PRETEXT_ONLY_HIGH:
-        if k > len(batch_ids):
-            raise ValueError(f"K={k} exceeds batch size {len(batch_ids)}")
-        return QueryResult(iteration, batch_ids[:k], [float(r) for r in range(k)])
-    if strategy == STRATEGY_PRETEXT_ONLY_LOW:
-        if k > len(batch_ids):
-            raise ValueError(f"K={k} exceeds batch size {len(batch_ids)}")
-        picked = batch_ids[len(batch_ids) - k:]
+    ids = candidates.ids.tolist()
+    if rule == "random":
+        return random_sample(ids, k, derive_seed(config.seed, "sampling", iteration), iteration)
+    if rule == "uniform":
+        return uniform_first_sample(ids, k, iteration)
+    if rule in ("head", "tail"):
+        if k > len(ids):
+            raise ValueError(f"K={k} exceeds batch size {len(ids)}")
+        picked = ids[:k] if rule == "head" else ids[len(ids) - k:]
         return QueryResult(iteration, picked, [float(r) for r in range(k)])
-    # pt4al and pt4al-low-loss-first
-    if iteration == 1:
-        return uniform_first_sample(batch_ids, k, iteration)
-    batch = [remaining[sid] for sid in batch_ids]
-    return uncertainty_sample(batch, prev_model, k, iteration)
+    scorer = uncertainty_sample if rule == "confidence" else entropy_sample
+    return scorer(candidates, prev_model, k, iteration)
 
 
 def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> list[IterationReport]:
@@ -313,43 +240,39 @@ def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> li
         raise ValueError(
             f"budget {config.iterations} x {config.budget} exceeds unlabeled pool size {len(train_pool)}"
         )
-    oracle = Oracle(train_pool)
-    unlabeled = unlabeled_view(train_pool)
-    n_classes = _pool_n_classes(train_pool)
-    shape = train_pool.samples[0].image.pixels.shape
-    x_test, y_test = test_pool.stack()
-
+    unlabeled = train_pool.unlabeled()
+    n_classes = train_pool.n_classes
     plan = _build_plan(config, unlabeled, loss_records)
+    position = _positions(unlabeled)
 
-    remaining: dict[int, Sample] = {s.id: s for s in unlabeled.samples}
-    remaining_order: list[int] = unlabeled.ids()
-    labeled: list[Sample] = []
+    labeled: list[int] = []  # pool positions, in selection order
+    is_labeled = np.zeros(len(unlabeled), dtype=bool)
     prev_model: LearnerState | None = None
     reports: list[IterationReport] = []
 
     for iteration in range(1, config.iterations + 1):
         tic = time.perf_counter()
-        query = _select(config, iteration, plan, remaining, remaining_order, prev_model)
+        if plan is None:
+            candidates = np.flatnonzero(~is_labeled)
+        else:
+            candidates = [position[sid] for sid in plan.batches[iteration - 1]]
+        query = _select(config, iteration, unlabeled.take(candidates), prev_model)
         for sid in query.selected:
-            if sid not in remaining:
-                raise RuntimeError(f"selected id {sid} is not in the unlabeled pool")
-            sample = remaining.pop(sid)
-            labeled.append(Sample(sample.id, sample.image, oracle.oracle_label(sid)))
-        selected_set = set(query.selected)
-        remaining_order = [sid for sid in remaining_order if sid not in selected_set]
+            if is_labeled[position[sid]]:
+                raise RuntimeError(f"selected id {sid} is already labeled")
+            is_labeled[position[sid]] = True
+            labeled.append(position[sid])
 
-        model = _train_main(config, labeled, shape, n_classes, iteration)
-        acc = learner.accuracy(model, x_test, y_test)
-        hist = [0] * n_classes
-        for s in labeled:
-            hist[s.label] += 1
+        labeled_pool = train_pool.take(labeled)
+        model = train_main(config, labeled_pool, n_classes, derive_seed(config.seed, "main", iteration))
+        hist = labeled_pool.class_histogram(n_classes)
         reports.append(
             IterationReport(
                 iteration=iteration,
                 selected_ids=list(query.selected),
                 selection_scores=list(query.scores),
                 labeled_size=len(labeled),
-                test_accuracy=acc,
+                test_accuracy=learner.accuracy(model, test_pool.x, test_pool.y),
                 class_histogram=hist,
                 hist_entropy=normalized_histogram_entropy(hist),
                 wall_time=time.perf_counter() - tic,
@@ -381,30 +304,24 @@ def cold_start_experiment(config: ALConfig, seeds: list[int]) -> ColdStartSummar
     train_pool, test_pool = build_dataset(config.dataset, config.seed)
     if config.iterations * config.budget > len(train_pool):
         raise ValueError("budget exceeds unlabeled pool size")
-    oracle = Oracle(train_pool)
-    unlabeled = unlabeled_view(train_pool)
-    n_classes = _pool_n_classes(train_pool)
-    shape = train_pool.samples[0].image.pixels.shape
-    x_test, y_test = test_pool.stack()
-    by_id = {s.id: s for s in unlabeled.samples}
+    unlabeled = train_pool.unlabeled()
+    n_classes = train_pool.n_classes
+    position = _positions(unlabeled)
 
-    records = pretext_loss_records(config, unlabeled)
-    plan = build_batch_plan(records, config.iterations, ORDER_HIGH_FIRST)
+    _, report = pretext_model(config, unlabeled)
+    plan = build_batch_plan(report.records, config.iterations, ORDER_HIGH_FIRST)
     pt4al_query = uniform_first_sample(plan.batches[0], config.budget)
 
     def first_iteration_accuracy(selected: list[int], train_seed: int) -> float:
-        chosen = [Sample(sid, by_id[sid].image, oracle.oracle_label(sid)) for sid in selected]
-        x = np.stack([s.image.pixels for s in chosen])
-        y = np.array([s.label for s in chosen], dtype=np.int64)
-        cfg = _materialize(config.main, shape, n_classes, train_seed)
-        trained, _ = learner.train(learner.init_learner(cfg), x, y, cfg)
-        return learner.accuracy(trained, x_test, y_test)
+        labeled = train_pool.take([position[sid] for sid in selected])
+        model = train_main(config, labeled, n_classes, train_seed)
+        return learner.accuracy(model, test_pool.x, test_pool.y)
 
     pt4al_accs: list[float] = []
     random_accs: list[float] = []
     for seed in seeds:
         pt4al_accs.append(first_iteration_accuracy(pt4al_query.selected, derive_seed(seed, "cold", "main")))
-        rand_query = random_sample(unlabeled.ids(), config.budget, derive_seed(seed, "cold", "sampling"), 1)
+        rand_query = random_sample(unlabeled.ids.tolist(), config.budget, derive_seed(seed, "cold", "sampling"), 1)
         random_accs.append(first_iteration_accuracy(rand_query.selected, derive_seed(seed, "cold", "main")))
     return ColdStartSummary(
         seeds=list(seeds),

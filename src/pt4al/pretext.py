@@ -52,7 +52,7 @@ def _pretext_config(config: LearnerConfig, image_shape: tuple[int, ...]) -> Lear
 
 
 def _rotation_dataset(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Sample-major layout: row 4*s + r holds rotation r of sample s.
+    # Row 4*s + r holds rotation r of sample s, so a sample's rows are adjacent.
     rots = np.stack([rotate_batch(x, r) for r in range(N_ORIENTATIONS)], axis=1)
     flat_x = rots.reshape(len(x) * N_ORIENTATIONS, *x.shape[1:])
     flat_y = np.tile(np.arange(N_ORIENTATIONS), len(x))
@@ -82,7 +82,7 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     """
     if len(unlabeled) == 0:
         raise ValueError("empty unlabeled pool")
-    x, _ = unlabeled.stack()
+    x = unlabeled.x
     if x.shape[1] != x.shape[2]:
         raise ValueError("pretext task requires square images")
     cfg = _pretext_config(config, x.shape[1:])
@@ -128,7 +128,7 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
         raise ValueError(f"expected a {N_ORIENTATIONS}-class rotation model, got {state.config.n_classes} classes")
     if len(unlabeled) == 0:
         return []
-    x, _ = unlabeled.stack()
+    x = unlabeled.x
     if x.shape[1] != x.shape[2]:
         raise ValueError("pretext loss extraction requires square images")
     totals = np.zeros(len(x))
@@ -139,7 +139,7 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
             chunk = slice(start, start + _EVAL_CHUNK)
             totals[chunk] += learner.per_sample_losses(state, xr[chunk], yr[chunk])
     totals /= N_ORIENTATIONS
-    return [LossRecord(sid, float(loss)) for sid, loss in zip(unlabeled.ids(), totals)]
+    return [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), totals.tolist())]
 
 
 def write_loss_records(path, records: list[LossRecord]) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learner
-from .data import Sample
+from .data import Pool
 from .learner import LearnerState
 from .pretext import LossRecord
 
@@ -40,9 +40,6 @@ class BatchPlan:
     @property
     def n_batches(self) -> int:
         return len(self.batches)
-
-    def all_ids(self) -> list[int]:
-        return [sid for batch in self.batches for sid in batch]
 
 
 @dataclass
@@ -111,30 +108,24 @@ def uniform_first_sample(batch: list[int], k: int, iteration: int = 1) -> QueryR
     return QueryResult(iteration, [batch[p] for p in positions], [float(p) for p in positions])
 
 
-def _stack_images(batch: list[Sample]) -> np.ndarray:
-    return np.stack([s.image.pixels for s in batch])
-
-
-def uncertainty_sample(batch: list[Sample], model: LearnerState, k: int, iteration: int = 0) -> QueryResult:
+def uncertainty_sample(batch: Pool, model: LearnerState, k: int, iteration: int = 0) -> QueryResult:
     """K samples with the smallest top-1 posterior probability under `model`."""
     if not 1 <= k <= len(batch):
         raise ValueError(f"K={k} outside [1, {len(batch)}]")
-    probs = learner.predict_proba_batch(model, _stack_images(batch))
+    probs = learner.predict_proba_batch(model, batch.x)
     conf = probs.max(axis=1)
-    ids = np.array([s.id for s in batch])
-    order = np.lexsort((ids, conf))[:k]
-    return QueryResult(iteration, [int(ids[i]) for i in order], [float(conf[i]) for i in order])
+    order = np.lexsort((batch.ids, conf))[:k]
+    return QueryResult(iteration, [int(batch.ids[i]) for i in order], [float(conf[i]) for i in order])
 
 
-def entropy_sample(batch: list[Sample], model: LearnerState, k: int, iteration: int = 0) -> QueryResult:
+def entropy_sample(batch: Pool, model: LearnerState, k: int, iteration: int = 0) -> QueryResult:
     """K samples with the highest Shannon entropy of the posterior (natural log)."""
     if not 1 <= k <= len(batch):
         raise ValueError(f"K={k} outside [1, {len(batch)}]")
-    probs = learner.predict_proba_batch(model, _stack_images(batch))
+    probs = learner.predict_proba_batch(model, batch.x)
     ent = -np.sum(np.where(probs > 0, probs * np.log(probs), 0.0), axis=1)
-    ids = np.array([s.id for s in batch])
-    order = np.lexsort((ids, -ent))[:k]
-    return QueryResult(iteration, [int(ids[i]) for i in order], [float(ent[i]) for i in order])
+    order = np.lexsort((batch.ids, -ent))[:k]
+    return QueryResult(iteration, [int(batch.ids[i]) for i in order], [float(ent[i]) for i in order])
 
 
 def random_sample(ids: list[int], k: int, seed: int, iteration: int = 0) -> QueryResult:

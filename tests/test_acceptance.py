@@ -17,7 +17,7 @@ import numpy as np
 
 from pt4al import data, diagnostics, learner, loop, pretext
 from pt4al.cli import main as cli_main
-from pt4al.data import Image, Sample, load_idx, rotate, unlabeled_view
+from pt4al.data import Pool, load_idx, rotate
 from pt4al.learner import ConvSpec, LearnerConfig
 from pt4al.pretext import LossRecord
 from pt4al.sampler import ORDER_HIGH_FIRST, build_batch_plan, uncertainty_sample
@@ -82,14 +82,14 @@ def _proba_state(classes: int, scale: float) -> learner.LearnerState:
     return state
 
 
-def _sample_row(sid: int, row) -> Sample:
-    arr = np.asarray(row, dtype=np.float64).reshape(1, -1, 1)
-    return Sample(sid, Image(arr), None)
+def _rows_pool(ids, rows) -> Pool:
+    rows = np.asarray(rows, dtype=np.float64)
+    return Pool(ids, rows.reshape(len(rows), 1, -1, 1))
 
 
 def _brute_force(batch, state, k):
-    probs = learner.predict_proba_batch(state, np.stack([s.image.pixels for s in batch]))
-    ranked = sorted(((float(p.max()), s.id) for p, s in zip(probs, batch)))
+    probs = learner.predict_proba_batch(state, batch.x)
+    ranked = sorted(((float(p.max()), sid) for p, sid in zip(probs, batch.ids.tolist())))
     return [sid for _, sid in ranked[:k]]
 
 
@@ -106,7 +106,7 @@ def test_criterion_2_uncertainty_sampler_equals_brute_force():
         else:
             rows = rng.random((n, classes))
         ids = [int(i) for i in rng.permutation(5 * n)[:n]]
-        batch = [_sample_row(sid, row) for sid, row in zip(ids, rows)]
+        batch = _rows_pool(ids, rows)
         k = int(rng.integers(1, n + 1))
         got = uncertainty_sample(batch, state, k).selected
         if got != _brute_force(batch, state, k):
@@ -121,7 +121,7 @@ def test_criterion_2_uncertainty_sampler_equals_brute_force():
                 rows = (rng.integers(0, 3, size=(n, 3)) / 2.0 if trial % 2 == 0
                         else rng.random((n, 3)))
                 ids = [int(i) for i in rng.permutation(40)[:n]]
-                batch = [_sample_row(sid, row) for sid, row in zip(ids, rows)]
+                batch = _rows_pool(ids, rows)
                 use = zero_state if trial % 5 == 0 else state
                 got = uncertainty_sample(batch, use, k).selected
                 if got != _brute_force(batch, use, k):
@@ -202,14 +202,13 @@ def test_criterion_5_pretext_main_loss_correlation():
     for seed in range(5):
         train, test = loop.build_dataset(loop.DatasetSpec(), seed)
         assert len(train) + len(test) >= 2000
-        shape = train.samples[0].image.pixels.shape
+        shape = train.x.shape[1:]
         pcfg = replace(loop.default_pretext_config(), input_shape=shape, n_classes=4,
                        seed=seed * 100 + 1, epochs=20)
-        pstate, _ = pretext.train_pretext(unlabeled_view(train), pcfg)
-        x, y = train.stack()
+        pstate, _ = pretext.train_pretext(train.unlabeled(), pcfg)
         mcfg = replace(loop.default_main_config(), input_shape=shape, n_classes=4,
                        seed=seed * 100 + 2, epochs=20)
-        mstate, _ = learner.train(learner.init_learner(mcfg), x, y, mcfg)
+        mstate, _ = learner.train(learner.init_learner(mcfg), train.x, train.y, mcfg)
         rhos.append(diagnostics.correlation_report(pstate, mstate, test).rho)
     mean_rho = float(np.mean(rhos))
     elapsed = time.perf_counter() - tic
@@ -257,7 +256,7 @@ def test_criterion_7_full_method_at_least_each_ablation():
     for seed in range(5):
         cfg = replace(base, seed=seed)
         train, _ = loop.build_dataset(cfg.dataset, seed)
-        records = loop.pretext_loss_records(cfg, unlabeled_view(train))
+        records = loop.pretext_model(cfg, train.unlabeled())[1].records
         for strat in strategies:
             recs = records if strat != "pt4al-sampling-only" else None
             reports = loop.run_al(replace(cfg, strategy=strat), loss_records=recs)
@@ -278,11 +277,11 @@ def test_criterion_8_rotation_and_idx_exactness(tmp_path):
     failures = 0
     for _ in range(100):
         n = int(rng.integers(2, 16))
-        img = Image(rng.random((n, n, int(rng.integers(1, 3)))))
+        img = rng.random((n, n, int(rng.integers(1, 3))))
         out = img
         for _ in range(4):
             out = rotate(out, 1)
-        if not np.array_equal(out.pixels, img.pixels):
+        if not np.array_equal(out, img):
             failures += 1
     pix = [0, 51, 102, 153, 204, 255, 25, 50]
     img_bytes = struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(pix)

@@ -233,6 +233,14 @@ def test_unparseable_or_unknown_config_is_validation_error(tmp_path):
     assert main(["pretext", str(weird)]) == 1
 
 
+@pytest.mark.parametrize("key", ["budget", "iterations", "seed"])
+def test_non_integer_al_and_seed_values_are_validation_errors(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, **({"seed": "x"} if key == "seed" else {"al": {key: "x"}}))
+    assert main(["run", str(cfg)]) == 1
+    assert "'x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_inputs_never_mutated(tmp_path):
     cfg = write_config(tmp_path)
     before = cfg.read_bytes()

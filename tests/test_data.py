@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pt4al import data
 from pt4al.data import (
-    Image,
     Pool,
-    Sample,
     class_templates,
     gen_synthetic,
     imbalance_ramp,
@@ -20,17 +17,13 @@ from pt4al.data import (
     rotate,
     rotate_batch,
     split_train_test,
-    unlabeled_view,
     write_idx,
 )
 
 
-def make_pool(labels, size=4, role="labeled"):
-    samples = []
-    rng = np.random.default_rng(0)
-    for i, lab in enumerate(labels):
-        samples.append(Sample(i, Image(rng.random((size, size, 1))), lab))
-    return Pool(samples, role)
+def make_pool(labels, size=4):
+    x = np.random.default_rng(0).random((len(labels), size, size, 1))
+    return Pool(np.arange(len(labels)), x, np.array(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -38,32 +31,44 @@ def make_pool(labels, size=4, role="labeled"):
 # ---------------------------------------------------------------------------
 
 def test_pool_rejects_duplicate_ids():
-    img = Image(np.zeros((2, 2, 1)))
-    with pytest.raises(ValueError):
-        Pool([Sample(1, img, 0), Sample(1, img, 1)])
+    with pytest.raises(ValueError, match="duplicate"):
+        Pool([1, 1], np.zeros((2, 2, 2, 1)), [0, 1])
 
 
 def test_pool_role_label_consistency():
-    img = Image(np.zeros((2, 2, 1)))
-    with pytest.raises(ValueError):
-        Pool([Sample(0, img, None)], role="labeled")
-    with pytest.raises(ValueError):
-        Pool([Sample(0, img, 3)], role="unlabeled")
+    x = np.zeros((2, 2, 2, 1))
+    with pytest.raises(ValueError, match="labels must have shape"):
+        Pool([0, 1], x, [0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Pool([0, 1], x, [0, -1])
+    with pytest.raises(ValueError, match="images"):
+        Pool([0, 1, 2], x, None)
+    assert Pool([0, 1], x, None).y is None
 
 
 def test_unlabeled_view_hides_labels():
     pool = make_pool([0, 1, 0])
-    view = unlabeled_view(pool)
-    assert view.role == "unlabeled"
-    assert view.labels() == [None, None, None]
-    assert view.ids() == pool.ids()
+    view = pool.unlabeled()
+    assert view.y is None
+    assert np.array_equal(view.ids, pool.ids)
+    assert view.x is pool.x
+    with pytest.raises(ValueError, match="hidden"):
+        view.class_histogram(2)
 
 
 def test_image_rejects_out_of_range_pixels():
-    with pytest.raises(ValueError):
-        Image(np.full((2, 2, 1), 1.5))
-    with pytest.raises(ValueError):
-        Image(np.full((2, 2, 1), -0.1))
+    for value in (1.5, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="pixel"):
+            Pool([0], np.full((1, 2, 2, 1), value), [0])
+
+
+def test_pool_take_keeps_order_and_labels():
+    pool = make_pool([0, 1, 2, 1])
+    sub = pool.take([3, 0])
+    assert sub.ids.tolist() == [3, 0]
+    assert sub.y.tolist() == [1, 0]
+    assert np.array_equal(sub.x, pool.x[[3, 0]])
+    assert pool.n_classes == 3 and sub.class_histogram(3) == [1, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +90,10 @@ def test_load_idx_exact_pixel_values(tmp_path):
     ip, lp, pix = craft_idx_pair(tmp_path)
     pool = load_idx(ip, lp)
     assert len(pool) == 2
-    assert pool.labels() == [3, 7]
+    assert pool.ids.tolist() == [0, 1]
     expected = np.array(pix, dtype=np.float64).reshape(2, 2, 2, 1) / 255.0
-    x, y = pool.stack()
-    assert np.array_equal(x, expected)
-    assert list(y) == [3, 7]
+    assert np.array_equal(pool.x, expected)
+    assert pool.y.tolist() == [3, 7]
 
 
 def test_load_idx_label_magic_in_image_slot(tmp_path):
@@ -134,16 +138,16 @@ def test_idx_round_trip_bit_exact(tmp_path):
 
 def test_gen_synthetic_zero_noise_identical_per_class():
     pool = gen_synthetic(5, 3, 10, 0.0, seed=4)
-    x, y = pool.stack()
+    x, y = pool.x, pool.y
     for c in range(3):
         cls = x[y == c]
         assert np.all(cls == cls[0])
 
 
 def test_gen_synthetic_deterministic():
-    a, _ = gen_synthetic(10, 4, 12, 1.0, seed=9).stack()
-    b, _ = gen_synthetic(10, 4, 12, 1.0, seed=9).stack()
-    assert np.array_equal(a, b)
+    a = gen_synthetic(10, 4, 12, 1.0, seed=9)
+    b = gen_synthetic(10, 4, 12, 1.0, seed=9)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
 def test_gen_synthetic_validates_inputs():
@@ -181,14 +185,14 @@ def test_templates_pairwise_distinct():
 # ---------------------------------------------------------------------------
 
 def test_rotate_identity():
-    img = Image(np.random.default_rng(0).random((6, 6, 1)))
-    assert np.array_equal(rotate(img, 0).pixels, img.pixels)
+    img = np.random.default_rng(0).random((6, 6, 1))
+    assert np.array_equal(rotate(img, 0), img)
 
 
 def test_rotate_two_by_two_quarter_turn():
     a, b, c, d = 0.1, 0.2, 0.3, 0.4
-    img = Image(np.array([[a, b], [c, d]])[:, :, None])
-    out = rotate(img, 1).pixels[:, :, 0]
+    img = np.array([[a, b], [c, d]])[:, :, None]
+    out = rotate(img, 1)[:, :, 0]
     assert np.array_equal(out, np.array([[b, d], [a, c]]))
 
 
@@ -196,30 +200,28 @@ def test_rotate_matches_index_map_oracle():
     # Oracle: rotate coordinate indices directly, new[r][c] = old[c][n-1-r].
     rng = np.random.default_rng(3)
     pix = rng.random((5, 5, 2))
-    img = Image(pix)
     n = 5
     oracle = np.empty_like(pix)
     for r in range(n):
         for c in range(n):
             oracle[r, c] = pix[c, n - 1 - r]
-    assert np.array_equal(rotate(img, 1).pixels, oracle)
+    assert np.array_equal(rotate(pix, 1), oracle)
 
 
 def test_rotate_four_times_is_identity_bitwise():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        img = Image(rng.random((7, 7, 1)))
+        img = rng.random((7, 7, 1))
         out = img
         for _ in range(4):
             out = rotate(out, 1)
-        assert np.array_equal(out.pixels, img.pixels)
+        assert np.array_equal(out, img)
 
 
 def test_rotate_rejects_non_square_and_bad_orientation():
-    img = Image(np.zeros((2, 3, 1)))
     with pytest.raises(ValueError):
-        rotate(img, 1)
-    sq = Image(np.zeros((2, 2, 1)))
+        rotate(np.zeros((2, 3, 1)), 1)
+    sq = np.zeros((2, 2, 1))
     with pytest.raises(ValueError):
         rotate(sq, 4)
 
@@ -229,7 +231,7 @@ def test_rotate_rejects_non_square_and_bad_orientation():
        st.integers(min_value=0, max_value=2**31 - 1))
 def test_rotate_preserves_pixel_multiset(n, y, seed):
     pix = np.random.default_rng(seed).random((n, n, 1))
-    out = rotate(Image(pix), y).pixels
+    out = rotate(pix, y)
     assert np.array_equal(np.sort(out.ravel()), np.sort(pix.ravel()))
 
 
@@ -239,7 +241,7 @@ def test_rotate_batch_agrees_with_per_image_rotate():
     for y in range(4):
         batch = rotate_batch(x, y)
         for i in range(4):
-            assert np.array_equal(batch[i], rotate(Image(x[i]), y).pixels)
+            assert np.array_equal(batch[i], rotate(x[i], y))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +252,13 @@ def test_make_imbalanced_exact_histogram():
     pool = make_pool([i % 4 for i in range(100)])
     out = make_imbalanced(pool, [5, 10, 15, 20], seed=3)
     assert out.class_histogram(4) == [5, 10, 15, 20]
-    assert len(set(out.ids())) == 50
+    assert len(set(out.ids.tolist())) == 50
 
 
 def test_make_imbalanced_full_counts_is_identity_as_set():
     pool = make_pool([i % 2 for i in range(10)])
     out = make_imbalanced(pool, [5, 5], seed=1)
-    assert sorted(out.ids()) == sorted(pool.ids())
+    assert sorted(out.ids.tolist()) == sorted(pool.ids.tolist())
 
 
 def test_make_imbalanced_insufficient_class():
@@ -269,7 +271,7 @@ def test_make_imbalanced_deterministic():
     pool = make_pool([i % 3 for i in range(60)])
     a = make_imbalanced(pool, [3, 6, 9], seed=12)
     b = make_imbalanced(pool, [3, 6, 9], seed=12)
-    assert a.ids() == b.ids()
+    assert np.array_equal(a.ids, b.ids)
 
 
 def test_imbalance_ramp_matches_scaled_pattern():
@@ -292,15 +294,16 @@ def test_split_stratified_counts():
 def test_split_is_a_partition():
     pool = make_pool([i % 3 for i in range(50)])
     train, test = split_train_test(pool, 0.3, seed=6)
-    assert set(train.ids()) | set(test.ids()) == set(pool.ids())
-    assert set(train.ids()) & set(test.ids()) == set()
+    train_ids, test_ids = set(train.ids.tolist()), set(test.ids.tolist())
+    assert train_ids | test_ids == set(pool.ids.tolist())
+    assert train_ids & test_ids == set()
 
 
 def test_split_deterministic():
     pool = make_pool([i % 3 for i in range(50)])
     a = split_train_test(pool, 0.25, seed=7)
     b = split_train_test(pool, 0.25, seed=7)
-    assert a[0].ids() == b[0].ids() and a[1].ids() == b[1].ids()
+    assert np.array_equal(a[0].ids, b[0].ids) and np.array_equal(a[1].ids, b[1].ids)
 
 
 def test_split_rejects_bad_fraction():
@@ -309,12 +312,3 @@ def test_split_rejects_bad_fraction():
         with pytest.raises(ValueError):
             split_train_test(pool, frac, seed=0)
 
-
-def test_pool_manifest_csv(tmp_path):
-    pool = make_pool([0, 1, None], role="mixed")
-    path = tmp_path / "manifest.csv"
-    data.write_pool_manifest(path, [(pool, "train")])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id,label,split"
-    assert lines[1] == "0,0,train"
-    assert lines[3] == "2,,train"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pt4al import learner
-from pt4al.data import gen_synthetic, split_train_test, unlabeled_view
+from pt4al.data import gen_synthetic, split_train_test
 from pt4al.diagnostics import (
     average_ranks,
     correlation_report,
@@ -129,10 +129,9 @@ def _small_models_and_pool(seed=0):
     train, test = split_train_test(pool, 0.25, seed=seed + 1)
     pcfg = LearnerConfig(input_shape=(10, 10, 1), n_classes=4, hidden=(24,),
                          learning_rate=0.3, epochs=4, batch_size=32, seed=seed + 2)
-    pstate, _ = train_pretext(unlabeled_view(train), pcfg)
-    x, y = train.stack()
+    pstate, _ = train_pretext(train.unlabeled(), pcfg)
     mcfg = replace(pcfg, seed=seed + 3)
-    mstate, _ = learner.train(learner.init_learner(mcfg), x, y, mcfg)
+    mstate, _ = learner.train(learner.init_learner(mcfg), train.x, train.y, mcfg)
     return pstate, mstate, test
 
 
@@ -150,7 +149,7 @@ def test_identical_loss_lists_give_rho_one():
 def test_correlation_report_requires_labels():
     pstate, mstate, test = _small_models_and_pool(seed=5)
     with pytest.raises(ValueError):
-        correlation_report(pstate, mstate, unlabeled_view(test))
+        correlation_report(pstate, mstate, test.unlabeled())
 
 
 def test_scatter_capped_and_seeded():

@@ -5,8 +5,11 @@ compares the sha256 of every deterministic output file with the table
 below. The synthetic corpus arrays are pinned the same way. The table was
 recorded once from the code as it stood before any performance work, so a
 refactor or optimisation that claims to keep behaviour must leave it
-untouched. A change that alters an output byte on purpose re-records the
-affected rows and says why in CHANGES.md.
+untouched. A second table pins `coldstart`, `correlate`, `ablate` and runs
+on an IDX-file dataset; it was recorded before the switch to array pools
+and the strategy table, from the code that still had per-image objects.
+A change that alters an output byte on purpose re-records the affected
+rows and says why in CHANGES.md.
 
 The digests are tied to float64 arithmetic on numpy 2.4.6 with OpenBLAS
 0.3.31. Another numpy or BLAS build may round matrix products differently,
@@ -17,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pt4al import learner
+from pt4al import learner, loop
 from pt4al.cli import main
 from pt4al.data import gen_synthetic
 from pt4al.learner import ConvSpec, LearnerConfig
@@ -142,6 +146,68 @@ GOLDEN_RUNS: dict[str, dict[str, str]] = {
     },
 }
 
+IDX_DATASET = {"kind": "idx", "images": "images.idx", "labels": "labels.idx"}
+
+# name -> (BASE overrides, commands run in order, pinned output files).
+# "{out}" in a command names the output directory. The IDX cases read the
+# files that write_idx_files puts into the case directory.
+COMMAND_CASES: dict[str, tuple[dict, list[list[str]], tuple[str, ...]]] = {
+    "coldstart": ({}, [["coldstart", "--seeds", "1,2,3"]], ("coldstart_runs.csv", "coldstart_summary.csv")),
+    "correlate": ({}, [["correlate"]], ("correlation.csv", "scatter.csv")),
+    "correlate-checkpoint": ({}, [["pretext"], ["correlate", "--pretext-checkpoint", "{out}/pretext_checkpoint.json"]],
+                             ("correlation.csv", "scatter.csv")),
+    **{f"ablate-{variant}": ({}, [["ablate", "--variant", variant]],
+                             tuple(f"ablate_{variant.replace('-', '_')}_{kind}.csv" for kind in ("reports", "queries")))
+       for variant in ("sampling-only", "pretext-only-high", "pretext-only-low", "low-loss-first")},
+    "idx-pt4al": ({"dataset": IDX_DATASET}, [["pretext"], ["run"]],
+                  ("losses.csv", "reports.csv", "queries.csv", "pretext_checkpoint.json")),
+    "idx-entropy": ({"dataset": IDX_DATASET, "al": {"strategy": "entropy"}}, [["pretext"], ["run"]],
+                    ("losses.csv", "reports.csv", "queries.csv", "pretext_checkpoint.json")),
+}
+
+GOLDEN_COMMANDS: dict[str, dict[str, str]] = {
+    "ablate-low-loss-first": {
+        "ablate_low_loss_first_reports.csv": "3b7a9acdacc49893dc773113f6d9d6fb1ecfcd94d8217d757083361a76cef2c5",
+        "ablate_low_loss_first_queries.csv": "abb3b1dffb9fe5a4a62e5aeafddcc9d86c0a6670b9ce6e872ed5160e044a47c3",
+    },
+    "ablate-pretext-only-high": {
+        "ablate_pretext_only_high_reports.csv": "3d86ebc9ff4c740c536d1e25a5c31ec1d2de9f35c8a3979a9bea81d4516da4f6",
+        "ablate_pretext_only_high_queries.csv": "7bde7f794e6ae604533af82121374299eaedc822a67892ca874bcd76d47f0356",
+    },
+    "ablate-pretext-only-low": {
+        "ablate_pretext_only_low_reports.csv": "e09fdac12b0808b2f262f0822da00d09b31f33de2390b5bf386750a3a5435d3d",
+        "ablate_pretext_only_low_queries.csv": "a36a84ac97fe5eb3126788e5604fbc507812bbd0b6f3ca2986c506433a554135",
+    },
+    "ablate-sampling-only": {
+        "ablate_sampling_only_reports.csv": "60459fdc61ff6673fb3bc7053d5f2f9e239262519ed8de411c276de5722098af",
+        "ablate_sampling_only_queries.csv": "eecac1fa985b38f8c5051ddf9fcf63c70e725a2fa3721d1cb7e09eb33ca5b36c",
+    },
+    "coldstart": {
+        "coldstart_runs.csv": "0b32bed0225d80594babb1d1ad5128d8b1a99673ddf2ac9be05340704d2241e7",
+        "coldstart_summary.csv": "815ee1e063e99ab5b7a8d7bd08a254ff4c3c9f144d9619be802b2850b15ff868",
+    },
+    "correlate": {
+        "correlation.csv": "3d0e42f75c1095618e94eae1b0615a676f02e80939b512e8341f23f821476c7a",
+        "scatter.csv": "03963e92bca3c40043c9e788dd6b3b36dbc171205be0eadd01801adc3529c030",
+    },
+    "correlate-checkpoint": {
+        "correlation.csv": "3d0e42f75c1095618e94eae1b0615a676f02e80939b512e8341f23f821476c7a",
+        "scatter.csv": "03963e92bca3c40043c9e788dd6b3b36dbc171205be0eadd01801adc3529c030",
+    },
+    "idx-entropy": {
+        "losses.csv": "9676a5cacd436226a6673633723fd5356d14bd31e35893e2fd5cf35af7282088",
+        "reports.csv": "53bf2d3436a342d2f784a130cdee3f25dddf5ab862e3961744a6a5c859290c5e",
+        "queries.csv": "31ace781ed7dcb584ead28bf45fcb2c8afea095e80f607035c9d53485d8fb1c0",
+        "pretext_checkpoint.json": "e2365f9769b6a1a0c563d1b3b8be6efb173e2bc38b9cd6640d8f230e5a5a61d3",
+    },
+    "idx-pt4al": {
+        "losses.csv": "9676a5cacd436226a6673633723fd5356d14bd31e35893e2fd5cf35af7282088",
+        "reports.csv": "010be17ef094161a13fce9cca8d034313167627c5e2ad45d94c6947b80a76954",
+        "queries.csv": "cd5c86ca51ca98f2e73137877cb6c43d44a87712480e5fcad99e64e7e5bdb403",
+        "pretext_checkpoint.json": "e2365f9769b6a1a0c563d1b3b8be6efb173e2bc38b9cd6640d8f230e5a5a61d3",
+    },
+}
+
 # (classes, noise) -> sha256 of x and y from gen_synthetic(60, classes, 12, noise, seed=5).
 # Noise 0.7 is not a power of two, so regrouping a product with it changes bits.
 GOLDEN_CORPUS: dict[tuple[int, float], tuple[str, str]] = {
@@ -198,12 +264,29 @@ def write_case_config(tmp_path: Path, overrides: dict) -> Path:
     return path
 
 
-def output_digests(out_dir: Path) -> dict[str, str]:
-    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUTS}
+def output_digests(out_dir: Path, names=OUTPUTS) -> dict[str, str]:
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
+def write_idx_files(case_dir: Path) -> dict:
+    """60 seeded 10x10 images with labels 0,1,2,0,...; returns the dataset section naming them."""
+    pixels = np.random.default_rng(11).integers(0, 256, size=(60, 10, 10), dtype=np.uint8)
+    labels = (np.arange(60) % 3).astype(np.uint8)
+    images_path, labels_path = case_dir / IDX_DATASET["images"], case_dir / IDX_DATASET["labels"]
+    images_path.write_bytes(struct.pack(">IIII", 0x00000803, 60, 10, 10) + pixels.tobytes())
+    labels_path.write_bytes(struct.pack(">II", 0x00000801, 60) + labels.tobytes())
+    return {**IDX_DATASET, "images": str(images_path), "labels": str(labels_path)}
 
 
 def array_digest(a: np.ndarray) -> str:
     return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
+
+
+def test_every_strategy_and_ablation_is_pinned():
+    pinned = {overrides.get("al", {}).get("strategy", BASE["al"]["strategy"]) for overrides in CASES.values()}
+    assert set(loop.STRATEGY_TABLE) <= pinned
+    assert set(loop.ABLATION_VARIANTS.values()) <= set(loop.STRATEGY_TABLE)
+    assert {f"ablate-{variant}" for variant in loop.ABLATION_VARIANTS} <= set(COMMAND_CASES)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -212,6 +295,18 @@ def test_cli_outputs_match_golden_digests(tmp_path, case):
     for command in ("pretext", "plan", "run"):
         assert main([command, str(path)]) == 0
     assert output_digests(tmp_path / "out") == GOLDEN_RUNS[case]
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_CASES))
+def test_command_outputs_match_golden_digests(tmp_path, case):
+    overrides, commands, outputs = COMMAND_CASES[case]
+    if overrides.get("dataset") is IDX_DATASET:
+        overrides = {**overrides, "dataset": write_idx_files(tmp_path)}
+    path = write_case_config(tmp_path, overrides)
+    out = tmp_path / "out"
+    for command, *flags in commands:
+        assert main([command, str(path), *(f.format(out=out) for f in flags)]) == 0
+    assert output_digests(out, outputs) == GOLDEN_COMMANDS[case]
 
 
 def train_digest(state: learner.LearnerState, trace: list[float]) -> str:
@@ -237,8 +332,8 @@ def test_train_matches_golden_digests(name):
 
 @pytest.mark.parametrize("classes, noise", sorted(GOLDEN_CORPUS))
 def test_synthetic_corpus_matches_golden_digests(classes, noise):
-    x, y = gen_synthetic(60, classes, 12, noise, seed=5).stack()
-    assert (array_digest(x), array_digest(y)) == GOLDEN_CORPUS[(classes, noise)]
+    pool = gen_synthetic(60, classes, 12, noise, seed=5)
+    assert (array_digest(pool.x), array_digest(pool.y)) == GOLDEN_CORPUS[(classes, noise)]
 
 
 def test_outputs_independent_of_blas_thread_count(tmp_path):

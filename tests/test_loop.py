@@ -1,4 +1,4 @@
-"""AL orchestration: bookkeeping, strategies, oracle, experiments."""
+"""AL orchestration: bookkeeping, strategies, experiments."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from pt4al import loop
-from pt4al.data import unlabeled_view
 from pt4al.learner import LearnerConfig
-from pt4al.loop import ALConfig, DatasetSpec, Oracle, cold_start_experiment, run_ablation, run_al
+from pt4al.loop import ALConfig, DatasetSpec, cold_start_experiment, run_ablation, run_al
 from pt4al.pretext import LossRecord
 
 
@@ -34,22 +33,6 @@ def tiny_config(**kw):
 
 
 # ---------------------------------------------------------------------------
-# oracle
-# ---------------------------------------------------------------------------
-
-def test_oracle_idempotent_and_strict():
-    train, _ = loop.build_dataset(tiny_config().dataset, seed=1)
-    oracle = Oracle(train)
-    sid = train.samples[5].id
-    first = oracle.oracle_label(sid)
-    assert oracle.oracle_label(sid) == first
-    assert first == train.samples[5].label
-    assert oracle.n_revealed == 1
-    with pytest.raises(KeyError):
-        oracle.oracle_label(10**9)
-
-
-# ---------------------------------------------------------------------------
 # run_al bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -60,7 +43,7 @@ def test_random_degenerate_budget_consumes_whole_pool():
     reports = run_al(cfg)
     assert len(reports) == 1
     assert reports[0].labeled_size == len(train)
-    assert sorted(reports[0].selected_ids) == sorted(train.ids())
+    assert sorted(reports[0].selected_ids) == train.ids.tolist()
 
 
 def test_labeled_size_trace_is_multiples_of_k():
@@ -85,10 +68,30 @@ def test_selected_ids_come_from_train_pool_never_test():
     cfg = tiny_config()
     train, test = loop.build_dataset(cfg.dataset, cfg.seed)
     reports = run_al(cfg)
-    train_ids, test_ids = set(train.ids()), set(test.ids())
+    train_ids, test_ids = set(train.ids.tolist()), set(test.ids.tolist())
     for r in reports:
         assert set(r.selected_ids) <= train_ids
         assert not (set(r.selected_ids) & test_ids)
+
+
+@pytest.mark.parametrize("strategy", loop.STRATEGIES)
+def test_whole_run_properties_for_every_strategy(strategy):
+    cfg = tiny_config(strategy=strategy)
+    train, test = loop.build_dataset(cfg.dataset, cfg.seed)
+    plan = loop._build_plan(cfg, train.unlabeled(), None)
+    assert (plan is None) == (loop.STRATEGY_TABLE[strategy][0] is None)
+    reports = run_al(cfg)
+    assert [r.labeled_size for r in reports] == [cfg.budget * i for i in range(1, cfg.iterations + 1)]
+    train_ids, test_ids = set(train.ids.tolist()), set(test.ids.tolist())
+    seen: set[int] = set()
+    for i, r in enumerate(reports):
+        picked = set(r.selected_ids)
+        assert len(picked) == cfg.budget
+        assert not (picked & seen)
+        assert picked <= train_ids and not (picked & test_ids)
+        if plan is not None:
+            assert picked <= set(plan.batches[i])
+        seen |= picked
 
 
 def test_reports_reproducible_modulo_wall_time():
@@ -116,7 +119,7 @@ def test_loss_records_must_cover_pool():
     with pytest.raises(ValueError, match="cover"):
         run_al(cfg, loss_records=[LossRecord(0, 1.0), LossRecord(1, 0.5)])
     train_pool, _ = loop.build_dataset(cfg.dataset, cfg.seed)
-    covering = [LossRecord(sid, 1.0) for sid in train_pool.ids()]
+    covering = [LossRecord(sid, 1.0) for sid in train_pool.ids.tolist()]
     with pytest.raises(ValueError, match="repeat"):
         run_al(cfg, loss_records=covering + covering[:1])
 
@@ -147,7 +150,7 @@ def test_imbalance_factor_builds_ramp():
 def test_pretext_only_high_takes_batch_head():
     cfg = tiny_config(strategy="pt4al-pretext-only-high")
     train, _ = loop.build_dataset(cfg.dataset, cfg.seed)
-    records = loop.pretext_loss_records(cfg, unlabeled_view(train))
+    records = loop.pretext_model(cfg, train.unlabeled())[1].records
     from pt4al.sampler import build_batch_plan
     plan = build_batch_plan(records, cfg.iterations)
     reports = run_al(cfg, loss_records=records)
@@ -158,7 +161,7 @@ def test_pretext_only_high_takes_batch_head():
 def test_pretext_only_low_takes_batch_tail():
     cfg = tiny_config(strategy="pt4al-pretext-only-low")
     train, _ = loop.build_dataset(cfg.dataset, cfg.seed)
-    records = loop.pretext_loss_records(cfg, unlabeled_view(train))
+    records = loop.pretext_model(cfg, train.unlabeled())[1].records
     from pt4al.sampler import build_batch_plan
     plan = build_batch_plan(records, cfg.iterations)
     reports = run_al(cfg, loss_records=records)
@@ -170,7 +173,7 @@ def test_low_loss_first_reverses_batch_order():
     cfg_high = tiny_config(strategy="pt4al-pretext-only-high")
     cfg_low = tiny_config(strategy="pt4al-pretext-only-low")
     train, _ = loop.build_dataset(cfg_high.dataset, cfg_high.seed)
-    records = loop.pretext_loss_records(cfg_high, unlabeled_view(train))
+    records = loop.pretext_model(cfg_high, train.unlabeled())[1].records
     high_first = run_al(replace(cfg_high, strategy="pt4al"), loss_records=records)
     low_first = run_al(replace(cfg_high, strategy="pt4al-low-loss-first"), loss_records=records)
     # iteration 1 draws from opposite ends of the loss ordering

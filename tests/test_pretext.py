@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pt4al import learner, pretext
-from pt4al.data import Image, Pool, Sample, class_templates, gen_synthetic, rotate, unlabeled_view
+from pt4al.data import Pool, class_templates, gen_synthetic, rotate
 from pt4al.learner import LearnerConfig
 from pt4al.pretext import (
     LossRecord,
@@ -28,8 +28,7 @@ def pretext_config(size, **kw):
 
 
 def constant_pool(n=24, size=8, value=0.4):
-    img = Image(np.full((size, size, 1), value))
-    return Pool([Sample(i, img, None) for i in range(n)], "unlabeled")
+    return Pool(np.arange(n), np.full((n, size, size, 1), value))
 
 
 def count_calls(monkeypatch, name):
@@ -58,7 +57,7 @@ def test_constant_images_hit_chance_accuracy_and_ln4_loss(monkeypatch):
 
 
 def test_pretext_stops_after_first_perfect_epoch(monkeypatch):
-    pool = unlabeled_view(gen_synthetic(40, 3, 10, 1.0, seed=5))
+    pool = gen_synthetic(40, 3, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, hidden=(16,), batch_size=16)
     lr_calls = count_calls(monkeypatch, "lr_at")
     step_calls = count_calls(monkeypatch, "sgd_step")
@@ -70,7 +69,7 @@ def test_pretext_stops_after_first_perfect_epoch(monkeypatch):
 
 def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
     # Slow learner: accuracy climbs for three epochs, then plateaus below 1.0.
-    pool = unlabeled_view(gen_synthetic(20, 3, 10, 1.0, seed=5))
+    pool = gen_synthetic(20, 3, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, hidden=(16,), batch_size=16, learning_rate=0.005)
     snapshots, accuracies = [], []
     measure = pretext._rotation_accuracy
@@ -92,8 +91,8 @@ def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
 
 
 def test_rotation_sensitive_pool_is_learnable_and_learned():
-    pool = unlabeled_view(gen_synthetic(500, 4, 12, 1.0, seed=3))
-    x, _ = pool.stack()
+    pool = gen_synthetic(500, 4, 12, 1.0, seed=3).unlabeled()
+    x = pool.x
 
     # Independent learnability oracle: nearest rotated-template classifier.
     templates = class_templates(4, 12)
@@ -118,7 +117,7 @@ def test_rotation_sensitive_pool_is_learnable_and_learned():
 
 
 def test_train_pretext_same_seed_identical_checkpoint():
-    pool = unlabeled_view(gen_synthetic(40, 3, 10, 1.0, seed=5))
+    pool = gen_synthetic(40, 3, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, epochs=4)
     s1, r1 = train_pretext(pool, cfg)
     s2, r2 = train_pretext(pool, cfg)
@@ -131,8 +130,8 @@ def test_train_pretext_same_seed_identical_checkpoint():
 
 def test_train_pretext_rejects_empty_and_non_square():
     with pytest.raises(ValueError):
-        train_pretext(Pool([], "unlabeled"), pretext_config(8))
-    rect = Pool([Sample(0, Image(np.zeros((4, 6, 1))), None)], "unlabeled")
+        train_pretext(Pool([], np.zeros((0, 8, 8, 1))), pretext_config(8))
+    rect = Pool([0], np.zeros((1, 4, 6, 1)))
     with pytest.raises(ValueError):
         train_pretext(rect, pretext_config(8))
 
@@ -154,14 +153,14 @@ def test_extract_losses_zero_weight_model_gives_ln4():
 
 
 def test_extract_losses_matches_per_sample_loss_oracle():
-    pool = unlabeled_view(gen_synthetic(6, 3, 10, 1.0, seed=11))
+    pool = gen_synthetic(6, 3, 10, 1.0, seed=11).unlabeled()
     cfg = pretext_config(10, seed=13)
     state = learner.init_learner(cfg)
     records = extract_losses(state, pool)
-    for sample, rec in zip(pool.samples, records):
-        assert rec.sample_id == sample.id
+    for sid, image, rec in zip(pool.ids.tolist(), pool.x, records):
+        assert rec.sample_id == sid
         oracle = np.mean([
-            learner.per_sample_loss(state, rotate(sample.image, y).pixels, y)
+            learner.per_sample_loss(state, rotate(image, y), y)
             for y in range(4)
         ])
         assert abs(rec.loss - oracle) < 1e-10
@@ -169,12 +168,12 @@ def test_extract_losses_matches_per_sample_loss_oracle():
 
 
 def test_extract_losses_permutation_equivariance():
-    pool = unlabeled_view(gen_synthetic(8, 2, 10, 1.0, seed=17))
+    pool = gen_synthetic(8, 2, 10, 1.0, seed=17).unlabeled()
     cfg = pretext_config(10, seed=19)
     state = learner.init_learner(cfg)
     base = extract_losses(state, pool)
     perm = [5, 2, 7, 0, 1, 6, 3, 4, 9, 8, 12, 10, 11, 14, 13, 15]
-    shuffled = Pool([pool.samples[i] for i in perm], "unlabeled")
+    shuffled = pool.take(perm)
     out = extract_losses(state, shuffled)
     by_id = {r.sample_id: r.loss for r in base}
     for rec in out:
@@ -182,7 +181,7 @@ def test_extract_losses_permutation_equivariance():
 
 
 def test_extract_losses_pure_bitwise():
-    pool = unlabeled_view(gen_synthetic(10, 2, 10, 1.0, seed=23))
+    pool = gen_synthetic(10, 2, 10, 1.0, seed=23).unlabeled()
     cfg = pretext_config(10, seed=29)
     state = learner.init_learner(cfg)
     a = extract_losses(state, pool)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pt4al import learner
-from pt4al.data import Image, Sample
+from pt4al.data import Pool
 from pt4al.learner import LearnerConfig
 from pt4al.pretext import LossRecord
 from pt4al.sampler import (
@@ -172,16 +172,17 @@ def proba_state(scale=10.0, classes=3):
     return state
 
 
-def sample_with_row(sid, row):
-    arr = np.asarray(row, dtype=np.float64).reshape(1, len(row), 1)
-    return Sample(sid, Image(arr), None)
+def pool_of_rows(ids, rows):
+    """One (1, C, 1) image per row, labels hidden."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return Pool(ids, rows.reshape(len(rows), 1, -1, 1))
 
 
 def test_uncertainty_picks_lowest_max_prob():
     state = proba_state(scale=8.0, classes=2)
     # max-probs roughly [0.9, 0.4(ish), 0.7(ish), 0.5]: craft logit gaps
     rows = {1: [1.0, 0.0], 2: [0.52, 0.48], 3: [0.62, 0.38], 4: [0.5, 0.5]}
-    batch = [sample_with_row(sid, row) for sid, row in rows.items()]
+    batch = pool_of_rows(list(rows), list(rows.values()))
     q = uncertainty_sample(batch, state, 2)
     assert q.selected == [4, 2]  # conf 0.5 then ~0.58
 
@@ -190,22 +191,23 @@ def test_uncertainty_tie_break_by_id_with_zero_model():
     cfg = LearnerConfig(input_shape=(1, 3, 1), n_classes=3, hidden=(), init_scale=0.0)
     state = learner.init_learner(cfg)
     rng = np.random.default_rng(0)
-    batch = [sample_with_row(sid, rng.random(3)) for sid in (9, 3, 7, 1)]
+    batch = pool_of_rows([9, 3, 7, 1], [rng.random(3) for _ in range(4)])
     q = uncertainty_sample(batch, state, 2)
     assert q.selected == [1, 3]
     assert q.scores == [pytest.approx(1 / 3), pytest.approx(1 / 3)]
 
 
 def brute_force_uncertainty(batch, state, k):
-    probs = learner.predict_proba_batch(state, np.stack([s.image.pixels for s in batch]))
-    ranked = sorted(((float(p.max()), s.id) for p, s in zip(probs, batch)))
+    probs = learner.predict_proba_batch(state, batch.x)
+    ranked = sorted(((float(p.max()), sid) for p, sid in zip(probs, batch.ids.tolist())))
     return [sid for _, sid in ranked[:k]]
 
 
 def test_uncertainty_matches_brute_force_on_200_samples():
     rng = np.random.default_rng(5)
     state = proba_state(scale=4.0, classes=4)
-    batch = [sample_with_row(sid, rng.random(4)) for sid in rng.permutation(500)[:200]]
+    ids = rng.permutation(500)[:200]
+    batch = pool_of_rows(ids, [rng.random(4) for _ in ids])
     for k in (1, 7, 50, 200):
         q = uncertainty_sample(batch, state, k)
         assert q.selected == brute_force_uncertainty(batch, state, k)
@@ -223,14 +225,14 @@ def test_uncertainty_exhaustive_small_batches_with_ties():
                 else:
                     rows = rng.random((n, 3))
                 ids = [int(i) for i in rng.permutation(50)[:n]]
-                batch = [sample_with_row(sid, row) for sid, row in zip(ids, rows)]
+                batch = pool_of_rows(ids, rows)
                 q = uncertainty_sample(batch, state, k)
                 assert q.selected == brute_force_uncertainty(batch, state, k)
 
 
 def test_entropy_prefers_uniform_posterior():
     state = proba_state(scale=10.0, classes=2)
-    batch = [sample_with_row(1, [1.0, 0.5]), sample_with_row(2, [0.5, 0.5])]
+    batch = pool_of_rows([1, 2], [[1.0, 0.5], [0.5, 0.5]])
     q = entropy_sample(batch, state, 1)
     assert q.selected == [2]
     assert q.scores[0] == pytest.approx(math.log(2.0))
@@ -240,7 +242,7 @@ def test_entropy_uniform_posterior_equals_ln_c():
     for classes in (2, 4, 5):
         cfg = LearnerConfig(input_shape=(1, classes, 1), n_classes=classes, hidden=(), init_scale=0.0)
         state = learner.init_learner(cfg)
-        batch = [sample_with_row(3, np.zeros(classes))]
+        batch = pool_of_rows([3], [np.zeros(classes)])
         q = entropy_sample(batch, state, 1)
         assert q.scores[0] == pytest.approx(math.log(classes), abs=1e-12)
 
@@ -257,7 +259,7 @@ def test_random_sample_deterministic_and_without_replacement():
 
 def test_selection_rejects_bad_k():
     state = proba_state()
-    batch = [sample_with_row(0, [0.1, 0.2, 0.3])]
+    batch = pool_of_rows([0], [[0.1, 0.2, 0.3]])
     for fn in (lambda: uncertainty_sample(batch, state, 2),
                lambda: entropy_sample(batch, state, 0),
                lambda: random_sample([1], 2, 0)):
