@@ -19,12 +19,8 @@ from pathlib import Path
 
 from . import __version__, diagnostics, learner, loop, pretext, sampler
 from .learner import LearnerConfig, config_from_dict, config_to_dict
-from .loop import ALConfig, DatasetSpec
+from .loop import ALConfig, ConfigError, DatasetSpec
 from .seeds import derive_seed
-
-
-class ConfigError(ValueError):
-    """Raised for anything the user can fix in the config or flags."""
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +242,6 @@ def cmd_coldstart(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--seeds must be a comma-separated list of integers: {exc}") from exc
-    if len(seeds) < 2:
-        raise ConfigError("coldstart needs at least 2 seeds")
 
     summary = loop.cold_start_experiment(config, seeds)
     out_dir.mkdir(parents=True, exist_ok=True)

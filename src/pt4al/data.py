@@ -145,6 +145,18 @@ _JUNK_FRAC = 0.025
 _JUNK_NOISE = 0.08
 
 
+def _check_synthetic(n_per_class: int, classes: int, size: int, noise: float) -> None:
+    """Raise ValueError unless `gen_synthetic` can build a corpus from these values."""
+    if not 2 <= classes <= MAX_CLASSES:
+        raise ValueError(f"classes must be within [2, {MAX_CLASSES}], got {classes}")
+    if size < 10:
+        raise ValueError(f"size must be >= 10, got {size}")
+    if n_per_class < 1:
+        raise ValueError("n_per_class must be >= 1")
+    if noise < 0:
+        raise ValueError("noise level must be >= 0")
+
+
 def _body_masks(classes: int, size: int) -> np.ndarray:
     """Per-class body patterns on the interior (size-6)^2 region, values {0, 1}."""
     m = size - 6
@@ -173,12 +185,9 @@ def class_templates(classes: int, size: int) -> np.ndarray:
     Every template carries the same top-left L marker (rows and columns
     0..1), which pins the orientation for the rotation pretext task, plus
     a class-specific body pattern. The marker guarantees that no rotation
-    of any template coincides with any template.
+    of any template coincides with any template. `classes` and `size` must
+    pass `_check_synthetic`.
     """
-    if not 2 <= classes <= MAX_CLASSES:
-        raise ValueError(f"classes must be within [2, {MAX_CLASSES}], got {classes}")
-    if size < 10:
-        raise ValueError(f"size must be >= 10, got {size}")
     bodies = _body_masks(classes, size)
     templates = np.full((classes, size, size, 1), _BACKGROUND)
     templates[:, 0:2, :, :] = _MARKER_VALUE
@@ -212,10 +221,7 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
     model can resolve and which permanently bait uncertainty-style
     samplers. At noise 0 every sample equals its class template exactly.
     """
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if noise < 0:
-        raise ValueError("noise level must be >= 0")
+    _check_synthetic(n_per_class, classes, size, noise)
     templates = class_templates(classes, size)
     bodies = _body_masks(classes, size)
     lo, hi = 3, size - 3

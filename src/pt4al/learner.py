@@ -386,7 +386,7 @@ def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def train(state: LearnerState, x, y, config: LearnerConfig | None = None):
+def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, group: int = 1, on_epoch=None):
     """Minibatch SGD from `state`; returns (final state, per-epoch mean loss trace).
 
     Architecture and activation come from `state.config`, the schedule
@@ -395,10 +395,16 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None):
     the config, so identical (state, data, config) triples reproduce
     bit-identical results. The input state is not mutated.
 
-    The result equals a loop of `sgd_step` over the same permutations bit
-    for bit. The inputs are validated once; the weights and the gradient
-    each live in one flat vector, so a step's update is two in-place ops,
-    and every batch size gets its own preallocated buffers.
+    Rows come in runs of `group` that always share a minibatch: each epoch
+    permutes the n // group runs and a step takes max(1, batch_size // group)
+    of them. After each epoch `on_epoch(epoch, state)` sees the current
+    weights, which later epochs overwrite in place; a true return ends
+    training, and the trace with it.
+
+    The result equals a loop of `sgd_step` over the same runs bit for bit.
+    The inputs are validated once; the weights and the gradient each live
+    in one flat vector, so a step's update is two in-place ops, and every
+    batch size gets its own preallocated buffers.
     """
     cfg = config if config is not None else state.config
     cfg.validate()
@@ -407,6 +413,8 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None):
     n = len(xb)
     if n == 0:
         raise ValueError("empty dataset")
+    if group < 1 or n % group:
+        raise ValueError(f"{n} rows do not split into runs of {group}")
     yb = _as_labels(arch, y, n)
     rows = xb.reshape(n, -1)
     arrays = [*state.weights, *state.biases]
@@ -414,15 +422,18 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None):
     grads, gviews = _packed(arrays)
     k = len(state.weights)
     weights, biases, gws, gbs = views[:k], views[k:], gviews[:k], gviews[k:]
+    trained = LearnerState(arch, weights, biases)
     workspaces: dict[int, _Workspace] = {}
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
+    offsets = np.arange(group)
+    step_rows = group * max(1, cfg.batch_size // group)
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         lr = lr_at(cfg, epoch)
-        perm = rng.permutation(n)
+        order = (rng.permutation(n // group)[:, None] * group + offsets).ravel()
         total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
+        for start in range(0, n, step_rows):
+            idx = order[start:start + step_rows]
             m = len(idx)
             ws = workspaces.get(m)
             if ws is None:
@@ -436,7 +447,9 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None):
             params -= grads
             total += step_mean * m
         trace.append(total / n)
-    return LearnerState(arch, weights, biases), trace
+        if on_epoch is not None and on_epoch(epoch, trained):
+            break
+    return trained, trace
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import learner
-from .data import Pool, gen_synthetic, imbalance_ramp, load_idx, make_imbalanced, split_train_test
+from .data import Pool, _check_synthetic, gen_synthetic, imbalance_ramp, load_idx, make_imbalanced, split_train_test
 from .learner import LearnerConfig, LearnerState
 from .pretext import N_ORIENTATIONS, LossRecord, PretextReport, check_records_cover, train_pretext
 from .sampler import (
@@ -61,6 +61,10 @@ PRETEXT_STRATEGIES = tuple(s for s, (order, _, _) in STRATEGY_TABLE.items()
 ABLATION_VARIANTS = {s.removeprefix("pt4al-"): s for s in STRATEGIES if s.startswith("pt4al-")}
 
 
+class ConfigError(ValueError):
+    """Raised for anything the user can fix in the config or flags."""
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """Where the corpus comes from and how it is split."""
@@ -85,6 +89,8 @@ class DatasetSpec:
             raise ValueError("test fraction must lie in (0, 1)")
         if self.imbalance_counts is not None and self.imbalance_factor is not None:
             raise ValueError("set either imbalance_counts or imbalance_factor, not both")
+        if self.kind == "synthetic":
+            _check_synthetic(self.n_per_class, self.classes, self.size, self.noise)
 
 
 def default_pretext_config() -> LearnerConfig:
@@ -189,8 +195,20 @@ def train_main(config: ALConfig, labeled: Pool, n_classes: int, seed: int) -> Le
     return trained
 
 
-def _positions(pool: Pool) -> dict[int, int]:
-    return {sid: i for i, sid in enumerate(pool.ids.tolist())}
+def _prepare(config: ALConfig) -> tuple[Pool, Pool, Pool, int, dict[int, int]]:
+    """Validate, build the dataset and check the budget, before any training.
+
+    Returns (train pool, test pool, train pool unlabeled, classes, id -> position).
+    """
+    config.validate()
+    train_pool, test_pool = build_dataset(config.dataset, config.seed)
+    if config.iterations * config.budget > len(train_pool):
+        raise ConfigError(
+            f"budget {config.iterations} x {config.budget} exceeds unlabeled pool size {len(train_pool)}"
+        )
+    unlabeled = train_pool.unlabeled()
+    position = {sid: i for i, sid in enumerate(unlabeled.ids.tolist())}
+    return train_pool, test_pool, unlabeled, train_pool.n_classes, position
 
 
 def _build_plan(config: ALConfig, unlabeled: Pool, loss_records: list[LossRecord] | None) -> BatchPlan | None:
@@ -234,16 +252,8 @@ def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> li
     need a loss-sorted plan (the CSV contract produced by the pretext
     command); they must cover exactly the unlabeled pool.
     """
-    config.validate()
-    train_pool, test_pool = build_dataset(config.dataset, config.seed)
-    if config.iterations * config.budget > len(train_pool):
-        raise ValueError(
-            f"budget {config.iterations} x {config.budget} exceeds unlabeled pool size {len(train_pool)}"
-        )
-    unlabeled = train_pool.unlabeled()
-    n_classes = train_pool.n_classes
+    train_pool, test_pool, unlabeled, n_classes, position = _prepare(config)
     plan = _build_plan(config, unlabeled, loss_records)
-    position = _positions(unlabeled)
 
     labeled: list[int] = []  # pool positions, in selection order
     is_labeled = np.zeros(len(unlabeled), dtype=bool)
@@ -298,15 +308,12 @@ def cold_start_experiment(config: ALConfig, seeds: list[int]) -> ColdStartSummar
     across seeds; per-seed variation comes from main-task training
     randomness and, for the baseline, the random selection itself.
     """
-    config.validate()
     if len(seeds) < 2:
-        raise ValueError("need at least 2 seeds")
-    train_pool, test_pool = build_dataset(config.dataset, config.seed)
-    if config.iterations * config.budget > len(train_pool):
-        raise ValueError("budget exceeds unlabeled pool size")
-    unlabeled = train_pool.unlabeled()
-    n_classes = train_pool.n_classes
-    position = _positions(unlabeled)
+        raise ConfigError("coldstart needs at least 2 seeds")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise ConfigError(f"coldstart seed {repeated[0]} is repeated; each seed must be a separate run")
+    train_pool, test_pool, unlabeled, n_classes, position = _prepare(config)
 
     _, report = pretext_model(config, unlabeled)
     plan = build_batch_plan(report.records, config.iterations, ORDER_HIGH_FIRST)

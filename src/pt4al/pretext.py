@@ -8,14 +8,13 @@ batch splitting in the active-learning loop.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import learner
 from .data import Pool, rotate_batch
 from .learner import LearnerConfig, LearnerState
-from .seeds import derive_seed
 
 N_ORIENTATIONS = 4
 
@@ -36,19 +35,6 @@ class PretextReport:
     epochs_run: int
     rotation_accuracy: float
     records: list[LossRecord]
-
-
-def _pretext_config(config: LearnerConfig, image_shape: tuple[int, ...]) -> LearnerConfig:
-    cfg = config
-    if cfg.n_classes == 0:
-        cfg = replace(cfg, n_classes=N_ORIENTATIONS)
-    elif cfg.n_classes != N_ORIENTATIONS:
-        raise ValueError(f"pretext model must have {N_ORIENTATIONS} classes, got {cfg.n_classes}")
-    if not cfg.input_shape:
-        cfg = replace(cfg, input_shape=tuple(image_shape))
-    elif tuple(cfg.input_shape) != tuple(image_shape):
-        raise ValueError(f"config input shape {cfg.input_shape} does not match images {image_shape}")
-    return cfg
 
 
 def _rotation_dataset(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,41 +66,22 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     the best state and a report whose loss records are extracted with that
     state, in pool order.
     """
-    if len(unlabeled) == 0:
-        raise ValueError("empty unlabeled pool")
-    x = unlabeled.x
-    if x.shape[1] != x.shape[2]:
-        raise ValueError("pretext task requires square images")
-    cfg = _pretext_config(config, x.shape[1:])
-    cfg.validate()
+    if config.n_classes != N_ORIENTATIONS:
+        raise ValueError(f"pretext model must have {N_ORIENTATIONS} classes, got {config.n_classes}")
+    flat_x, flat_y = _rotation_dataset(unlabeled.x)
+    best_acc, best_epoch, best_state = -1.0, -1, None
 
-    flat_x, flat_y = _rotation_dataset(x)
-    state = learner.init_learner(cfg)
-    rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
-    group = max(1, cfg.batch_size // N_ORIENTATIONS)
-    offsets = np.arange(N_ORIENTATIONS)
-
-    best_state = None
-    best_acc = -1.0
-    best_epoch = -1
-    n = len(x)
-    for epoch in range(cfg.epochs):
-        lr = learner.lr_at(cfg, epoch)
-        perm = rng.permutation(n)
-        for start in range(0, n, group):
-            chunk = perm[start:start + group]
-            idx = (chunk[:, None] * N_ORIENTATIONS + offsets).ravel()
-            learner.sgd_step(state, flat_x[idx], flat_y[idx], lr)
+    def keep_best(epoch: int, state: LearnerState) -> bool:
+        nonlocal best_acc, best_epoch, best_state
         acc = _rotation_accuracy(state, flat_x, flat_y)
         if acc > best_acc:
-            best_acc = acc
-            best_state = state.copy()
-            best_epoch = epoch
-        if best_acc == 1.0:
-            break
-    records = extract_losses(best_state, unlabeled)
-    return best_state, PretextReport(best_epoch=best_epoch, epochs_run=epoch + 1,
-                                     rotation_accuracy=best_acc, records=records)
+            best_acc, best_epoch, best_state = acc, epoch, state.copy()
+        return acc == 1.0
+
+    _, trace = learner.train(learner.init_learner(config), flat_x, flat_y,
+                             group=N_ORIENTATIONS, on_epoch=keep_best)
+    return best_state, PretextReport(best_epoch=best_epoch, epochs_run=len(trace), rotation_accuracy=best_acc,
+                                     records=extract_losses(best_state, unlabeled))
 
 
 def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:

@@ -107,10 +107,31 @@ def test_run_random_skips_pretext_requirement(tmp_path):
     assert (out / "queries.csv").is_file()
 
 
-def test_run_validates_budget_before_work(tmp_path):
+def assert_budget_rejected(tmp_path, capsys, command, *flags):
     cfg = write_config(tmp_path, al={"strategy": "random", "iterations": 100, "budget": 100})
-    assert main(["run", str(cfg)]) in (1, 2)
-    assert not (tmp_path / "out" / "reports.csv").exists()
+    assert main([command, str(cfg), *flags]) == 1
+    assert "budget 100 x 100 exceeds unlabeled pool size 120" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_validates_budget_before_work(tmp_path, capsys):
+    assert_budget_rejected(tmp_path, capsys, "run")
+
+
+@pytest.mark.parametrize("command, flags", [("coldstart", ["--seeds", "1,2"]),
+                                            ("ablate", ["--variant", "sampling-only"])],
+                         ids=["coldstart", "ablate"])
+def test_coldstart_and_ablate_validate_budget_before_work(tmp_path, capsys, command, flags):
+    assert_budget_rejected(tmp_path, capsys, command, *flags)
+
+
+@pytest.mark.parametrize("dataset", [{"classes": 1}, {"size": 8}, {"n_per_class": 0}, {"noise": -1}],
+                         ids=lambda d: next(iter(d)))
+def test_synthetic_dataset_values_are_validation_errors(tmp_path, capsys, dataset):
+    cfg = write_config(tmp_path, dataset=dataset)
+    assert main(["pretext", str(cfg)]) == 1
+    assert next(iter(dataset)) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_full_pipeline_and_determinism(tmp_path):
@@ -152,6 +173,13 @@ def test_coldstart_summary_statistics_consistent(tmp_path):
 def test_coldstart_rejects_single_seed(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["coldstart", str(cfg), "--seeds", "1"]) == 1
+
+
+def test_coldstart_rejects_repeated_seeds(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["coldstart", str(cfg), "--seeds", "1,2,1"]) == 1
+    assert "seed 1 is repeated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_correlate_writes_rho_and_scatter(tmp_path):

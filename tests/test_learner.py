@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pt4al import learner
 from pt4al.learner import ConvSpec, LearnerConfig
@@ -305,23 +306,57 @@ def test_train_empty_dataset_rejected():
         learner.train(state, np.zeros((0, 4)), np.zeros(0, dtype=int), cfg)
 
 
-def reference_train(state, x, y, config):
-    """`learner.train` spelled out as a plain loop of `learner.sgd_step` calls."""
+def test_train_rejects_rows_not_in_whole_groups():
+    cfg = small_config()
+    state = learner.init_learner(cfg)
+    with pytest.raises(ValueError, match="runs of 4"):
+        learner.train(state, np.zeros((6, 4)), np.zeros(6, dtype=int), cfg, group=4)
+
+
+def reference_train(state, x, y, config, group=1, stop=None):
+    """`learner.train` spelled out as a plain loop of `learner.sgd_step` calls.
+
+    Rows come in runs of `group` that share a step; training ends after
+    epoch `stop` when it is given.
+    """
     out = state.copy()
     xb = learner.as_batch(state.config, x)
     yb = np.asarray(y)
     n = len(xb)
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
+    runs_per_step = max(1, config.batch_size // group)
     trace = []
     for epoch in range(config.epochs):
         lr = learner.lr_at(config, epoch)
-        perm = rng.permutation(n)
+        perm = rng.permutation(n // group)
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
+        for start in range(0, len(perm), runs_per_step):
+            idx = [run * group + r for run in perm[start:start + runs_per_step] for r in range(group)]
             total += learner.sgd_step(out, xb[idx], yb[idx], lr) * len(idx)
         trace.append(total / n)
+        if epoch == stop:
+            break
     return out, trace
+
+
+def reference_logits(state, x):
+    """`learner.predict_logits` written as the plain layer-by-layer forward pass."""
+    cfg = state.config
+    h = learner.as_batch(cfg, x)
+    act = np.tanh if cfg.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+    weights, biases = state.weights, state.biases
+    if cfg.conv is not None:
+        k = cfg.conv.kernel
+        ho, wo = h.shape[1] - k + 1, h.shape[2] - k + 1
+        z = np.zeros((len(h), ho, wo, cfg.conv.filters)) + biases[0]
+        for di in range(k):
+            for dj in range(k):
+                z += h[:, di:di + ho, dj:dj + wo, :] @ weights[0][di, dj]
+        h, weights, biases = act(z), weights[1:], biases[1:]
+    h = h.reshape(len(h), -1)
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = act(h @ w + b)
+    return h @ weights[-1] + biases[-1]
 
 
 N_EQUIV = 24
@@ -362,6 +397,54 @@ def test_train_equals_sgd_step_loop(case):
         assert a.shape == b.shape and np.array_equal(a, b)
     for a, b in zip(state.weights + state.biases, before.weights + before.biases):
         assert np.array_equal(a, b)
+
+
+@st.composite
+def train_cases(draw):
+    """(config, group, early-stop epoch or None, images, labels) for the equivalence property."""
+    h, w, c = draw(st.integers(3, 5)), draw(st.integers(3, 5)), draw(st.integers(1, 2))
+    conv = None
+    if draw(st.booleans()):
+        conv = ConvSpec(filters=draw(st.integers(1, 3)), kernel=draw(st.integers(1, min(h, w))))
+    arch = LearnerConfig(input_shape=(h, w, c), n_classes=draw(st.integers(2, 4)), conv=conv,
+                         hidden=tuple(draw(st.lists(st.integers(1, 6), max_size=2))),
+                         activation=draw(st.sampled_from(["tanh", "relu"])),
+                         learning_rate=draw(st.sampled_from([0.05, 0.3])),
+                         epochs=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**16)))
+    group = draw(st.sampled_from([1, 4]))
+    n = group * draw(st.integers(3, 6))
+    batch = draw(st.one_of(
+        st.just(1),
+        st.sampled_from([d for d in range(2, n + 1) if n % d == 0]),
+        st.sampled_from([d for d in range(2, n) if n % d]),
+        st.integers(n + 1, n + 5),
+    ))
+    arch = replace(arch, batch_size=batch)
+    stop = draw(st.none() | st.integers(0, arch.epochs - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((n, h, w, c))
+    y = rng.integers(0, arch.n_classes, size=n)
+    return arch, group, stop, x, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(train_cases())
+def test_train_and_predict_match_references(case):
+    arch, group, stop, x, y = case
+    state = learner.init_learner(arch)
+    epochs_seen = []
+
+    def hook(epoch, _):
+        epochs_seen.append(epoch)
+        return epoch == stop
+
+    got, got_trace = learner.train(state, x, y, group=group, on_epoch=hook)
+    want, want_trace = reference_train(state, x, y, arch, group=group, stop=stop)
+    assert got_trace == want_trace
+    assert epochs_seen == list(range(len(got_trace)))
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert np.array_equal(a, b)
+    assert np.array_equal(learner.predict_logits(got, x), reference_logits(got, x))
 
 
 def test_lr_schedule_multi_stage():

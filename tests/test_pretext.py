@@ -60,11 +60,13 @@ def test_pretext_stops_after_first_perfect_epoch(monkeypatch):
     pool = gen_synthetic(40, 3, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, hidden=(16,), batch_size=16)
     lr_calls = count_calls(monkeypatch, "lr_at")
-    step_calls = count_calls(monkeypatch, "sgd_step")
+    step_calls = count_calls(monkeypatch, "_backprop")
     _, report = train_pretext(pool, cfg)
     assert (report.best_epoch, report.epochs_run, report.rotation_accuracy) == (0, 1, 1.0)
     assert [args[1] for args in lr_calls] == [0]
     assert len(step_calls) == math.ceil(len(pool) / (cfg.batch_size // 4))
+    # Each step holds the four orientations of batch_size // 4 samples, in order.
+    assert all(np.array_equal(args[4], np.tile(np.arange(4), cfg.batch_size // 4)) for args in step_calls)
 
 
 def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
