@@ -14,52 +14,18 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__, diagnostics, learner, loop, pretext, sampler
-from .learner import LearnerConfig, config_from_dict, config_to_dict
-from .loop import ALConfig, ConfigError, DatasetSpec
+from .config import ConfigError, from_dict, read_value
+from .loop import ALConfig
 from .seeds import derive_seed
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
-
-_DATASET_KEYS = {
-    "kind", "classes", "n_per_class", "size", "noise", "test_fraction",
-    "images", "labels", "imbalance_counts", "imbalance_factor",
-}
-_AL_KEYS = {"iterations", "budget", "strategy"}
-_TOP_KEYS = {"seed", "output_dir", "dataset", "pretext", "main", "al"}
-
-
-def _dataset_from_dict(d: dict) -> DatasetSpec:
-    unknown = set(d) - _DATASET_KEYS
-    if unknown:
-        raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-    kwargs = dict(d)
-    if kwargs.get("imbalance_counts") is not None:
-        kwargs["imbalance_counts"] = tuple(int(c) for c in kwargs["imbalance_counts"])
-    return DatasetSpec(**kwargs)
-
-
-def _learner_from_dict(d: dict, defaults: LearnerConfig) -> LearnerConfig:
-    # input_shape / n_classes / seed come from the dataset and run seed.
-    forbidden = set(d) & {"input_shape", "n_classes", "seed"}
-    if forbidden:
-        raise ConfigError(f"learner config keys {sorted(forbidden)} are derived at run time")
-    merged = config_to_dict(defaults)
-    merged.update(d)
-    merged.pop("input_shape", None)
-    merged.pop("n_classes", None)
-    merged.pop("seed", None)
-    try:
-        return config_from_dict(merged)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"bad learner config: {exc}") from exc
-
 
 def load_config(path: str, overrides: argparse.Namespace) -> tuple[ALConfig, Path]:
     try:
@@ -70,78 +36,28 @@ def load_config(path: str, overrides: argparse.Namespace) -> tuple[ALConfig, Pat
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
+    # The AL fields live in "al"; the derived ones (seed and the sections) at the top level.
+    top = {f.name for f in fields(ALConfig) if f.metadata["derived"]}
+    unknown = set(raw) - top - {"al", "output_dir"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    config = from_dict(ALConfig(), raw.get("al", {}), "al")
+    config = from_dict(config, {k: v for k, v in raw.items() if k in top}, "", allow_derived=True)
 
-    try:
-        dataset = _dataset_from_dict(raw.get("dataset", {}))
-        pretext_cfg = _learner_from_dict(raw.get("pretext", {}), loop.default_pretext_config())
-        main_cfg = _learner_from_dict(raw.get("main", {}), loop.default_main_config())
-        al = raw.get("al", {})
-        unknown_al = set(al) - _AL_KEYS
-        if unknown_al:
-            raise ConfigError(f"unknown al keys: {sorted(unknown_al)}")
-        config = ALConfig(
-            iterations=int(al.get("iterations", 5)),
-            budget=int(al.get("budget", 100)),
-            strategy=str(al.get("strategy", "pt4al")),
-            dataset=dataset,
-            pretext=pretext_cfg,
-            main=main_cfg,
-            seed=int(raw.get("seed", 0)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    flags = {name: getattr(overrides, name, None) for name in ("seed", "strategy", "iterations", "budget")}
+    config = replace(config, **{name: value for name, value in flags.items() if value is not None})
+    config.validate()
 
-    if getattr(overrides, "seed", None) is not None:
-        config = replace(config, seed=overrides.seed)
-    if getattr(overrides, "strategy", None) is not None:
-        config = replace(config, strategy=overrides.strategy)
-    if getattr(overrides, "iterations", None) is not None:
-        config = replace(config, iterations=overrides.iterations)
-    if getattr(overrides, "budget", None) is not None:
-        config = replace(config, budget=overrides.budget)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    out_dir = getattr(overrides, "output_dir", None) or raw.get("output_dir")
+    out_dir = getattr(overrides, "output_dir", None) or read_value(raw.get("output_dir"), str | None, "output_dir")
     if out_dir is None:
         raise ConfigError("output_dir must be set in the config or via --output-dir")
     return config, Path(out_dir)
 
 
-def _validate_dataset_files(config: ALConfig) -> None:
-    if config.dataset.kind == "idx":
-        for p in (config.dataset.images, config.dataset.labels):
-            if not Path(p).is_file():
-                raise ConfigError(f"dataset file not found: {p}")
-
-
 def _config_echo(config: ALConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "dataset": {
-            "kind": config.dataset.kind,
-            "classes": config.dataset.classes,
-            "n_per_class": config.dataset.n_per_class,
-            "size": config.dataset.size,
-            "noise": config.dataset.noise,
-            "test_fraction": config.dataset.test_fraction,
-            "images": config.dataset.images,
-            "labels": config.dataset.labels,
-            "imbalance_counts": None if config.dataset.imbalance_counts is None
-            else list(config.dataset.imbalance_counts),
-            "imbalance_factor": config.dataset.imbalance_factor,
-        },
-        "pretext": config_to_dict(config.pretext),
-        "main": config_to_dict(config.main),
-        "al": {"iterations": config.iterations, "budget": config.budget, "strategy": config.strategy},
-    }
+    echo = asdict(config)
+    echo["al"] = {f.name: echo.pop(f.name) for f in fields(ALConfig) if not f.metadata["derived"]}
+    return echo
 
 
 def _sha256(path: Path) -> str:
@@ -173,8 +89,8 @@ def _losses_path(out_dir: Path, args) -> Path:
 
 def cmd_pretext(args) -> int:
     config, out_dir = load_config(args.config, args)
-    _validate_dataset_files(config)
     train_pool, _ = loop.build_dataset(config.dataset, config.seed)
+    loop.check_learners_fit(config, train_pool)
     state, report = loop.pretext_model(config, train_pool.unlabeled())
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -209,7 +125,6 @@ def cmd_plan(args) -> int:
 
 def cmd_run(args) -> int:
     config, out_dir = load_config(args.config, args)
-    _validate_dataset_files(config)
     records = None
     inputs: list[Path] = []
     if config.strategy in loop.PRETEXT_STRATEGIES:
@@ -237,7 +152,6 @@ def cmd_run(args) -> int:
 
 def cmd_coldstart(args) -> int:
     config, out_dir = load_config(args.config, args)
-    _validate_dataset_files(config)
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
@@ -270,8 +184,8 @@ def cmd_coldstart(args) -> int:
 
 def cmd_correlate(args) -> int:
     config, out_dir = load_config(args.config, args)
-    _validate_dataset_files(config)
     train_pool, test_pool = loop.build_dataset(config.dataset, config.seed)
+    loop.check_learners_fit(config, train_pool)
     shape = train_pool.x.shape[1:]
 
     inputs: list[Path] = []
@@ -313,7 +227,6 @@ def cmd_correlate(args) -> int:
 
 def cmd_ablate(args) -> int:
     config, out_dir = load_config(args.config, args)
-    _validate_dataset_files(config)
     strategy = loop.ABLATION_VARIANTS.get(args.variant, args.variant)
     if strategy not in loop.STRATEGIES:
         raise ConfigError(f"unknown ablation variant {args.variant!r}; "

@@ -13,74 +13,60 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import check_fields, declare, from_dict
 from .seeds import derive_seed
 
 CHECKPOINT_MAGIC = "PT4AL-CKPT"
 CHECKPOINT_VERSION = 1
-
-_ACTIVATIONS = ("tanh", "relu")
 
 
 @dataclass(frozen=True)
 class ConvSpec:
     """Single convolution layer: `filters` kernels of size kernel x kernel."""
 
-    filters: int
-    kernel: int
+    filters: int = declare(within="[1, inf)")
+    kernel: int = declare(within="[1, inf)")
 
 
 @dataclass(frozen=True)
 class LearnerConfig:
     """Architecture plus training hyperparameters.
 
-    `input_shape` and `n_classes` default to unset so configs can be
-    declared before the dataset is known and materialized later with
-    `dataclasses.replace`.
+    `input_shape`, `n_classes` and `seed` are derived: they default to unset
+    so configs can be declared before the dataset is known and materialized
+    later with `dataclasses.replace`.
     """
 
-    input_shape: tuple[int, ...] = ()
-    n_classes: int = 0
-    hidden: tuple[int, ...] = (128, 64)
+    input_shape: tuple[int, ...] = declare((), derived=True)
+    n_classes: int = declare(0, derived=True)
+    hidden: tuple[int, ...] = declare((128, 64), "[1, inf)")
     conv: ConvSpec | None = None
-    activation: str = "tanh"
-    learning_rate: float = 0.1
-    decay_milestones: tuple[float, ...] = (0.5, 0.75)
-    decay_factor: float = 0.1
-    epochs: int = 20
-    batch_size: int = 32
-    init_scale: float = 1.0
-    seed: int = 0
+    activation: str = declare("tanh", ("tanh", "relu"))
+    learning_rate: float = declare(0.1, "[0, inf)")
+    decay_milestones: tuple[float, ...] = declare((0.5, 0.75), "[0, 1]")
+    decay_factor: float = declare(0.1, "(0, inf)")
+    epochs: int = declare(20, "[1, inf)")
+    batch_size: int = declare(32, "[1, inf)")
+    init_scale: float = declare(1.0, "[0, inf)")
+    seed: int = declare(0, derived=True)
 
     def validate(self) -> None:
+        """Check the declared values, then the input shape, class count and conv fit."""
+        check_fields(self)
         if not self.input_shape or any(int(d) <= 0 for d in self.input_shape):
             raise ValueError(f"input_shape must have positive dims, got {self.input_shape!r}")
         if self.n_classes < 2:
             raise ValueError(f"need at least 2 output classes, got {self.n_classes}")
-        if any(int(h) <= 0 for h in self.hidden):
-            raise ValueError(f"hidden widths must be positive, got {self.hidden!r}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.decay_factor <= 0:
-            raise ValueError("decay factor must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         if self.conv is not None:
             if len(self.input_shape) != 3:
                 raise ValueError("conv layer requires an (H, W, C) input shape")
-            h, w, _ = self.input_shape
-            if self.conv.filters < 1:
-                raise ValueError("conv filters must be >= 1")
-            if not 1 <= self.conv.kernel <= min(h, w):
-                raise ValueError(f"conv kernel {self.conv.kernel} does not fit input {self.input_shape}")
+            if self.conv.kernel > min(self.input_shape[:2]):
+                raise ValueError(f"conv.kernel {self.conv.kernel} does not fit input {self.input_shape}")
 
     @property
     def input_dim(self) -> int:
@@ -456,45 +442,6 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, gro
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def config_to_dict(config: LearnerConfig) -> dict:
-    d = {
-        "input_shape": list(config.input_shape),
-        "n_classes": config.n_classes,
-        "hidden": list(config.hidden),
-        "conv": None if config.conv is None else {"filters": config.conv.filters, "kernel": config.conv.kernel},
-        "activation": config.activation,
-        "learning_rate": config.learning_rate,
-        "decay_milestones": list(config.decay_milestones),
-        "decay_factor": config.decay_factor,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "init_scale": config.init_scale,
-        "seed": config.seed,
-    }
-    return d
-
-
-def config_from_dict(d: dict) -> LearnerConfig:
-    known = {
-        "input_shape", "n_classes", "hidden", "conv", "activation", "learning_rate",
-        "decay_milestones", "decay_factor", "epochs", "batch_size", "init_scale", "seed",
-    }
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown learner config keys: {sorted(unknown)}")
-    kwargs = dict(d)
-    if "input_shape" in kwargs:
-        kwargs["input_shape"] = tuple(int(v) for v in kwargs["input_shape"])
-    if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(int(v) for v in kwargs["hidden"])
-    if "decay_milestones" in kwargs:
-        kwargs["decay_milestones"] = tuple(float(v) for v in kwargs["decay_milestones"])
-    conv = kwargs.get("conv")
-    if conv is not None:
-        kwargs["conv"] = ConvSpec(filters=int(conv["filters"]), kernel=int(conv["kernel"]))
-    return LearnerConfig(**kwargs)
-
-
 def _pack_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
 
@@ -515,7 +462,7 @@ def save_checkpoint(state: LearnerState, path) -> None:
     payload = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "config": config_to_dict(state.config),
+        "config": asdict(state.config),
         "weights": [_pack_array(w) for w in state.weights],
         "biases": [_pack_array(b) for b in state.biases],
     }
@@ -528,7 +475,7 @@ def load_checkpoint(path) -> LearnerState:
         raise ValueError(f"{path}: not a learner checkpoint (bad magic)")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    config = config_from_dict(payload["config"])
+    config = from_dict(LearnerConfig(), payload["config"], f"{path}: config", allow_derived=True)
     config.validate()
     weights = [_unpack_array(w, path) for w in payload["weights"]]
     biases = [_unpack_array(b, path) for b in payload["biases"]]

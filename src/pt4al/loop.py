@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import learner
-from .data import Pool, _check_synthetic, gen_synthetic, imbalance_ramp, load_idx, make_imbalanced, split_train_test
+from .config import ConfigError, check_fields, declare
+from .data import MAX_CLASSES, Pool, gen_synthetic, imbalance_ramp, load_idx, make_imbalanced, split_train_test
 from .learner import LearnerConfig, LearnerState
 from .pretext import N_ORIENTATIONS, LossRecord, PretextReport, check_records_cover, train_pretext
 from .sampler import (
@@ -61,36 +62,28 @@ PRETEXT_STRATEGIES = tuple(s for s, (order, _, _) in STRATEGY_TABLE.items()
 ABLATION_VARIANTS = {s.removeprefix("pt4al-"): s for s in STRATEGIES if s.startswith("pt4al-")}
 
 
-class ConfigError(ValueError):
-    """Raised for anything the user can fix in the config or flags."""
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
     """Where the corpus comes from and how it is split."""
 
-    kind: str = "synthetic"  # "synthetic" | "idx"
-    classes: int = 4
-    n_per_class: int = 1250
-    size: int = 12
-    noise: float = 1.0
-    test_fraction: float = 0.2
+    kind: str = declare("synthetic", ("synthetic", "idx"))
+    classes: int = declare(4, f"[2, {MAX_CLASSES}]")
+    n_per_class: int = declare(1250, "[1, inf)")
+    size: int = declare(12, "[10, inf)")
+    noise: float = declare(1.0, "[0, inf)")
+    test_fraction: float = declare(0.2, "(0, 1)")
     images: str | None = None
     labels: str | None = None
-    imbalance_counts: tuple[int, ...] | None = None
-    imbalance_factor: float | None = None
+    imbalance_counts: tuple[int, ...] | None = declare(None, "[0, inf)")
+    imbalance_factor: float | None = declare(None, "(0, inf)")
 
     def validate(self) -> None:
-        if self.kind not in ("synthetic", "idx"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
+        """Check the declared values, then the idx paths and the choice of one imbalance key."""
+        check_fields(self)
         if self.kind == "idx" and (self.images is None or self.labels is None):
-            raise ValueError("idx dataset requires both image and label paths")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test fraction must lie in (0, 1)")
+            raise ConfigError("idx dataset requires both image and label paths")
         if self.imbalance_counts is not None and self.imbalance_factor is not None:
-            raise ValueError("set either imbalance_counts or imbalance_factor, not both")
-        if self.kind == "synthetic":
-            _check_synthetic(self.n_per_class, self.classes, self.size, self.noise)
+            raise ConfigError("set either imbalance_counts or imbalance_factor, not both")
 
 
 def default_pretext_config() -> LearnerConfig:
@@ -103,21 +96,19 @@ def default_main_config() -> LearnerConfig:
 
 @dataclass(frozen=True)
 class ALConfig:
-    iterations: int = 5
-    budget: int = 100
-    strategy: str = "pt4al"
-    dataset: DatasetSpec = field(default_factory=DatasetSpec)
-    pretext: LearnerConfig = field(default_factory=default_pretext_config)
-    main: LearnerConfig = field(default_factory=default_main_config)
-    seed: int = 0
+    """The AL budget and strategy; the sections and the seed are top-level keys of a config file."""
+
+    iterations: int = declare(5, "[1, inf)")
+    budget: int = declare(100, "[1, inf)")
+    strategy: str = declare("pt4al", STRATEGIES)
+    dataset: DatasetSpec = declare(factory=DatasetSpec, derived=True)
+    pretext: LearnerConfig = declare(factory=default_pretext_config, derived=True)
+    main: LearnerConfig = declare(factory=default_main_config, derived=True)
+    seed: int = declare(0, derived=True)
 
     def validate(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; choose one of {STRATEGIES}")
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.budget < 1:
-            raise ValueError("per-iteration budget must be >= 1")
+        """Check every declared value, then the dataset's cross-field rules."""
+        check_fields(self)
         self.dataset.validate()
 
 
@@ -171,13 +162,19 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
     if spec.kind == "synthetic":
         master = gen_synthetic(spec.n_per_class, spec.classes, spec.size, spec.noise, derive_seed(seed, "data"))
     else:
-        master = load_idx(spec.images, spec.labels)
-    if spec.imbalance_counts is not None or spec.imbalance_factor is not None:
-        if spec.imbalance_counts is not None:
-            counts = list(spec.imbalance_counts)
-        else:
-            counts = imbalance_ramp(master.n_classes, spec.imbalance_factor)
-        master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
+        try:
+            master = load_idx(spec.images, spec.labels)
+        except OSError as exc:
+            raise ConfigError(f"cannot read dataset file: {exc}") from exc
+    key = "imbalance_counts" if spec.imbalance_counts is not None else "imbalance_factor"
+    if getattr(spec, key) is not None:
+        try:
+            counts = spec.imbalance_counts
+            if counts is None:
+                counts = imbalance_ramp(master.n_classes, spec.imbalance_factor)
+            master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
+        except ValueError as exc:
+            raise ConfigError(f"dataset.{key}: {exc}") from exc
     return split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
 
 
@@ -195,13 +192,25 @@ def train_main(config: ALConfig, labeled: Pool, n_classes: int, seed: int) -> Le
     return trained
 
 
+def check_learners_fit(config: ALConfig, train_pool: Pool) -> None:
+    """Raise ConfigError unless both learners fit the dataset; call it before any training."""
+    shape = train_pool.x.shape[1:]
+    for name, cfg, n_classes in (("pretext", config.pretext, N_ORIENTATIONS),
+                                 ("main", config.main, train_pool.n_classes)):
+        try:
+            replace(cfg, input_shape=shape, n_classes=n_classes).validate()
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+
+
 def _prepare(config: ALConfig) -> tuple[Pool, Pool, Pool, int, dict[int, int]]:
-    """Validate, build the dataset and check the budget, before any training.
+    """Validate, build the dataset, check both learners and the budget, before any training.
 
     Returns (train pool, test pool, train pool unlabeled, classes, id -> position).
     """
     config.validate()
     train_pool, test_pool = build_dataset(config.dataset, config.seed)
+    check_learners_fit(config, train_pool)
     if config.iterations * config.budget > len(train_pool):
         raise ConfigError(
             f"budget {config.iterations} x {config.budget} exceeds unlabeled pool size {len(train_pool)}"

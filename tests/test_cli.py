@@ -7,6 +7,7 @@ import pytest
 
 from pt4al import learner
 from pt4al.cli import main
+from pt4al.data import gen_synthetic, write_idx
 from pt4al.learner import LearnerConfig
 
 
@@ -134,6 +135,75 @@ def test_synthetic_dataset_values_are_validation_errors(tmp_path, capsys, datase
     assert not (tmp_path / "out").exists()
 
 
+def no_training(*args, **kwargs):
+    raise AssertionError("trained before rejecting the config")
+
+
+# (config overrides, key the message must name). Each was accepted, coerced or
+# failed with exit 2 before every config field was read and checked by its
+# declared type and range.
+BAD_VALUES = {
+    "main.epochs-2.5": ({"main": {"epochs": 2.5}}, "main.epochs"),
+    "main.epochs-true": ({"main": {"epochs": True}}, "main.epochs"),
+    "main.hidden-0": ({"main": {"hidden": [0]}}, "main.hidden"),
+    "main.activation-sigmoid": ({"main": {"activation": "sigmoid"}}, "main.activation"),
+    "main.batch_size-0": ({"main": {"batch_size": 0}}, "main.batch_size"),
+    "main.conv.kernel-99": ({"main": {"conv": {"filters": 2, "kernel": 99}}}, "conv.kernel"),
+    "main.learning_rate-nan": ({"main": {"learning_rate": float("nan")}}, "main.learning_rate"),
+    "main.learning_rate-inf": ({"main": {"learning_rate": float("inf")}}, "main.learning_rate"),
+    "main.init_scale-nan": ({"main": {"init_scale": float("nan")}}, "main.init_scale"),
+    "main.decay_factor-nan": ({"main": {"decay_factor": float("nan")}}, "main.decay_factor"),
+    "main.decay_milestones-outside": ({"main": {"decay_milestones": [2.0, -1]}}, "main.decay_milestones"),
+    "pretext.epochs-0": ({"pretext": {"epochs": 0}}, "pretext.epochs"),
+    "dataset.noise-nan": ({"dataset": {"noise": float("nan")}}, "dataset.noise"),
+    "dataset.classes-x": ({"dataset": {"classes": "x"}}, "dataset.classes"),
+    "dataset.n_per_class-2.5": ({"dataset": {"n_per_class": 2.5}}, "dataset.n_per_class"),
+    "dataset.imbalance_counts-negative": ({"dataset": {"imbalance_counts": [-1, 5, 5]}}, "dataset.imbalance_counts"),
+    "dataset.imbalance_factor-nan": ({"dataset": {"imbalance_factor": float("nan")}}, "dataset.imbalance_factor"),
+    "al.budget-true": ({"al": {"budget": True}}, "al.budget"),
+    "al.budget-2.7": ({"al": {"budget": 2.7}}, "al.budget"),
+    "seed-1.9": ({"seed": 1.9}, "seed"),
+    "output_dir-5": ({"output_dir": 5}, "output_dir"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_config_values_exit_1_before_work(tmp_path, monkeypatch, capsys, case):
+    overrides, key = BAD_VALUES[case]
+    base = {"dataset": {"n_per_class": 20}, "al": {"strategy": "random"}}
+    for section, value in overrides.items():
+        base[section] = {**base[section], **value} if section in base else value
+    cfg = write_config(tmp_path, **base)
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# dataset section -> key the message must name. The imbalance values are valid
+# numbers that do not fit a corpus of 3 classes x 20 samples.
+IMBALANCE_MISFITS = {
+    "counts-too-few": ({"imbalance_counts": [5, 5]}, "imbalance_counts"),
+    "counts-too-many": ({"imbalance_counts": [50, 5, 5]}, "imbalance_counts"),
+    "factor-too-large": ({"imbalance_factor": 0.5}, "imbalance_factor"),
+    "idx-counts-too-many": ({"kind": "idx", "imbalance_counts": [50, 5, 5]}, "imbalance_counts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMBALANCE_MISFITS))
+def test_imbalance_that_does_not_fit_the_corpus_exits_1(tmp_path, monkeypatch, capsys, case):
+    dataset, key = IMBALANCE_MISFITS[case]
+    if dataset.get("kind") == "idx":
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx(gen_synthetic(20, 3, 10, 0.0, seed=1), images, labels)
+        dataset = {**dataset, "images": str(images), "labels": str(labels)}
+    cfg = write_config(tmp_path, dataset={"n_per_class": 20, **dataset}, al={"strategy": "random"})
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_full_pipeline_and_determinism(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["pretext", str(cfg)]) == 0
@@ -210,9 +280,6 @@ def test_correlate_rejects_mismatched_checkpoint_before_training(tmp_path, monke
     ckpt = tmp_path / "ckpt.json"
     learner.save_checkpoint(learner.init_learner(
         LearnerConfig(input_shape=input_shape, n_classes=n_classes, hidden=(4,))), ckpt)
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("correlate trained before checking its checkpoint")
 
     monkeypatch.setattr(learner, "train", no_training)
     assert main(["correlate", str(cfg), "--pretext-checkpoint", str(ckpt)]) == 1

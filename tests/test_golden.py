@@ -8,6 +8,8 @@ refactor or optimisation that claims to keep behaviour must leave it
 untouched. A second table pins `coldstart`, `correlate`, `ablate` and runs
 on an IDX-file dataset; it was recorded before the switch to array pools
 and the strategy table, from the code that still had per-image objects.
+A third table pins the JSON manifest of every case, with the case's tmp
+directory replaced by a fixed token.
 A change that alters an output byte on purpose re-records the affected
 rows and says why in CHANGES.md.
 
@@ -64,6 +66,10 @@ CASES = {
     "imbalanced": {"dataset": {"imbalance_counts": [20, 35, 50]}},
     "pretext-perfect-at-epoch-1": {"pretext": {"learning_rate": 0.01, "epochs": 4}},
     "pretext-never-perfect": {"pretext": {"learning_rate": 0.005, "epochs": 4}},
+    # Floats written as JSON integers, which the manifest and checkpoint echo as written.
+    "int-valued-floats": {"dataset": {"noise": 1, "imbalance_factor": 0.02},
+                          "pretext": {"learning_rate": 1, "init_scale": 2},
+                          "main": {"init_scale": 2, "decay_factor": 1}},
 }
 
 GOLDEN_RUNS: dict[str, dict[str, str]] = {
@@ -137,6 +143,13 @@ GOLDEN_RUNS: dict[str, dict[str, str]] = {
         "queries.csv": "eecac1fa985b38f8c5051ddf9fcf63c70e725a2fa3721d1cb7e09eb33ca5b36c",
         "pretext_checkpoint.json": "c66ad66d83176b5480f978ae23b0f88e634d46979482738eaceb65a0b0276226",
     },
+    "int-valued-floats": {
+        "losses.csv": "19ceba2d56bfb903ddaa3652fd84707920ca5dfb1164d4f71a277d45185844a0",
+        "plan.csv": "d2d0fd3333e898cdcc11436e1c1b1427027237a14baf8ae510a7512ffaa59556",
+        "reports.csv": "870fc45652e2090621aa9aa56df3626f610b4b880878df62a4cabaf9881b4def",
+        "queries.csv": "0a3ae510f4f00513d899981736c500d264daa6b0ece53222dcec297f16b9526a",
+        "pretext_checkpoint.json": "1e0d6aa53ab938adcf5e1ca5f1b530257389af0ebb864683761ba686c0db9653",
+    },
     "random": {
         "losses.csv": "327a381c4f4c5bbe3672f37fe28c3f0027a3d606daa9cdf1e42c47627a2ed811",
         "plan.csv": "e2fd8dd2229010b1c46647a73b00bd912734c2b359d9acd90c55b27d46deb351",
@@ -205,6 +218,103 @@ GOLDEN_COMMANDS: dict[str, dict[str, str]] = {
         "reports.csv": "010be17ef094161a13fce9cca8d034313167627c5e2ad45d94c6947b80a76954",
         "queries.csv": "cd5c86ca51ca98f2e73137877cb6c43d44a87712480e5fcad99e64e7e5bdb403",
         "pretext_checkpoint.json": "e2365f9769b6a1a0c563d1b3b8be6efb173e2bc38b9cd6640d8f230e5a5a61d3",
+    },
+}
+
+# case -> sha256 of every *_manifest.json that a CASES or COMMAND_CASES row
+# writes, with the case's tmp directory replaced by "<tmp>". Recorded before
+# the config fields were declared once on their dataclasses, so the config
+# echo cannot drift with how it is produced.
+GOLDEN_MANIFESTS: dict[str, dict[str, str]] = {
+    "ablate-low-loss-first": {
+        "ablate_low_loss_first_manifest.json": "c2093a34dc3d0da96c708d6de19c15557bba05003fc43094c2a4afec6ed5f890",
+    },
+    "ablate-pretext-only-high": {
+        "ablate_pretext_only_high_manifest.json": "3e7e89924be83dde1ffccb516683b6cfef2ea346278f5fe778814fa7aa34d36d",
+    },
+    "ablate-pretext-only-low": {
+        "ablate_pretext_only_low_manifest.json": "4a5bdfa7e84daf95d2244996c5e335a921ea1d06654192de18b3113f4f955808",
+    },
+    "ablate-sampling-only": {
+        "ablate_sampling_only_manifest.json": "2caa14ec8f841e7d2431e8ae83a1451018f1294c2f08ed0deea292208d01e94e",
+    },
+    "coldstart": {
+        "coldstart_manifest.json": "f4ea0ffb1735438870853de616b41a0201436d6aba0cf5c16c4736ee582f832e",
+    },
+    "conv": {
+        "plan_manifest.json": "5c237cc0e5cf03aa0be46ea0292bb9fa13d8f24774184d40c6ab0dc3e2bc5cb7",
+        "pretext_manifest.json": "8be5ef16cbe6078f07ceb4b0f29de4aa6c8a35f638a434a77f9e38c5ad39b854",
+        "run_manifest.json": "1d4c5a40b5960edbd30f3de2809e5f180d33e436366bcee50f0ba9e7ebc660ee",
+    },
+    "correlate": {
+        "correlate_manifest.json": "305d790bfb7d9993fa621a792b92c3545fc96175566d09e54b84867ffec54382",
+    },
+    "correlate-checkpoint": {
+        "correlate_manifest.json": "f0298b721a442d0634fa7111dacd051d5b759ab8cfce5297a0d493545f8814be",
+        "pretext_manifest.json": "be3620f199e8cbd3417ba5045b1e5081ea4b9c4a099cc091363800021a7ef4f2",
+    },
+    "entropy": {
+        "plan_manifest.json": "ec3cd5c6bd2e4f3a307bc3eeb0e8b24fcc91dbb4743827a869e66481c09ea0b1",
+        "pretext_manifest.json": "12afbd2237e93cab12f043ac05b24c228f156e98b34bd12dfb8bc291739486c5",
+        "run_manifest.json": "5e8e978d396c06c935a4e90cd56f331209e1f630dc6452eec5aa6a5869b6182e",
+    },
+    "idx-entropy": {
+        "pretext_manifest.json": "355c97e3ea468db8e1ac2509d10907e459da2847038ca6e4e7777c84a3a91f72",
+        "run_manifest.json": "ef611614807ba63c2692c061d44649cda279dec60f86ff545342889e579ce066",
+    },
+    "idx-pt4al": {
+        "pretext_manifest.json": "e811cee78846511cc644c3b57cc296655182211c05c853468a11b7c27de60f92",
+        "run_manifest.json": "b5d52af62277fba79226a0ab164d768339a012cf8f578fa5a26b9ad595cdbc2e",
+    },
+    "imbalanced": {
+        "plan_manifest.json": "6f030a17c9b41b8f0772f65d77736798954360d02846f7f980b22d8e9276cbe3",
+        "pretext_manifest.json": "7df25c370997e8717108a848a73ec133ac698e26417a831e26f9cb5615d3369d",
+        "run_manifest.json": "91a214ff1c0ea5bae5b2c03cf7d1adae842dd2bd7357a6b4657945a76c51ea64",
+    },
+    "int-valued-floats": {
+        "plan_manifest.json": "f8c7d385e7b1da104d697aced7381edc24e3edbae2d68874f0fe48923e7dd816",
+        "pretext_manifest.json": "bec1849d61b9ebe7a00541950d61a2f097ce38fb7113675ea78a2442c223b205",
+        "run_manifest.json": "e46c76a32ab111f3ffad35b65c62de726e769df171a3b05a356d611766a6a18c",
+    },
+    "pretext-never-perfect": {
+        "plan_manifest.json": "931b41d36802826e9a1133162d81489a55a11fb532fd5276f01bb8ccf0314f64",
+        "pretext_manifest.json": "2a4099fdf750c66b336e5ca9bbe93f046666d9f1899a293e22b157fc0903a6c4",
+        "run_manifest.json": "27619a1db343610f00c2fb287543ac88845b59b9b2165180d90d70a247619f49",
+    },
+    "pretext-perfect-at-epoch-1": {
+        "plan_manifest.json": "e4967c7c909cfcea0677518059cfc1def1c933a44164439a8803ef8b33886e8f",
+        "pretext_manifest.json": "ccf12708bc8af1869f60a01a5824173b317f077ecb52bac0b6b2d836733d9143",
+        "run_manifest.json": "61af23696af3af78033b39716191a01cec75d10b685fd20d496930d02c7647d4",
+    },
+    "pt4al": {
+        "plan_manifest.json": "566d908048637259a8c3119dc555a84209997f14ccda5d3d336967131e02e073",
+        "pretext_manifest.json": "be3620f199e8cbd3417ba5045b1e5081ea4b9c4a099cc091363800021a7ef4f2",
+        "run_manifest.json": "fa86b84e6073818942ae47ca0b2c22f6aecaa7959aea3958d6d86cf8b3a908b3",
+    },
+    "pt4al-low-loss-first": {
+        "plan_manifest.json": "12b7a7adb6ece537bcc6a25ca395e1b9976773463f5a8a71ca7974e64b85cce9",
+        "pretext_manifest.json": "253b718cd8beea49de7103aef8f09632eccbae17957a4563c59f02b6d3b8f3da",
+        "run_manifest.json": "d60fbc3cb34431a033350b89942c9f1a65127104b17f4f946ae9649d6dabf8c0",
+    },
+    "pt4al-pretext-only-high": {
+        "plan_manifest.json": "881a71c3b8a6ad753ad89b2b173631fbc0d49baf26efc896441f15897795feab",
+        "pretext_manifest.json": "10c0e43a30f54df2e501200222c210870507545fa066a8b03161ad2592521a10",
+        "run_manifest.json": "f8c0a852dde05f04fca9d957c457308cbf5e026f7dd33f53f3286d3ec75dbe82",
+    },
+    "pt4al-pretext-only-low": {
+        "plan_manifest.json": "7d92645808fa4f49016f3e1aa07ed74a8db3a962d3b0b393cabfd79fb68140e9",
+        "pretext_manifest.json": "7bbf4f163269ff82c0cefcb1a76c2a9d1198edba9cef9930fe9d8f26511381a8",
+        "run_manifest.json": "a54ba9de0997dabe7379dcd19e5b878de5d23bf0f67a8e4c6ce070c4523785b5",
+    },
+    "pt4al-sampling-only": {
+        "plan_manifest.json": "3cd8fbd9c9c287a385361ef82779bc36fcd399a121dc99c9fd7dd5b2e69b5d17",
+        "pretext_manifest.json": "d8016e41e9c3a56a4160f18434d0695f0ec5b293950acfac4f544ad183e93b67",
+        "run_manifest.json": "fb87e6ca45e6e64b08c294dc2ef40fb3dd76a708e0d55e2d79bf5f08b0d2ef9f",
+    },
+    "random": {
+        "plan_manifest.json": "4f065762efc3fe41daec8b63f57e8a278dc4acfe9c492b5c9d9f28cc415fe0ed",
+        "pretext_manifest.json": "782aa117c5870a7e84791203ac8519bdacb9fbe9cdf39e258861b18611027226",
+        "run_manifest.json": "718a4d4e7d9451dbfaf8a974c2f93403f95eaf571cf49dbf4ac0205bce3aed78",
     },
 }
 
@@ -278,6 +388,11 @@ def write_idx_files(case_dir: Path) -> dict:
     return {**IDX_DATASET, "images": str(images_path), "labels": str(labels_path)}
 
 
+def manifest_digests(out_dir: Path, tmp_path: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes().replace(str(tmp_path).encode(), b"<tmp>")).hexdigest()
+            for p in sorted(out_dir.glob("*_manifest.json"))}
+
+
 def array_digest(a: np.ndarray) -> str:
     return hashlib.sha256(f"{a.dtype.str}{a.shape}".encode() + a.tobytes()).hexdigest()
 
@@ -295,6 +410,7 @@ def test_cli_outputs_match_golden_digests(tmp_path, case):
     for command in ("pretext", "plan", "run"):
         assert main([command, str(path)]) == 0
     assert output_digests(tmp_path / "out") == GOLDEN_RUNS[case]
+    assert manifest_digests(tmp_path / "out", tmp_path) == GOLDEN_MANIFESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(COMMAND_CASES))
@@ -307,6 +423,7 @@ def test_command_outputs_match_golden_digests(tmp_path, case):
     for command, *flags in commands:
         assert main([command, str(path), *(f.format(out=out) for f in flags)]) == 0
     assert output_digests(out, outputs) == GOLDEN_COMMANDS[case]
+    assert manifest_digests(out, tmp_path) == GOLDEN_MANIFESTS[case]
 
 
 def train_digest(state: learner.LearnerState, trace: list[float]) -> str:
