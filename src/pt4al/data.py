@@ -34,7 +34,8 @@ class Pool:
         n = len(self.ids)
         if self.ids.ndim != 1 or self.x.ndim != 4 or len(self.x) != n:
             raise ValueError(f"pool needs ids (N,) and images (N, H, W, C), got {self.ids.shape} and {self.x.shape}")
-        if len(np.unique(self.ids)) != n:
+        # A sort, not np.unique, which imports numpy.ma (16-18 ms) on first use.
+        if np.any(np.diff(np.sort(self.ids)) == 0):
             raise ValueError("duplicate sample ids in pool")
         # NaN fails both comparisons, so this also rejects non-finite pixels.
         if n and not (self.x.min() >= 0.0 and self.x.max() <= 1.0):
@@ -276,17 +277,13 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
 
 def rotate(image: np.ndarray, y: int) -> np.ndarray:
     """Exact counter-clockwise rotation of one (H, W, C) image by y * 90 degrees (y in 0..3)."""
-    if image.shape[0] != image.shape[1]:
-        raise ValueError(f"rotation requires square images, got {image.shape[0]}x{image.shape[1]}")
-    if y not in (0, 1, 2, 3):
-        raise ValueError(f"orientation index must be 0..3, got {y}")
-    return np.ascontiguousarray(np.rot90(image, k=y, axes=(0, 1)))
+    return rotate_batch(np.asarray(image)[None], y)[0]
 
 
 def rotate_batch(x: np.ndarray, y: int) -> np.ndarray:
     """rotate() applied over a (B, H, W, C) array."""
     if x.shape[1] != x.shape[2]:
-        raise ValueError("rotation requires square images")
+        raise ValueError(f"rotation requires square images, got {x.shape[1]}x{x.shape[2]}")
     if y not in (0, 1, 2, 3):
         raise ValueError(f"orientation index must be 0..3, got {y}")
     return np.ascontiguousarray(np.rot90(x, k=y, axes=(1, 2)))
@@ -332,7 +329,7 @@ def split_train_test(pool: Pool, test_fraction: float, seed: int) -> tuple[Pool,
         raise ValueError("a stratified split requires labels")
     rng = np.random.default_rng(seed)
     is_test = np.zeros(len(pool), dtype=bool)
-    for label in np.unique(pool.y):
+    for label in np.flatnonzero(np.bincount(pool.y)):
         positions = np.flatnonzero(pool.y == label)
         k = int(test_fraction * len(positions) + 0.5)
         is_test[positions[rng.permutation(len(positions))[:k]]] = True

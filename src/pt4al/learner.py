@@ -158,7 +158,7 @@ def _as_labels(config: LearnerConfig, y, n: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Buffers for one forward and backward pass over batches of `m` rows.
+    """Buffers for one forward and, unless `backward` is false, one backward pass over `m` rows.
 
     `acts[l]` holds the activation of layer l for every layer but the last,
     as (m, width) rows; the conv layer's also has the 4-d view `conv`.
@@ -166,15 +166,16 @@ class _Workspace:
     are the gathered rows and labels of the batch when training.
     """
 
-    def __init__(self, config: LearnerConfig, m: int):
+    def __init__(self, config: LearnerConfig, m: int, backward: bool = True):
         widths = list(config.hidden) if config.conv is None else [config.feature_dim, *config.hidden]
-        self.x = np.empty((m, config.input_dim))
-        self.y = np.empty(m, dtype=np.int64)
-        self.rows = np.arange(m)
         self.acts = [np.empty((m, d)) for d in widths]
-        self.dacts = [np.empty((m, d)) for d in widths]
         self.logits = np.empty((m, config.n_classes))
-        self.delta = np.empty((m, config.n_classes))
+        if backward:
+            self.x = np.empty((m, config.input_dim))
+            self.y = np.empty(m, dtype=np.int64)
+            self.rows = np.arange(m)
+            self.dacts = [np.empty((m, d)) for d in widths]
+            self.delta = np.empty((m, config.n_classes))
         if config.conv is not None:
             h, w, _ = config.input_shape
             k = config.conv.kernel
@@ -271,9 +272,9 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
 
 
 def _logits(state: LearnerState, xb: np.ndarray) -> np.ndarray:
-    """Logits of a canonical batch, with buffers of its own."""
+    """Logits of a canonical batch, with forward-only buffers of its own."""
     cfg = state.config
-    return _forward(cfg, state.weights, state.biases, xb.reshape(len(xb), -1), _Workspace(cfg, len(xb)))
+    return _forward(cfg, state.weights, state.biases, xb.reshape(len(xb), -1), _Workspace(cfg, len(xb), backward=False))
 
 
 def predict_logits(state: LearnerState, xs) -> np.ndarray:
@@ -387,6 +388,10 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, gro
     weights, which later epochs overwrite in place; a true return ends
     training, and the trace with it.
 
+    `x` holds the n inputs, or is a callable `fill(runs, out)` that writes
+    the inputs of the runs `runs` (run j is rows j*group..j*group+group-1),
+    in order, into the rows of the buffer `out`. Then `y` alone gives n.
+
     The result equals a loop of `sgd_step` over the same runs bit for bit.
     The inputs are validated once; the weights and the gradient each live
     in one flat vector, so a step's update is two in-place ops, and every
@@ -395,14 +400,14 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, gro
     cfg = config if config is not None else state.config
     cfg.validate()
     arch = state.config
-    xb = as_batch(arch, x)
-    n = len(xb)
+    fill = x if callable(x) else None
+    rows = None if fill else as_batch(arch, x).reshape(-1, arch.input_dim)
+    n = len(y) if fill else len(rows)
     if n == 0:
         raise ValueError("empty dataset")
     if group < 1 or n % group:
         raise ValueError(f"{n} rows do not split into runs of {group}")
     yb = _as_labels(arch, y, n)
-    rows = xb.reshape(n, -1)
     arrays = [*state.weights, *state.biases]
     params, views = _packed(arrays)
     grads, gviews = _packed(arrays)
@@ -424,9 +429,12 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, gro
             ws = workspaces.get(m)
             if ws is None:
                 ws = workspaces[m] = _Workspace(arch, m)
-            # idx is part of a permutation of range(n): "clip" never clips, and
-            # unlike "raise" it lets np.take write straight into the buffer.
-            np.take(rows, idx, axis=0, out=ws.x, mode="clip")
+            if fill is None:
+                # idx is part of a permutation of range(n): "clip" never clips, and
+                # unlike "raise" it lets np.take write straight into the buffer.
+                np.take(rows, idx, axis=0, out=ws.x, mode="clip")
+            else:
+                fill(idx[::group] // group, ws.x)
             np.take(yb, idx, out=ws.y, mode="clip")
             step_mean = _backprop(arch, weights, biases, ws.x, ws.y, ws, gws, gbs)
             grads *= lr

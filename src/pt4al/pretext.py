@@ -13,11 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner
-from .data import Pool, rotate_batch
+from .data import Pool
 from .learner import LearnerConfig, LearnerState
 
 N_ORIENTATIONS = 4
 
+# Rows per forward pass in evaluation and extraction. OpenBLAS rounds a
+# product by its row count: the default model's (.x64)(64x4) layer done in
+# pieces under 4,096 rows differs in the last bits from one 8,192-row product.
+# So these chunks are part of the output and must not change.
 _EVAL_CHUNK = 8192
 
 
@@ -37,21 +41,28 @@ class PretextReport:
     records: list[LossRecord]
 
 
-def _rotation_dataset(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Row 4*s + r holds rotation r of sample s, so a sample's rows are adjacent.
-    rots = np.stack([rotate_batch(x, r) for r in range(N_ORIENTATIONS)], axis=1)
-    flat_x = rots.reshape(len(x) * N_ORIENTATIONS, *x.shape[1:])
-    flat_y = np.tile(np.arange(N_ORIENTATIONS), len(x))
-    return flat_x, flat_y
+def _rotation_writer(x: np.ndarray):
+    """write(samples, out): row 4*i + r of `out` becomes image x[samples][i] turned r quarter-turns.
+
+    One gather per call; `order` holds in-range pixel positions, so "clip" only unbuffers np.take.
+    """
+    pixels = np.arange(np.prod(x.shape[1:])).reshape(x.shape[1:])
+    order = np.stack([np.rot90(pixels, k=r).ravel() for r in range(N_ORIENTATIONS)])
+    flat = x.reshape(len(x), pixels.size)
+    return lambda samples, out: np.take(flat[samples], order, axis=1, out=out.reshape(-1, *order.shape), mode="clip")
 
 
-def _rotation_accuracy(state: LearnerState, flat_x: np.ndarray, flat_y: np.ndarray) -> float:
-    hits = 0
-    for start in range(0, len(flat_x), _EVAL_CHUNK):
-        chunk = slice(start, start + _EVAL_CHUNK)
-        preds = learner.predict_logits(state, flat_x[chunk]).argmax(axis=1)
-        hits += int(np.sum(preds == flat_y[chunk]))
-    return hits / len(flat_x)
+def _rotation_accuracy(state: LearnerState, x: np.ndarray) -> float:
+    """Share of the rotation rows of `x` predicted right, in _EVAL_CHUNK-row pieces sharing one buffer."""
+    write = _rotation_writer(x)
+    buffer = np.empty((min(_EVAL_CHUNK, N_ORIENTATIONS * len(x)), *x.shape[1:]))
+    step, hits = _EVAL_CHUNK // N_ORIENTATIONS, 0
+    for start in range(0, len(x), step):
+        chunk = buffer[:N_ORIENTATIONS * min(step, len(x) - start)]
+        write(slice(start, start + step), chunk)
+        preds = learner.predict_logits(state, chunk).argmax(axis=1)
+        hits += int(np.count_nonzero(preds.reshape(-1, N_ORIENTATIONS) == np.arange(N_ORIENTATIONS)))
+    return hits / (N_ORIENTATIONS * len(x))
 
 
 def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState, PretextReport]:
@@ -64,22 +75,25 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     epoch with rotation accuracy 1.0, since no later epoch can beat it.
     The four orientations of one sample always share a minibatch. Returns
     the best state and a report whose loss records are extracted with that
-    state, in pool order.
+    state, in pool order. Rotated rows are written straight into each
+    minibatch and evaluation chunk, so the pool is held once, plus one chunk.
     """
     if config.n_classes != N_ORIENTATIONS:
         raise ValueError(f"pretext model must have {N_ORIENTATIONS} classes, got {config.n_classes}")
-    flat_x, flat_y = _rotation_dataset(unlabeled.x)
+    x = learner.as_batch(config, unlabeled.x)
+    if x.shape[1] != x.shape[2]:
+        raise ValueError("pretext rotations require square images")
     best_acc, best_epoch, best_state = -1.0, -1, None
 
     def keep_best(epoch: int, state: LearnerState) -> bool:
         nonlocal best_acc, best_epoch, best_state
-        acc = _rotation_accuracy(state, flat_x, flat_y)
+        acc = _rotation_accuracy(state, x)
         if acc > best_acc:
             best_acc, best_epoch, best_state = acc, epoch, state.copy()
         return acc == 1.0
 
-    _, trace = learner.train(learner.init_learner(config), flat_x, flat_y,
-                             group=N_ORIENTATIONS, on_epoch=keep_best)
+    _, trace = learner.train(learner.init_learner(config), _rotation_writer(x),
+                             np.tile(np.arange(N_ORIENTATIONS), len(x)), group=N_ORIENTATIONS, on_epoch=keep_best)
     return best_state, PretextReport(best_epoch=best_epoch, epochs_run=len(trace), rotation_accuracy=best_acc,
                                      records=extract_losses(best_state, unlabeled))
 
@@ -88,8 +102,8 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
     """Averaged rotation loss per sample, in pool order.
 
     For each sample all four orientations are fed through the model and
-    the four cross-entropies against the true orientation are averaged.
-    Pure function of (state, pool).
+    the four cross-entropies against the true orientation are averaged,
+    one orientation and _EVAL_CHUNK samples at a time. Pure function of (state, pool).
     """
     if state.config.n_classes != N_ORIENTATIONS:
         raise ValueError(f"expected a {N_ORIENTATIONS}-class rotation model, got {state.config.n_classes} classes")
@@ -99,12 +113,13 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
     if x.shape[1] != x.shape[2]:
         raise ValueError("pretext loss extraction requires square images")
     totals = np.zeros(len(x))
+    buffer = np.empty((min(_EVAL_CHUNK, len(x)), *x.shape[1:]))
     for r in range(N_ORIENTATIONS):
-        xr = rotate_batch(x, r)
-        yr = np.full(len(x), r, dtype=np.int64)
         for start in range(0, len(x), _EVAL_CHUNK):
-            chunk = slice(start, start + _EVAL_CHUNK)
-            totals[chunk] += learner.per_sample_losses(state, xr[chunk], yr[chunk])
+            images = x[start:start + _EVAL_CHUNK]
+            chunk = buffer[:len(images)]
+            chunk[...] = np.rot90(images, k=r, axes=(1, 2))
+            totals[start:start + len(images)] += learner.per_sample_losses(state, chunk, np.full(len(images), r))
     totals /= N_ORIENTATIONS
     return [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), totals.tolist())]
 

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pt4al
 from pt4al import learner
 from pt4al.cli import main
 from pt4al.data import gen_synthetic, write_idx
@@ -344,3 +349,18 @@ def test_inputs_never_mutated(tmp_path):
     assert main(["plan", str(cfg)]) == 0
     assert cfg.read_bytes() == before
     assert (tmp_path / "out" / "losses.csv").read_bytes() == losses
+
+
+@pytest.mark.parametrize("command", [["pretext"], ["run"], ["run", "--strategy", "entropy"]])
+def test_commands_never_import_numpy_ma(tmp_path, command):
+    # numpy.ma costs 16-18 ms of import time in every process that loads it;
+    # np.unique is the usual way in.
+    cfg = write_config(tmp_path)
+    if command[0] == "run":
+        assert main(["pretext", str(cfg)]) == 0
+    probe = "import sys\nfrom pt4al.cli import main\nassert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)"
+    src = str(Path(pt4al.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe, *command, str(cfg)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "False"

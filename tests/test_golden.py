@@ -8,6 +8,9 @@ refactor or optimisation that claims to keep behaviour must leave it
 untouched. A second table pins `coldstart`, `correlate`, `ablate` and runs
 on an IDX-file dataset; it was recorded before the switch to array pools
 and the strategy table, from the code that still had per-image objects.
+Its `pretext-two-eval-chunks` row was recorded later, from the code that
+still built the whole rotation set, before rotated rows were written
+straight into each minibatch and evaluation chunk.
 A third table pins the JSON manifest of every case, with the case's tmp
 directory replaced by a fixed token.
 A change that alters an output byte on purpose re-records the affected
@@ -176,6 +179,13 @@ COMMAND_CASES: dict[str, tuple[dict, list[list[str]], tuple[str, ...]]] = {
                   ("losses.csv", "reports.csv", "queries.csv", "pretext_checkpoint.json")),
     "idx-entropy": ({"dataset": IDX_DATASET, "al": {"strategy": "entropy"}}, [["pretext"], ["run"]],
                     ("losses.csv", "reports.csv", "queries.csv", "pretext_checkpoint.json")),
+    # 2,240 unlabeled samples: 8,960 rotation rows, so each pretext epoch is
+    # evaluated in two chunks (8,192 + 768 rows). The slow learning rate keeps
+    # the accuracy below 1.0 (0.888 at epoch 3), so all four epochs run and
+    # the two-chunk count picks the kept one.
+    "pretext-two-eval-chunks": ({"dataset": {"classes": 4, "n_per_class": 700},
+                                 "pretext": {"learning_rate": 0.0002, "epochs": 4}},
+                                [["pretext"]], ("losses.csv", "pretext_checkpoint.json")),
 }
 
 GOLDEN_COMMANDS: dict[str, dict[str, str]] = {
@@ -218,6 +228,10 @@ GOLDEN_COMMANDS: dict[str, dict[str, str]] = {
         "reports.csv": "010be17ef094161a13fce9cca8d034313167627c5e2ad45d94c6947b80a76954",
         "queries.csv": "cd5c86ca51ca98f2e73137877cb6c43d44a87712480e5fcad99e64e7e5bdb403",
         "pretext_checkpoint.json": "e2365f9769b6a1a0c563d1b3b8be6efb173e2bc38b9cd6640d8f230e5a5a61d3",
+    },
+    "pretext-two-eval-chunks": {
+        "losses.csv": "1dc912a6b325ddc5925c85524f49e723a517a7037df37682360265472e420e08",
+        "pretext_checkpoint.json": "77829b5661f5bc3b331479d8a66ee2830f39a3f1ca1f5bf008f62047486644a6",
     },
 }
 
@@ -285,6 +299,9 @@ GOLDEN_MANIFESTS: dict[str, dict[str, str]] = {
         "plan_manifest.json": "e4967c7c909cfcea0677518059cfc1def1c933a44164439a8803ef8b33886e8f",
         "pretext_manifest.json": "ccf12708bc8af1869f60a01a5824173b317f077ecb52bac0b6b2d836733d9143",
         "run_manifest.json": "61af23696af3af78033b39716191a01cec75d10b685fd20d496930d02c7647d4",
+    },
+    "pretext-two-eval-chunks": {
+        "pretext_manifest.json": "a197c3cef9a15d345fb3e046aa0d8981b8169de89d0e2844ca60e7967585b2db",
     },
     "pt4al": {
         "plan_manifest.json": "566d908048637259a8c3119dc555a84209997f14ccda5d3d336967131e02e073",

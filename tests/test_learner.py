@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,22 @@ def test_single_input_accepts_image_grid_and_flat_shapes():
             learner.predict_proba(state, bad)
         with pytest.raises(ValueError):
             learner.per_sample_loss(state, bad, 1)
+
+
+def test_predict_logits_allocates_activations_and_logits_only():
+    cfg = LearnerConfig(input_shape=(10, 10, 1), n_classes=4, hidden=(32, 16), seed=3)
+    state = learner.init_learner(cfg)
+    m = 2000
+    xs = np.random.default_rng(0).random((m, 10, 10, 1))
+    tracemalloc.start()
+    try:
+        learner.predict_logits(state, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    wanted = m * (32 + 16 + 4) * 8
+    # numpy's ufunc buffers add a fixed 64 KiB; a copy of the inputs alone would add 1.6 MB.
+    assert wanted <= peak < wanted + 128 * 1024
 
 
 def test_per_sample_loss_uniform_predictor():
@@ -399,9 +416,19 @@ def test_train_equals_sgd_step_loop(case):
         assert np.array_equal(a, b)
 
 
+def run_source(x, group):
+    """`x` as a row source for `learner.train`: fill(runs, out) copies whole runs of `group` rows."""
+    runs_of_x = x.reshape(len(x) // group, group, -1)
+
+    def fill(runs, out):
+        out.reshape(len(runs), group, -1)[...] = runs_of_x[runs]
+
+    return fill
+
+
 @st.composite
 def train_cases(draw):
-    """(config, group, early-stop epoch or None, images, labels) for the equivalence property."""
+    """(config, group, early-stop epoch or None, images, labels, pass a row source) for the equivalence property."""
     h, w, c = draw(st.integers(3, 5)), draw(st.integers(3, 5)), draw(st.integers(1, 2))
     conv = None
     if draw(st.booleans()):
@@ -424,13 +451,13 @@ def train_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     x = rng.standard_normal((n, h, w, c))
     y = rng.integers(0, arch.n_classes, size=n)
-    return arch, group, stop, x, y
+    return arch, group, stop, x, y, draw(st.booleans())
 
 
 @settings(max_examples=40, deadline=None)
 @given(train_cases())
 def test_train_and_predict_match_references(case):
-    arch, group, stop, x, y = case
+    arch, group, stop, x, y, from_source = case
     state = learner.init_learner(arch)
     epochs_seen = []
 
@@ -438,7 +465,7 @@ def test_train_and_predict_match_references(case):
         epochs_seen.append(epoch)
         return epoch == stop
 
-    got, got_trace = learner.train(state, x, y, group=group, on_epoch=hook)
+    got, got_trace = learner.train(state, run_source(x, group) if from_source else x, y, group=group, on_epoch=hook)
     want, want_trace = reference_train(state, x, y, arch, group=group, stop=stop)
     assert got_trace == want_trace
     assert epochs_seen == list(range(len(got_trace)))

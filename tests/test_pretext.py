@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import math
-
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pt4al import learner, pretext
-from pt4al.data import Pool, class_templates, gen_synthetic, rotate
+from pt4al.data import Pool, class_templates, gen_synthetic, rotate, rotate_batch
 from pt4al.learner import LearnerConfig
 from pt4al.pretext import (
     LossRecord,
@@ -76,9 +78,9 @@ def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
     snapshots, accuracies = [], []
     measure = pretext._rotation_accuracy
 
-    def recording(state, flat_x, flat_y):
+    def recording(state, x):
         snapshots.append(state.copy())
-        accuracies.append(measure(state, flat_x, flat_y))
+        accuracies.append(measure(state, x))
         return accuracies[-1]
 
     monkeypatch.setattr(pretext, "_rotation_accuracy", recording)
@@ -90,6 +92,68 @@ def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
     kept = snapshots[report.best_epoch]
     for a, b in zip(state.weights + state.biases, kept.weights + kept.biases):
         assert np.array_equal(a, b)
+
+
+def reference_rotation_set(x):
+    """The whole rotation set, built: row 4*s + r is rotate_batch(x, r)[s], flattened."""
+    return np.stack([rotate_batch(x, r) for r in range(4)], axis=1).reshape(4 * len(x), -1)
+
+
+@st.composite
+def rotation_pools(draw, min_size=1):
+    """Random (n, S, S, C) pixel arrays with one or three channels."""
+    n = draw(st.integers(min_size, 12))
+    side = draw(st.integers(1, 5))
+    channels = draw(st.sampled_from([1, 3]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, side, side, channels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rotation_rows_match_the_built_rotation_set(data):
+    # Training steps hold random sets of whole runs 4s..4s+3.
+    x = data.draw(rotation_pools())
+    samples = np.array(data.draw(st.permutations(range(len(x))))[:data.draw(st.integers(1, len(x)))])
+    out = np.empty((4 * len(samples), x[0].size))
+    pretext._rotation_writer(x)(samples, out)
+    idx = (samples[:, None] * 4 + np.arange(4)).ravel()
+    assert out.tobytes() == reference_rotation_set(x)[idx].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rotation_accuracy_chunks_match_the_built_rotation_set(data):
+    x = data.draw(rotation_pools())
+    size = 4 * data.draw(st.integers(1, max(1, len(x) - 1)))  # two or more chunks when len(x) > 1
+    cfg = LearnerConfig(input_shape=x.shape[1:], n_classes=4, hidden=(5,), seed=data.draw(st.integers(0, 99)))
+    state = learner.init_learner(cfg)
+    chunks, predict = [], learner.predict_logits
+
+    def recording(state, xs):
+        chunks.append(np.array(xs).reshape(len(xs), -1))  # a copy: the buffer is reused
+        return predict(state, xs)
+
+    with mock.patch.object(pretext, "_EVAL_CHUNK", size), mock.patch.object(learner, "predict_logits", recording):
+        acc = pretext._rotation_accuracy(state, x)
+    rows = reference_rotation_set(x)
+    starts = range(0, len(rows), size)
+    assert [len(c) for c in chunks] == [min(size, len(rows) - start) for start in starts]
+    assert np.concatenate(chunks).tobytes() == rows.tobytes()
+    preds = np.concatenate([predict(state, rows[start:start + size]).argmax(axis=1) for start in starts])
+    assert acc == int(np.sum(preds == np.tile(np.arange(4), len(x)))) / len(rows)
+
+
+def test_train_pretext_never_holds_the_rotation_set():
+    # The built rotation set alone is 4x the pool; building it peaked near 7x.
+    pool = gen_synthetic(1000, 4, 10, 1.0, seed=5).unlabeled()
+    cfg = pretext_config(10, hidden=(16,), epochs=1, batch_size=64)
+    tracemalloc.start()
+    try:
+        train_pretext(pool, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * pool.x.nbytes
 
 
 def test_rotation_sensitive_pool_is_learnable_and_learned():
