@@ -467,6 +467,8 @@ def save_checkpoint(state: LearnerState, path) -> None:
 
     float64 values round-trip exactly through the JSON encoding.
     """
+    if not all(np.all(np.isfinite(arr)) for arr in (*state.weights, *state.biases)):
+        raise ValueError(f"{path}: refusing to save a checkpoint with non-finite values")
     payload = {
         "magic": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,

@@ -18,10 +18,11 @@ from .learner import LearnerConfig, LearnerState
 
 N_ORIENTATIONS = 4
 
-# Rows per forward pass in evaluation and extraction. OpenBLAS rounds a
-# product by its row count: the default model's (.x64)(64x4) layer done in
-# pieces under 4,096 rows differs in the last bits from one 8,192-row product.
-# So these chunks are part of the output and must not change.
+# Samples per forward pass of the one rotation pass that is both evaluation and
+# extraction (the kept epoch's pass writes losses.csv). OpenBLAS rounds a product
+# by its row count: the default model's (.x64)(64x4) layer done in pieces under
+# 4,096 rows differs in the last bits from one 8,192-row product. So these chunks
+# are part of the output and must not change.
 _EVAL_CHUNK = 8192
 
 
@@ -52,17 +53,24 @@ def _rotation_writer(x: np.ndarray):
     return lambda samples, out: np.take(flat[samples], order, axis=1, out=out.reshape(-1, *order.shape), mode="clip")
 
 
-def _rotation_accuracy(state: LearnerState, x: np.ndarray) -> float:
-    """Share of the rotation rows of `x` predicted right, in _EVAL_CHUNK-row pieces sharing one buffer."""
-    write = _rotation_writer(x)
-    buffer = np.empty((min(_EVAL_CHUNK, N_ORIENTATIONS * len(x)), *x.shape[1:]))
-    step, hits = _EVAL_CHUNK // N_ORIENTATIONS, 0
-    for start in range(0, len(x), step):
-        chunk = buffer[:N_ORIENTATIONS * min(step, len(x) - start)]
-        write(slice(start, start + step), chunk)
-        preds = learner.predict_logits(state, chunk).argmax(axis=1)
-        hits += int(np.count_nonzero(preds.reshape(-1, N_ORIENTATIONS) == np.arange(N_ORIENTATIONS)))
-    return hits / (N_ORIENTATIONS * len(x))
+def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """(hits, per-sample mean loss) of `state` over the four rotations of every image in `x`.
+
+    Orientation r outer, _EVAL_CHUNK samples inner, each chunk rotated into one reused
+    buffer; one forward pass gives both its argmax hits and its cross-entropies against r.
+    """
+    hits, totals = 0, np.zeros(len(x))
+    buffer = np.empty((min(_EVAL_CHUNK, len(x)), *x.shape[1:]))
+    for r in range(N_ORIENTATIONS):
+        for start in range(0, len(x), _EVAL_CHUNK):
+            images = x[start:start + _EVAL_CHUNK]
+            chunk = buffer[:len(images)]
+            chunk[...] = np.rot90(images, k=r, axes=(1, 2))
+            logits = learner.predict_logits(state, chunk)
+            hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
+            totals[start:start + len(images)] += learner._logsumexp(logits) - logits[:, r]
+    totals /= N_ORIENTATIONS
+    return hits, totals
 
 
 def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState, PretextReport]:
@@ -74,28 +82,31 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     `config.epochs` is an upper bound: training stops after the first
     epoch with rotation accuracy 1.0, since no later epoch can beat it.
     The four orientations of one sample always share a minibatch. Returns
-    the best state and a report whose loss records are extracted with that
-    state, in pool order. Rotated rows are written straight into each
-    minibatch and evaluation chunk, so the pool is held once, plus one chunk.
+    the best state and a report whose loss records, in pool order, are the
+    kept epoch's `extract_losses` pass. Rotated rows are written straight into
+    each minibatch and evaluation chunk, so the pool is held once, plus one
+    chunk. Non-finite kept weights or losses raise RuntimeError.
     """
     if config.n_classes != N_ORIENTATIONS:
         raise ValueError(f"pretext model must have {N_ORIENTATIONS} classes, got {config.n_classes}")
     x = learner.as_batch(config, unlabeled.x)
     if x.shape[1] != x.shape[2]:
         raise ValueError("pretext rotations require square images")
-    best_acc, best_epoch, best_state = -1.0, -1, None
+    best_hits, best_epoch, best_state, best_losses = -1, -1, None, None
 
     def keep_best(epoch: int, state: LearnerState) -> bool:
-        nonlocal best_acc, best_epoch, best_state
-        acc = _rotation_accuracy(state, x)
-        if acc > best_acc:
-            best_acc, best_epoch, best_state = acc, epoch, state.copy()
-        return acc == 1.0
+        nonlocal best_hits, best_epoch, best_state, best_losses
+        hits, losses = _rotation_pass(state, x)
+        if hits > best_hits:
+            best_hits, best_epoch, best_state, best_losses = hits, epoch, state.copy(), losses
+        return hits == N_ORIENTATIONS * len(x)
 
     _, trace = learner.train(learner.init_learner(config), _rotation_writer(x),
                              np.tile(np.arange(N_ORIENTATIONS), len(x)), group=N_ORIENTATIONS, on_epoch=keep_best)
-    return best_state, PretextReport(best_epoch=best_epoch, epochs_run=len(trace), rotation_accuracy=best_acc,
-                                     records=extract_losses(best_state, unlabeled))
+    if not all(np.isfinite(a).all() for a in (*best_state.weights, *best_state.biases, best_losses)):
+        raise RuntimeError(f"pretext learning rate diverged: kept epoch {best_epoch} has non-finite weights or losses")
+    records = [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), best_losses.tolist())]
+    return best_state, PretextReport(best_epoch, len(trace), best_hits / (N_ORIENTATIONS * len(x)), records)
 
 
 def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
@@ -103,7 +114,8 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
 
     For each sample all four orientations are fed through the model and
     the four cross-entropies against the true orientation are averaged,
-    one orientation and _EVAL_CHUNK samples at a time. Pure function of (state, pool).
+    one orientation and _EVAL_CHUNK samples at a time, in the pass that
+    `train_pretext` evaluates every epoch with. Pure function of (state, pool).
     """
     if state.config.n_classes != N_ORIENTATIONS:
         raise ValueError(f"expected a {N_ORIENTATIONS}-class rotation model, got {state.config.n_classes} classes")
@@ -112,16 +124,7 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
     x = unlabeled.x
     if x.shape[1] != x.shape[2]:
         raise ValueError("pretext loss extraction requires square images")
-    totals = np.zeros(len(x))
-    buffer = np.empty((min(_EVAL_CHUNK, len(x)), *x.shape[1:]))
-    for r in range(N_ORIENTATIONS):
-        for start in range(0, len(x), _EVAL_CHUNK):
-            images = x[start:start + _EVAL_CHUNK]
-            chunk = buffer[:len(images)]
-            chunk[...] = np.rot90(images, k=r, axes=(1, 2))
-            totals[start:start + len(images)] += learner.per_sample_losses(state, chunk, np.full(len(images), r))
-    totals /= N_ORIENTATIONS
-    return [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), totals.tolist())]
+    return [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), _rotation_pass(state, x)[1].tolist())]
 
 
 def write_loss_records(path, records: list[LossRecord]) -> None:

@@ -1,17 +1,19 @@
 """Command-line interface: subcommands, exit codes, determinism, manifests."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pt4al
-from pt4al import learner
-from pt4al.cli import main
+from pt4al import learner, loop, pretext
+from pt4al.cli import load_config, main
 from pt4al.data import gen_synthetic, write_idx
 from pt4al.learner import LearnerConfig
 
@@ -48,6 +50,27 @@ def test_pretext_writes_losses_for_every_unlabeled_sample(tmp_path, capsys):
     manifest = json.loads((out / "pretext_manifest.json").read_text())
     assert manifest["command"] == "pretext"
     assert manifest["tool"] == "pt4al"
+
+
+def test_pretext_losses_are_extract_losses_of_the_checkpoint(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["pretext", str(cfg)]) == 0
+    out = tmp_path / "out"
+    config, _ = load_config(str(cfg), argparse.Namespace())
+    pool = loop.build_dataset(config.dataset, config.seed)[0].unlabeled()
+    records = pretext.extract_losses(learner.load_checkpoint(out / "pretext_checkpoint.json"), pool)
+    pretext.write_loss_records(tmp_path / "extracted.csv", records)
+    assert (tmp_path / "extracted.csv").read_bytes() == (out / "losses.csv").read_bytes()
+
+
+def test_diverged_pretext_exits_2_without_outputs(tmp_path, capsys):
+    # relu at this rate turns every weight NaN; the kept epoch 0 is one of them.
+    cfg = write_config(tmp_path, dataset={"n_per_class": 100},
+                       pretext={"activation": "relu", "learning_rate": 1e100, "epochs": 3})
+    with np.errstate(all="ignore"):
+        assert main(["pretext", str(cfg)]) == 2
+    assert "pretext learning rate diverged: kept epoch 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_dataset_path_fails_without_partial_outputs(tmp_path):

@@ -10,7 +10,9 @@ on an IDX-file dataset; it was recorded before the switch to array pools
 and the strategy table, from the code that still had per-image objects.
 Its `pretext-two-eval-chunks` row was recorded later, from the code that
 still built the whole rotation set, before rotated rows were written
-straight into each minibatch and evaluation chunk.
+straight into each minibatch and evaluation chunk. Its
+`pretext-two-extract-chunks` row was recorded from the code that still ran
+a separate loss-extraction pass after training.
 A third table pins the JSON manifest of every case, with the case's tmp
 directory replaced by a fixed token.
 A change that alters an output byte on purpose re-records the affected
@@ -186,6 +188,12 @@ COMMAND_CASES: dict[str, tuple[dict, list[list[str]], tuple[str, ...]]] = {
     "pretext-two-eval-chunks": ({"dataset": {"classes": 4, "n_per_class": 700},
                                  "pretext": {"learning_rate": 0.0002, "epochs": 4}},
                                 [["pretext"]], ("losses.csv", "pretext_checkpoint.json")),
+    # 8,320 unlabeled samples, more than one 8,192-sample chunk: loss
+    # extraction feeds each orientation in two chunks (8,192 + 128). Best
+    # epoch 1 of 2.
+    "pretext-two-extract-chunks": ({"dataset": {"classes": 4, "n_per_class": 2600, "size": 10},
+                                    "pretext": {"hidden": [16], "learning_rate": 0.0002, "epochs": 2}},
+                                   [["pretext"]], ("losses.csv", "pretext_checkpoint.json")),
 }
 
 GOLDEN_COMMANDS: dict[str, dict[str, str]] = {
@@ -232,6 +240,10 @@ GOLDEN_COMMANDS: dict[str, dict[str, str]] = {
     "pretext-two-eval-chunks": {
         "losses.csv": "1dc912a6b325ddc5925c85524f49e723a517a7037df37682360265472e420e08",
         "pretext_checkpoint.json": "77829b5661f5bc3b331479d8a66ee2830f39a3f1ca1f5bf008f62047486644a6",
+    },
+    "pretext-two-extract-chunks": {
+        "losses.csv": "ef85b3c4275a45f4f55da38c94151238cae8ebd6a0b2b6448c0075cb84e3001d",
+        "pretext_checkpoint.json": "db73f1d033be0544d570423ab1905d73a104197e63627a6fede2b93669de3432",
     },
 }
 
@@ -302,6 +314,9 @@ GOLDEN_MANIFESTS: dict[str, dict[str, str]] = {
     },
     "pretext-two-eval-chunks": {
         "pretext_manifest.json": "a197c3cef9a15d345fb3e046aa0d8981b8169de89d0e2844ca60e7967585b2db",
+    },
+    "pretext-two-extract-chunks": {
+        "pretext_manifest.json": "467373962eac7ff2bbe766d279ac44b0b0c2dd6c9ea76e9846df57a11d885706",
     },
     "pt4al": {
         "plan_manifest.json": "566d908048637259a8c3119dc555a84209997f14ccda5d3d336967131e02e073",

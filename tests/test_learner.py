@@ -515,6 +515,16 @@ def test_checkpoint_magic_and_version_enforced(tmp_path):
         learner.load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_save_refuses_non_finite_values(tmp_path, bad):
+    state = learner.init_learner(small_config())
+    state.biases[-1][0] = bad
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        learner.save_checkpoint(state, path)
+    assert not path.exists()
+
+
 def test_checkpoint_shape_validation(tmp_path):
     import json
     state = learner.init_learner(small_config())

@@ -75,16 +75,17 @@ def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
     # Slow learner: accuracy climbs for three epochs, then plateaus below 1.0.
     pool = gen_synthetic(20, 3, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, hidden=(16,), batch_size=16, learning_rate=0.005)
-    snapshots, accuracies = [], []
-    measure = pretext._rotation_accuracy
+    snapshots, passes = [], []
+    measure = pretext._rotation_pass
 
     def recording(state, x):
         snapshots.append(state.copy())
-        accuracies.append(measure(state, x))
-        return accuracies[-1]
+        passes.append(measure(state, x))
+        return passes[-1]
 
-    monkeypatch.setattr(pretext, "_rotation_accuracy", recording)
+    monkeypatch.setattr(pretext, "_rotation_pass", recording)
     state, report = train_pretext(pool, cfg)
+    accuracies = [hits / (4 * len(pool)) for hits, _ in passes]
     assert report.epochs_run == cfg.epochs == len(accuracies)
     assert 0 < report.best_epoch < cfg.epochs - 1
     assert report.best_epoch == accuracies.index(max(accuracies))
@@ -92,6 +93,8 @@ def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
     kept = snapshots[report.best_epoch]
     for a, b in zip(state.weights + state.biases, kept.weights + kept.biases):
         assert np.array_equal(a, b)
+    # The kept epoch's own pass is the loss records.
+    assert np.array([r.loss for r in report.records]).tobytes() == passes[report.best_epoch][1].tobytes()
 
 
 def reference_rotation_set(x):
@@ -122,29 +125,60 @@ def test_rotation_rows_match_the_built_rotation_set(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_rotation_accuracy_chunks_match_the_built_rotation_set(data):
+def test_rotation_pass_chunks_hits_and_losses_match_references(data):
     x = data.draw(rotation_pools())
-    size = 4 * data.draw(st.integers(1, max(1, len(x) - 1)))  # two or more chunks when len(x) > 1
+    size = data.draw(st.integers(1, max(1, len(x) - 1)))  # two or more chunks when len(x) > 1
     cfg = LearnerConfig(input_shape=x.shape[1:], n_classes=4, hidden=(5,), seed=data.draw(st.integers(0, 99)))
     state = learner.init_learner(cfg)
-    chunks, predict = [], learner.predict_logits
+    chunks, outputs, predict = [], [], learner.predict_logits
 
     def recording(state, xs):
-        chunks.append(np.array(xs).reshape(len(xs), -1))  # a copy: the buffer is reused
-        return predict(state, xs)
+        chunks.append(np.array(xs))  # a copy: the buffer is reused
+        outputs.append(predict(state, xs))
+        return outputs[-1]
 
     with mock.patch.object(pretext, "_EVAL_CHUNK", size), mock.patch.object(learner, "predict_logits", recording):
-        acc = pretext._rotation_accuracy(state, x)
-    rows = reference_rotation_set(x)
-    starts = range(0, len(rows), size)
-    assert [len(c) for c in chunks] == [min(size, len(rows) - start) for start in starts]
-    assert np.concatenate(chunks).tobytes() == rows.tobytes()
-    preds = np.concatenate([predict(state, rows[start:start + size]).argmax(axis=1) for start in starts])
-    assert acc == int(np.sum(preds == np.tile(np.arange(4), len(x)))) / len(rows)
+        hits, losses = pretext._rotation_pass(state, x)
+    # Orientation outer, chunks of `size` samples inner.
+    spans = [(r, start, min(start + size, len(x))) for r in range(4) for start in range(0, len(x), size)]
+    assert len(chunks) == len(spans)
+    for chunk, (r, a, b) in zip(chunks, spans):
+        assert chunk.tobytes() == rotate_batch(x[a:b], r).tobytes()
+    assert hits == sum(int(np.sum(logits.argmax(axis=1) == r)) for logits, (r, _, _) in zip(outputs, spans))
+    per_r = np.zeros((4, len(x)))
+    for chunk, (r, a, b) in zip(chunks, spans):
+        per_r[r, a:b] = learner.per_sample_losses(state, chunk, np.full(b - a, r))
+    assert losses.tobytes() == per_r.mean(axis=0).tobytes()
+
+
+def test_train_pretext_evaluates_in_rotation_pass_chunks_only(monkeypatch):
+    # The slow learner above: all six epochs run and an earlier one is kept.
+    # 60 samples in chunks of 7 are 9 chunks per orientation.
+    pool = gen_synthetic(20, 3, 10, 1.0, seed=5).unlabeled()
+    cfg = pretext_config(10, hidden=(16,), batch_size=16, learning_rate=0.005)
+    monkeypatch.setattr(pretext, "_EVAL_CHUNK", 7)
+    predicts = count_calls(monkeypatch, "predict_logits")
+    forwards = count_calls(monkeypatch, "_forward")
+    forwards_after_hook, measure = [], pretext._rotation_pass
+
+    def marking(state, x):
+        result = measure(state, x)
+        forwards_after_hook.append(len(forwards))
+        return result
+
+    monkeypatch.setattr(pretext, "_rotation_pass", marking)
+    state, report = train_pretext(pool, cfg)
+    assert report.best_epoch < report.epochs_run - 1 == cfg.epochs - 1
+    assert len(predicts) == report.epochs_run * 4 * math.ceil(len(pool) / 7)
+    assert len(forwards) == forwards_after_hook[-1]  # no forward pass after the last hook
+    records = extract_losses(state, pool)
+    assert [r.sample_id for r in report.records] == [r.sample_id for r in records]
+    assert np.array([r.loss for r in report.records]).tobytes() == np.array([r.loss for r in records]).tobytes()
 
 
 def test_train_pretext_never_holds_the_rotation_set():
-    # The built rotation set alone is 4x the pool; building it peaked near 7x.
+    # The built rotation set alone is 4x the pool; building it peaked near 7x,
+    # and a separate evaluation pass in 8,192-row chunks near 2.6x.
     pool = gen_synthetic(1000, 4, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, hidden=(16,), epochs=1, batch_size=64)
     tracemalloc.start()
@@ -153,7 +187,7 @@ def test_train_pretext_never_holds_the_rotation_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * pool.x.nbytes
+    assert peak < 2 * pool.x.nbytes
 
 
 def test_rotation_sensitive_pool_is_learnable_and_learned():
