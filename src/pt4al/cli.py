@@ -10,7 +10,6 @@ reproduce byte-identical output files; no command mutates its inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -19,6 +18,7 @@ from pathlib import Path
 
 from . import __version__, diagnostics, learner, loop, pretext, sampler
 from .config import ConfigError, from_dict, read_value
+from .data import write_csv
 from .loop import ALConfig
 from .seeds import derive_seed
 
@@ -60,10 +60,6 @@ def _config_echo(config: ALConfig) -> dict:
     return echo
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def write_manifest(path: Path, command: str, config: ALConfig, inputs: list[Path], outputs: list[Path]) -> None:
     manifest = {
         "tool": "pt4al",
@@ -71,7 +67,7 @@ def write_manifest(path: Path, command: str, config: ALConfig, inputs: list[Path
         "command": command,
         "seed": config.seed,
         "config": _config_echo(config),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -81,10 +77,22 @@ def write_manifest(path: Path, command: str, config: ALConfig, inputs: list[Path
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _losses_path(out_dir: Path, args) -> Path:
-    if getattr(args, "losses", None):
-        return Path(args.losses)
-    return out_dir / "losses.csv"
+def _read_losses(out_dir: Path, args, need: str) -> tuple[Path, list[pretext.LossRecord]]:
+    """The loss records at --losses, or else at <out_dir>/losses.csv; `need` names who wants them."""
+    path = Path(args.losses) if args.losses else out_dir / "losses.csv"
+    if not path.is_file():
+        raise ConfigError(f"{need} needs loss records at {path}; run pretext first")
+    return path, pretext.read_loss_records(path)
+
+
+def _write_run(out_dir: Path, prefix: str, command: str, config: ALConfig, inputs: list[Path], reports) -> None:
+    """Write an AL run's <prefix>reports.csv, <prefix>queries.csv and <prefix or run_>manifest.json."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reports_path = out_dir / f"{prefix}reports.csv"
+    queries_path = out_dir / f"{prefix}queries.csv"
+    loop.write_reports_csv(reports_path, reports)
+    sampler.write_query_results(queries_path, loop.reports_to_queries(reports))
+    write_manifest(out_dir / f"{prefix or 'run_'}manifest.json", command, config, inputs, [reports_path, queries_path])
 
 
 def cmd_pretext(args) -> int:
@@ -106,10 +114,7 @@ def cmd_pretext(args) -> int:
 
 def cmd_plan(args) -> int:
     config, out_dir = load_config(args.config, args)
-    losses_path = _losses_path(out_dir, args)
-    if not losses_path.is_file():
-        raise ConfigError(f"loss records not found at {losses_path}; run pretext first")
-    records = pretext.read_loss_records(losses_path)
+    losses_path, records = _read_losses(out_dir, args, "plan")
     # Strategies without a loss-sorted plan still get the high-loss-first one.
     order = loop.STRATEGY_TABLE[config.strategy][0]
     if config.strategy not in loop.PRETEXT_STRATEGIES:
@@ -125,28 +130,16 @@ def cmd_plan(args) -> int:
 
 def cmd_run(args) -> int:
     config, out_dir = load_config(args.config, args)
-    records = None
-    inputs: list[Path] = []
+    records, inputs = None, []
     if config.strategy in loop.PRETEXT_STRATEGIES:
-        losses_path = _losses_path(out_dir, args)
-        if not losses_path.is_file():
-            raise ConfigError(
-                f"strategy {config.strategy!r} needs loss records at {losses_path}; run pretext first"
-            )
-        records = pretext.read_loss_records(losses_path)
-        inputs.append(losses_path)
+        losses_path, records = _read_losses(out_dir, args, f"strategy {config.strategy!r}")
+        inputs = [losses_path]
 
     reports = loop.run_al(config, loss_records=records)
     for r in reports:
         print(f"[iter {r.iteration}/{config.iterations}] labeled={r.labeled_size} "
               f"accuracy={r.test_accuracy:.4f} wall={r.wall_time:.2f}s")
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports_path = out_dir / "reports.csv"
-    queries_path = out_dir / "queries.csv"
-    loop.write_reports_csv(reports_path, reports)
-    sampler.write_query_results(queries_path, loop.reports_to_queries(reports))
-    write_manifest(out_dir / "run_manifest.json", "run", config, inputs, [reports_path, queries_path])
+    _write_run(out_dir, "", "run", config, inputs, reports)
     return 0
 
 
@@ -161,23 +154,14 @@ def cmd_coldstart(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     runs_path = out_dir / "coldstart_runs.csv"
     summary_path = out_dir / "coldstart_summary.csv"
-    with open(runs_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "method", "accuracy"])
-        for seed, acc in zip(summary.seeds, summary.pt4al_accuracies):
-            writer.writerow([seed, "pt4al", f"{acc:.12g}"])
-        for seed, acc in zip(summary.seeds, summary.random_accuracies):
-            writer.writerow([seed, "random", f"{acc:.12g}"])
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "mean", "std", "min", "max"])
-        for method in ("pt4al", "random"):
-            s = summary.stats(method)
-            writer.writerow([method, f"{s['mean']:.12g}", f"{s['std']:.12g}",
-                             f"{s['min']:.12g}", f"{s['max']:.12g}"])
+    runs = [(seed, "pt4al", acc) for seed, acc in zip(summary.seeds, summary.pt4al_accuracies)]
+    runs += [(seed, "random", acc) for seed, acc in zip(summary.seeds, summary.random_accuracies)]
+    write_csv(runs_path, ["seed", "method", "accuracy"], runs)
+    stats = {method: summary.stats(method) for method in ("pt4al", "random")}
+    write_csv(summary_path, ["method", "mean", "std", "min", "max"],
+              [(method, s["mean"], s["std"], s["min"], s["max"]) for method, s in stats.items()])
     write_manifest(out_dir / "coldstart_manifest.json", "coldstart", config, [], [runs_path, summary_path])
-    for method in ("pt4al", "random"):
-        s = summary.stats(method)
+    for method, s in stats.items():
         print(f"coldstart {method}: mean {s['mean']:.4f} +- {s['std']:.4f} (min {s['min']:.4f} / max {s['max']:.4f})")
     return 0
 
@@ -204,6 +188,7 @@ def cmd_correlate(args) -> int:
         if tuple(ckpt_cfg.input_shape) != shape:
             raise ConfigError(f"{ckpt}: pretext checkpoint input shape {tuple(ckpt_cfg.input_shape)} "
                               f"does not match the dataset's image shape {shape}")
+        loop.check_rotatable(shape)
         inputs.append(ckpt)
     else:
         pretext_state, _ = loop.pretext_model(config, train_pool.unlabeled())
@@ -215,10 +200,7 @@ def cmd_correlate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     corr_path = out_dir / "correlation.csv"
     scatter_path = out_dir / "scatter.csv"
-    with open(corr_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rho", "n"])
-        writer.writerow([f"{report.rho:.12g}", report.n])
+    write_csv(corr_path, ["rho", "n"], [(report.rho, report.n)])
     diagnostics.write_scatter_csv(scatter_path, report)
     write_manifest(out_dir / "correlate_manifest.json", "correlate", config, inputs, [corr_path, scatter_path])
     print(f"correlate: spearman rho {report.rho:.4f} over {report.n} test samples")
@@ -227,20 +209,10 @@ def cmd_correlate(args) -> int:
 
 def cmd_ablate(args) -> int:
     config, out_dir = load_config(args.config, args)
-    strategy = loop.ABLATION_VARIANTS.get(args.variant, args.variant)
-    if strategy not in loop.STRATEGIES:
-        raise ConfigError(f"unknown ablation variant {args.variant!r}; "
-                          f"choose from {sorted(loop.ABLATION_VARIANTS)}")
     reports = loop.run_ablation(config, args.variant)
     for r in reports:
         print(f"[{args.variant} iter {r.iteration}] labeled={r.labeled_size} accuracy={r.test_accuracy:.4f}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tag = args.variant.replace("-", "_")
-    reports_path = out_dir / f"ablate_{tag}_reports.csv"
-    queries_path = out_dir / f"ablate_{tag}_queries.csv"
-    loop.write_reports_csv(reports_path, reports)
-    sampler.write_query_results(queries_path, loop.reports_to_queries(reports))
-    write_manifest(out_dir / f"ablate_{tag}_manifest.json", "ablate", config, [], [reports_path, queries_path])
+    _write_run(out_dir, f"ablate_{args.variant.replace('-', '_')}_", "ablate", config, [], reports)
     return 0
 
 

@@ -1,10 +1,11 @@
-"""Dataset plumbing: IDX ingestion, synthetic corpus, rotations, splits.
+"""Dataset plumbing: IDX ingestion, synthetic corpus, rotations, splits, CSV output.
 
 All operations are pure and deterministic per seed; pools are never
 mutated in place.
 """
 from __future__ import annotations
 
+import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +73,18 @@ class Pool:
         if self.y is None:
             raise ValueError("pool labels are hidden")
         return self.y
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV dialect of every output file: a header row, UTF-8, "\\n" line ends.
+
+    Floats (np.float64 included, as a float subclass) are written with 12
+    significant digits; every other cell as it is.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------

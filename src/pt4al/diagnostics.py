@@ -1,13 +1,12 @@
 """Rank-correlation diagnostics between pretext and main-task losses."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import learner, pretext
-from .data import Pool
+from .data import Pool, write_csv
 from .learner import LearnerState
 
 
@@ -102,8 +101,5 @@ def correlation_report(
 
 def write_scatter_csv(path, report: CorrelationReport) -> None:
     """CSV export `sample_id,pretext_rank,main_rank` of the scatter subsample."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "pretext_rank", "main_rank"])
-        for pair in report.scatter:
-            writer.writerow([pair.sample_id, f"{pair.pretext_rank:.12g}", f"{pair.main_rank:.12g}"])
+    write_csv(path, ["sample_id", "pretext_rank", "main_rank"],
+              [(p.sample_id, p.pretext_rank, p.main_rank) for p in report.scatter])

@@ -481,14 +481,17 @@ def save_checkpoint(state: LearnerState, path) -> None:
 
 def load_checkpoint(path) -> LearnerState:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a learner checkpoint (bad magic)")
+    if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a learner checkpoint (not a JSON object with magic {CHECKPOINT_MAGIC!r})")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    config = from_dict(LearnerConfig(), payload["config"], f"{path}: config", allow_derived=True)
+    try:
+        config = from_dict(LearnerConfig(), payload["config"], f"{path}: config", allow_derived=True)
+        weights = [_unpack_array(w, path) for w in payload["weights"]]
+        biases = [_unpack_array(b, path) for b in payload["biases"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: checkpoint key missing or of the wrong type: {exc!r}") from exc
     config.validate()
-    weights = [_unpack_array(w, path) for w in payload["weights"]]
-    biases = [_unpack_array(b, path) for b in payload["biases"]]
     expected = param_shapes(config)
     got = [(w.shape, b.shape) for w, b in zip(weights, biases)]
     if len(got) != len(expected) or any(g != e for g, e in zip(got, expected)):

@@ -8,7 +8,6 @@ everything labeled so far, and evaluate on the held-out test split.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, replace
@@ -17,7 +16,8 @@ import numpy as np
 
 from . import learner
 from .config import ConfigError, check_fields, declare
-from .data import MAX_CLASSES, Pool, gen_synthetic, imbalance_ramp, load_idx, make_imbalanced, split_train_test
+from .data import (MAX_CLASSES, Pool, gen_synthetic, imbalance_ramp, load_idx, make_imbalanced, split_train_test,
+                   write_csv)
 from .learner import LearnerConfig, LearnerState
 from .pretext import N_ORIENTATIONS, LossRecord, PretextReport, check_records_cover, train_pretext
 from .sampler import (
@@ -175,11 +175,25 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
             master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
         except ValueError as exc:
             raise ConfigError(f"dataset.{key}: {exc}") from exc
-    return split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
+    train, test = split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
+    if len(train) == 0 or len(test) == 0:
+        raise ConfigError(f"dataset.test_fraction {spec.test_fraction} leaves the "
+                          f"{'train' if len(train) == 0 else 'test'} split of {len(master)} samples empty")
+    if test.y.max() >= train.n_classes:
+        raise ConfigError(f"dataset.test_fraction {spec.test_fraction} puts every sample of label "
+                          f"{test.y.max()} in the test split, where the main model cannot predict it")
+    return train, test
+
+
+def check_rotatable(shape) -> None:
+    """Raise ConfigError unless images of shape (H, W, C) can take the pretext task's quarter turns."""
+    if shape[0] != shape[1]:
+        raise ConfigError(f"the rotation pretext task needs square images, got {shape[0]}x{shape[1]}")
 
 
 def pretext_model(config: ALConfig, unlabeled: Pool) -> tuple[LearnerState, PretextReport]:
     """Train this config's rotation model on the unlabeled pool."""
+    check_rotatable(unlabeled.x.shape[1:])
     cfg = replace(config.pretext, input_shape=unlabeled.x.shape[1:], n_classes=N_ORIENTATIONS,
                   seed=derive_seed(config.seed, "pretext"))
     return train_pretext(unlabeled, cfg)
@@ -305,7 +319,7 @@ def run_ablation(config: ALConfig, variant: str) -> list[IterationReport]:
     """Run one of the component-ablation variants of the full method."""
     strategy = ABLATION_VARIANTS.get(variant, variant)
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown ablation variant {variant!r}; choose from {sorted(ABLATION_VARIANTS)}")
+        raise ConfigError(f"unknown ablation variant {variant!r}; choose from {sorted(ABLATION_VARIANTS)}")
     return run_al(replace(config, strategy=strategy))
 
 
@@ -353,14 +367,9 @@ def cold_start_experiment(config: ALConfig, seeds: list[int]) -> ColdStartSummar
 
 def write_reports_csv(path, reports: list[IterationReport]) -> None:
     """Deterministic per-iteration CSV; wall time is deliberately excluded."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "accuracy", "labeled_size", "hist_entropy", "class_histogram"])
-        for r in reports:
-            writer.writerow(
-                [r.iteration, f"{r.test_accuracy:.12g}", r.labeled_size,
-                 f"{r.hist_entropy:.12g}", ";".join(str(h) for h in r.class_histogram)]
-            )
+    write_csv(path, ["iteration", "accuracy", "labeled_size", "hist_entropy", "class_histogram"],
+              [(r.iteration, r.test_accuracy, r.labeled_size, r.hist_entropy, ";".join(map(str, r.class_histogram)))
+               for r in reports])
 
 
 def reports_to_queries(reports: list[IterationReport]) -> list[QueryResult]:

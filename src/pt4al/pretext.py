@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner
-from .data import Pool
+from .data import Pool, write_csv
 from .learner import LearnerConfig, LearnerState
 
 N_ORIENTATIONS = 4
@@ -128,12 +128,8 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
 
 
 def write_loss_records(path, records: list[LossRecord]) -> None:
-    """CSV contract file `sample_id,pretext_loss` with 12 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "pretext_loss"])
-        for rec in records:
-            writer.writerow([rec.sample_id, f"{rec.loss:.12g}"])
+    """CSV contract file `sample_id,pretext_loss`."""
+    write_csv(path, ["sample_id", "pretext_loss"], [(rec.sample_id, rec.loss) for rec in records])
 
 
 class LossRecordError(ValueError):
@@ -147,9 +143,9 @@ def read_loss_records(path) -> list[LossRecord]:
         header = next(reader, None)
         if header != ["sample_id", "pretext_loss"]:
             raise LossRecordError(f"{path}: not a loss-record file")
-        try:
-            records = [LossRecord(int(row[0]), float(row[1])) for row in reader if row]
-        except (ValueError, IndexError) as exc:
+        try:  # unpacking rejects a row without exactly two fields
+            records = [LossRecord(int(sid), float(loss)) for sid, loss in filter(None, reader)]
+        except ValueError as exc:
             raise LossRecordError(f"{path}: malformed loss record: {exc}") from exc
     seen: set[int] = set()
     for rec in records:

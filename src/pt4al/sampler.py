@@ -10,13 +10,12 @@ Ties are broken by ascending sample id everywhere.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import learner
-from .data import Pool
+from .data import Pool, write_csv
 from .learner import LearnerState
 from .pretext import LossRecord
 
@@ -139,20 +138,12 @@ def random_sample(ids: list[int], k: int, seed: int, iteration: int = 0) -> Quer
 
 def write_batch_plan(path, plan: BatchPlan) -> None:
     """CSV export `sample_id,batch_index,rank_in_batch`."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "batch_index", "rank_in_batch"])
-        for bi, batch in enumerate(plan.batches):
-            for rank, sid in enumerate(batch):
-                writer.writerow([sid, bi, rank])
+    write_csv(path, ["sample_id", "batch_index", "rank_in_batch"],
+              [(sid, bi, rank) for bi, batch in enumerate(plan.batches) for rank, sid in enumerate(batch)])
 
 
 def write_query_results(path, queries: list[QueryResult]) -> None:
-    """CSV export `iteration,sample_id,score` across all iterations."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "sample_id", "score"])
-        for q in queries:
-            scores = q.scores if q.scores else [0.0] * len(q.selected)
-            for sid, score in zip(q.selected, scores):
-                writer.writerow([q.iteration, sid, f"{score:.12g}"])
+    """CSV export `iteration,sample_id,score` across all iterations; missing scores are 0."""
+    write_csv(path, ["iteration", "sample_id", "score"],
+              [(q.iteration, sid, score) for q in queries
+               for sid, score in zip(q.selected, q.scores or [0.0] * len(q.selected))])

@@ -14,7 +14,7 @@ import pytest
 import pt4al
 from pt4al import learner, loop, pretext
 from pt4al.cli import load_config, main
-from pt4al.data import gen_synthetic, write_idx
+from pt4al.data import Pool, gen_synthetic, write_idx
 from pt4al.learner import LearnerConfig
 
 
@@ -232,6 +232,52 @@ def test_imbalance_that_does_not_fit_the_corpus_exits_1(tmp_path, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+# dataset section -> the split it spoils: each test_fraction leaves one side
+# empty or puts a whole class in the test split only.
+BAD_SPLITS = {
+    "train-empty": {"classes": 2, "n_per_class": 1, "test_fraction": 0.9},
+    "test-empty": {"n_per_class": 2, "test_fraction": 0.01},
+    "test-label-unseen": {"n_per_class": 20, "imbalance_counts": [6, 6, 1], "test_fraction": 0.5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPLITS))
+def test_test_fraction_that_spoils_a_split_exits_1(tmp_path, monkeypatch, capsys, case):
+    cfg = write_config(tmp_path, dataset=BAD_SPLITS[case], al={"strategy": "random", "iterations": 1, "budget": 1})
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg)]) == 1
+    assert "dataset.test_fraction" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def non_square_idx(tmp_path) -> dict:
+    """Dataset section of a 3-class, 60-sample IDX corpus of 10x12 images."""
+    pool = gen_synthetic(20, 3, 12, 0.0, seed=1)
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    write_idx(Pool(pool.ids, pool.x[:, :10], pool.y), images, labels)
+    return {"kind": "idx", "images": str(images), "labels": str(labels)}
+
+
+@pytest.mark.parametrize("command", [["pretext"], ["coldstart", "--seeds", "1,2"], ["correlate"],
+                                     ["correlate", "--pretext-checkpoint", "{ckpt}"],
+                                     ["ablate", "--variant", "pretext-only-high"]],
+                         ids=["pretext", "coldstart", "correlate", "correlate-checkpoint", "ablate"])
+def test_rotation_commands_reject_non_square_images_before_training(tmp_path, monkeypatch, capsys, command):
+    cfg = write_config(tmp_path, dataset=non_square_idx(tmp_path))
+    ckpt = tmp_path / "ckpt.json"
+    learner.save_checkpoint(learner.init_learner(
+        LearnerConfig(input_shape=(10, 12, 1), n_classes=4, hidden=(4,))), ckpt)
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main([command[0], str(cfg), *(arg.format(ckpt=ckpt) for arg in command[1:])]) == 1
+    assert "square images" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_random_accepts_non_square_images(tmp_path):
+    cfg = write_config(tmp_path, dataset=non_square_idx(tmp_path), al={"strategy": "random"})
+    assert main(["run", str(cfg)]) == 0
+
+
 def test_full_pipeline_and_determinism(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["pretext", str(cfg)]) == 0
@@ -296,8 +342,9 @@ def test_correlate_rejects_missing_or_invalid_checkpoint(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["correlate", str(cfg), "--pretext-checkpoint", str(tmp_path / "ghost.json")]) == 1
     bad = tmp_path / "bad.json"
-    bad.write_text('{"magic": "nope"}')
-    assert main(["correlate", str(cfg), "--pretext-checkpoint", str(bad)]) == 1
+    for text in ('{"magic": "nope"}', "[]", '{"magic": "PT4AL-CKPT", "version": 1}'):
+        bad.write_text(text)
+        assert main(["correlate", str(cfg), "--pretext-checkpoint", str(bad)]) == 1
 
 
 @pytest.mark.parametrize("n_classes, input_shape", [(3, (10, 10, 1)), (4, (8, 8, 1))],

@@ -314,7 +314,7 @@ def test_loss_record_csv_rejects_foreign_files(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         read_loss_records(path)
-    for row in ("7", "x,0.5", "7,nan"):
+    for row in ("7", "x,0.5", "7,nan", "0,1.67799561376,junk"):
         path.write_text(f"sample_id,pretext_loss\n{row}\n")
         with pytest.raises(LossRecordError):
             read_loss_records(path)
