@@ -97,7 +97,7 @@ def _write_run(out_dir: Path, prefix: str, command: str, config: ALConfig, input
 
 def cmd_pretext(args) -> int:
     config, out_dir = load_config(args.config, args)
-    train_pool, _ = loop.build_dataset(config.dataset, config.seed)
+    train_pool = loop.build_dataset(config.dataset, config.seed)[0]  # the test split is not kept alive
     loop.check_learners_fit(config, train_pool)
     state, report = loop.pretext_model(config, train_pool.unlabeled())
 

@@ -450,10 +450,6 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, gro
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _pack_array(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-
-
 def _unpack_array(obj: dict, path) -> np.ndarray:
     arr = np.asarray(obj["data"], dtype=np.float64)
     shape = tuple(int(d) for d in obj["shape"])
@@ -462,21 +458,44 @@ def _unpack_array(obj: dict, path) -> np.ndarray:
     return arr.reshape(shape)
 
 
+# Values per slice when a checkpoint array is written: a slice's floats, their
+# strings and the joined text are all that is held at once.
+_CHECKPOINT_SLICE = 1024
+
+
+def _write_arrays(fh, arrays: list[np.ndarray]) -> None:
+    """Write `arrays` as the JSON list of {"data": [...], "shape": [...]} objects, slice by slice."""
+    fh.write("[")
+    for i, arr in enumerate(arrays):
+        fh.write(', {"data": [' if i else '{"data": [')
+        flat = arr.ravel()
+        for start in range(0, flat.size, _CHECKPOINT_SLICE):
+            # float.__repr__ is what json emits for a finite float.
+            text = ", ".join(map(float.__repr__, flat[start:start + _CHECKPOINT_SLICE].tolist()))
+            fh.write(", " + text if start else text)
+        fh.write(f'], "shape": {json.dumps(list(arr.shape))}}}')
+    fh.write("]")
+
+
 def save_checkpoint(state: LearnerState, path) -> None:
     """Versioned JSON checkpoint holding flat row-major weight arrays.
 
-    float64 values round-trip exactly through the JSON encoding.
+    float64 values round-trip exactly through the JSON encoding. The file is
+    streamed: its bytes are those of `json.dumps(payload, sort_keys=True)`
+    for payload {magic, version, config, weights, biases}, with each array as
+    {"shape", "data"}, but no whole-document string is ever built.
     """
     if not all(np.all(np.isfinite(arr)) for arr in (*state.weights, *state.biases)):
         raise ValueError(f"{path}: refusing to save a checkpoint with non-finite values")
-    payload = {
-        "magic": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(state.config),
-        "weights": [_pack_array(w) for w in state.weights],
-        "biases": [_pack_array(b) for b in state.biases],
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    # The small keys sort between "biases" and "weights".
+    middle = json.dumps({"config": asdict(state.config), "magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION},
+                        sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"biases": ')
+        _write_arrays(fh, state.biases)
+        fh.write(f', {middle[1:-1]}, "weights": ')
+        _write_arrays(fh, state.weights)
+        fh.write("}")
 
 
 def load_checkpoint(path) -> LearnerState:

@@ -200,9 +200,15 @@ def pretext_model(config: ALConfig, unlabeled: Pool) -> tuple[LearnerState, Pret
 
 
 def train_main(config: ALConfig, labeled: Pool, n_classes: int, seed: int) -> LearnerState:
-    """Train this config's main classifier from scratch on a labeled pool."""
+    """Train this config's main classifier from scratch on a labeled pool.
+
+    A non-finite epoch loss or final weight raises RuntimeError (exit 2 from the CLI).
+    """
     cfg = replace(config.main, input_shape=labeled.x.shape[1:], n_classes=n_classes, seed=seed)
-    trained, _ = learner.train(learner.init_learner(cfg), labeled.x, labeled.y, cfg)
+    trained, trace = learner.train(learner.init_learner(cfg), labeled.x, labeled.y, cfg)
+    if not all(np.isfinite(a).all() for a in (np.asarray(trace), *trained.weights, *trained.biases)):
+        raise RuntimeError(f"main learning rate diverged: non-finite epoch loss or final weights "
+                           f"(epoch losses {trace[0]:.4g} ... {trace[-1]:.4g} over {len(trace)} epochs)")
     return trained
 
 
@@ -317,8 +323,8 @@ def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> li
 
 def run_ablation(config: ALConfig, variant: str) -> list[IterationReport]:
     """Run one of the component-ablation variants of the full method."""
-    strategy = ABLATION_VARIANTS.get(variant, variant)
-    if strategy not in STRATEGIES:
+    strategy = ABLATION_VARIANTS.get(variant)
+    if strategy is None:
         raise ConfigError(f"unknown ablation variant {variant!r}; choose from {sorted(ABLATION_VARIANTS)}")
     return run_al(replace(config, strategy=strategy))
 

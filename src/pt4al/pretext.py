@@ -26,7 +26,7 @@ N_ORIENTATIONS = 4
 _EVAL_CHUNK = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossRecord:
     """Per-sample averaged rotation loss; the batch-split sorting key."""
 

@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from pt4al import data, diagnostics, learner, loop, pretext
 from pt4al.cli import main as cli_main
@@ -196,6 +197,7 @@ def test_criterion_4_spearman_matches_closed_form():
 # 5. correlation reproduction (desk scale)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_pretext_main_loss_correlation():
     tic = time.perf_counter()
     rhos = []
@@ -220,6 +222,7 @@ def test_criterion_5_pretext_main_loss_correlation():
 # 6. cold-start property (desk scale)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_pt4al_beats_random_curves():
     tic = time.perf_counter()
     base = loop.ALConfig()  # I=5, K=100, 4,000 unlabeled after the split
@@ -249,6 +252,7 @@ def test_criterion_6_pt4al_beats_random_curves():
 # 7. ablation ordering (soft)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_full_method_at_least_each_ablation():
     base = loop.ALConfig(budget=40)
     strategies = ("pt4al", "pt4al-sampling-only", "pt4al-pretext-only-high", "pt4al-pretext-only-low")

@@ -376,7 +376,30 @@ def test_ablate_runs_variant(tmp_path):
     assert main(["ablate", str(cfg), "--variant", "sampling-only"]) == 0
     out = tmp_path / "out"
     assert (out / "ablate_sampling_only_reports.csv").is_file()
-    assert main(["ablate", str(cfg), "--variant", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("variant", ["bogus", "random", "pt4al-sampling-only"])
+def test_ablate_accepts_only_ablation_variants(tmp_path, monkeypatch, capsys, variant):
+    # Strategy names are not variants either: "random" is no ablation, and the
+    # full name would rerun "sampling-only" under a second prefix.
+    cfg = write_config(tmp_path)
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["ablate", str(cfg), "--variant", variant]) == 1
+    assert f"unknown ablation variant {variant!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["ablate", "--variant", "sampling-only"],
+                                     ["coldstart", "--seeds", "1,2"], ["correlate"]],
+                         ids=["run", "ablate", "coldstart", "correlate"])
+def test_diverged_main_model_exits_2_without_outputs(tmp_path, capsys, command):
+    # relu at this rate overflows in the first epochs; every later epoch loss is NaN.
+    cfg = write_config(tmp_path, main={"activation": "relu", "learning_rate": 1e100, "epochs": 5},
+                       al={"strategy": "random", "iterations": 2})
+    with np.errstate(all="ignore"):
+        assert main([command[0], str(cfg), *command[1:]]) == 2
+    assert "main learning rate diverged" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_flag_overrides_take_precedence(tmp_path):

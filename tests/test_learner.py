@@ -1,9 +1,11 @@
 """Learner engine: init, forward, losses, gradients, training, checkpoints."""
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -498,6 +500,67 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     for a, b in zip(state.weights + state.biases, loaded.weights + loaded.biases):
         assert np.array_equal(a, b)
     assert '"PT4AL-CKPT"' in path.read_text()
+
+
+# Floats whose JSON text is easy to get wrong: signed zero, the smallest
+# subnormal, the largest magnitudes, integral values and exponent forms.
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, 3.0, -12.0,
+                  2.0 ** 53, 1e16, 1e-7, 0.1]
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """(state, slice size): a dense or conv state whose arrays hold drawn special values."""
+    if draw(st.booleans()):
+        h, c = draw(st.integers(3, 7)), draw(st.integers(1, 3))
+        cfg = LearnerConfig(input_shape=(h, h, c), n_classes=draw(st.integers(2, 5)),
+                            conv=ConvSpec(filters=draw(st.integers(1, 4)), kernel=draw(st.integers(1, h))),
+                            hidden=tuple(draw(st.lists(st.integers(1, 30), max_size=2))))
+    else:
+        cfg = LearnerConfig(input_shape=(draw(st.integers(1, 60)),), n_classes=draw(st.integers(2, 5)),
+                            hidden=tuple(draw(st.lists(st.integers(1, 45), max_size=2))))
+    cfg = replace(cfg, seed=draw(st.integers(0, 2**16)), init_scale=draw(st.sampled_from([0.0, 1.0])))
+    state = learner.init_learner(cfg)
+    arrays = [*state.weights, *state.biases]
+    values = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    for where, value in draw(st.lists(st.tuples(st.integers(0, 2**20), values), max_size=30)):
+        flat = arrays[where % len(arrays)].reshape(-1)
+        flat[(where // len(arrays)) % flat.size] = value
+    return state, draw(st.sampled_from([1, 2, 7, 64, learner._CHECKPOINT_SLICE]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(checkpoint_cases())
+def test_checkpoint_bytes_equal_json_dumps_of_the_payload(tmp_path_factory, case):
+    state, slice_size = case
+    payload = {
+        "magic": learner.CHECKPOINT_MAGIC,
+        "version": learner.CHECKPOINT_VERSION,
+        "config": asdict(state.config),
+        "weights": [{"shape": list(w.shape), "data": w.ravel().tolist()} for w in state.weights],
+        "biases": [{"shape": list(b.shape), "data": b.ravel().tolist()} for b in state.biases],
+    }
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    with mock.patch.object(learner, "_CHECKPOINT_SLICE", slice_size):
+        learner.save_checkpoint(state, path)
+    assert path.read_bytes() == json.dumps(payload, sort_keys=True).encode("utf-8")
+    loaded = learner.load_checkpoint(path)
+    for a, b in zip(state.weights + state.biases, loaded.weights + loaded.biases):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_checkpoint_save_never_holds_the_document(tmp_path):
+    # The default pretext model; json.dumps of the whole payload peaked at about 6x the file.
+    cfg = LearnerConfig(input_shape=(12, 12, 1), n_classes=4, hidden=(128, 64), seed=1)
+    state = learner.init_learner(cfg)
+    path = tmp_path / "ckpt.json"
+    tracemalloc.start()
+    try:
+        learner.save_checkpoint(state, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 def test_checkpoint_magic_and_version_enforced(tmp_path):

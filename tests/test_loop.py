@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pt4al import loop
 from pt4al.learner import LearnerConfig
@@ -75,18 +76,26 @@ def test_selected_ids_come_from_train_pool_never_test():
 
 
 @pytest.mark.parametrize("strategy", loop.STRATEGIES)
-def test_whole_run_properties_for_every_strategy(strategy):
-    cfg = tiny_config(strategy=strategy)
-    train, test = loop.build_dataset(cfg.dataset, cfg.seed)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_whole_run_properties_for_every_strategy(strategy, data):
+    spec = DatasetSpec(classes=data.draw(st.integers(2, 4), "classes"), size=10,
+                       n_per_class=data.draw(st.integers(3, 20), "n_per_class"))  # 3+: a sample per class in test
+    seed = data.draw(st.integers(0, 2**16), "seed")
+    train, test = loop.build_dataset(spec, seed)
+    iterations = data.draw(st.integers(1, 4), "iterations")
+    budget = data.draw(st.integers(1, len(train) // iterations), "budget")
+    cfg = tiny_config(strategy=strategy, dataset=spec, seed=seed, iterations=iterations, budget=budget,
+                      pretext=tiny_learner(hidden=(8,), epochs=2), main=tiny_learner(hidden=(8,), epochs=2))
     plan = loop._build_plan(cfg, train.unlabeled(), None)
     assert (plan is None) == (loop.STRATEGY_TABLE[strategy][0] is None)
     reports = run_al(cfg)
-    assert [r.labeled_size for r in reports] == [cfg.budget * i for i in range(1, cfg.iterations + 1)]
+    assert [r.labeled_size for r in reports] == [budget * i for i in range(1, iterations + 1)]
     train_ids, test_ids = set(train.ids.tolist()), set(test.ids.tolist())
     seen: set[int] = set()
     for i, r in enumerate(reports):
         picked = set(r.selected_ids)
-        assert len(picked) == cfg.budget
+        assert len(r.selected_ids) == len(picked) == budget
         assert not (picked & seen)
         assert picked <= train_ids and not (picked & test_ids)
         if plan is not None:
