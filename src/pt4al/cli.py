@@ -119,6 +119,9 @@ def cmd_plan(args) -> int:
     order = loop.STRATEGY_TABLE[config.strategy][0]
     if config.strategy not in loop.PRETEXT_STRATEGIES:
         order = sampler.ORDER_HIGH_FIRST
+    if len(records) < config.iterations:
+        raise pretext.LossRecordError(f"{losses_path}: cannot split {len(records)} records into "
+                                      f"{config.iterations} batches")
     plan = sampler.build_batch_plan(records, config.iterations, order)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan_path = out_dir / "plan.csv"

@@ -1,7 +1,8 @@
 """Dataset plumbing: IDX ingestion, synthetic corpus, rotations, splits, CSV output.
 
-All operations are pure and deterministic per seed; pools are never
-mutated in place.
+All operations are pure and deterministic per seed and never mutate a
+pool. (The pretext rotation pass turns a pool's pixels in place and back;
+see `pretext._rotation_pass`.)
 """
 from __future__ import annotations
 

@@ -256,11 +256,12 @@ def _build_plan(config: ALConfig, unlabeled: Pool, loss_records: list[LossRecord
     return build_batch_plan(loss_records, config.iterations, order)
 
 
-def _select(config: ALConfig, iteration: int, candidates: Pool, prev_model: LearnerState | None) -> QueryResult:
+def _select(config: ALConfig, iteration: int, unlabeled: Pool, candidates, model: LearnerState | None) -> QueryResult:
+    """This round's rule over the pool positions `candidates`; only the scoring rules gather pixels."""
     _, first, later = STRATEGY_TABLE[config.strategy]
     rule = first if iteration == 1 else later
     k = config.budget
-    ids = candidates.ids.tolist()
+    ids = unlabeled.ids[candidates].tolist()
     if rule == "random":
         return random_sample(ids, k, derive_seed(config.seed, "sampling", iteration), iteration)
     if rule == "uniform":
@@ -271,7 +272,7 @@ def _select(config: ALConfig, iteration: int, candidates: Pool, prev_model: Lear
         picked = ids[:k] if rule == "head" else ids[len(ids) - k:]
         return QueryResult(iteration, picked, [float(r) for r in range(k)])
     scorer = uncertainty_sample if rule == "confidence" else entropy_sample
-    return scorer(candidates, prev_model, k, iteration)
+    return scorer(unlabeled.take(candidates), model, k, iteration)
 
 
 def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> list[IterationReport]:
@@ -295,7 +296,7 @@ def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> li
             candidates = np.flatnonzero(~is_labeled)
         else:
             candidates = [position[sid] for sid in plan.batches[iteration - 1]]
-        query = _select(config, iteration, unlabeled.take(candidates), prev_model)
+        query = _select(config, iteration, unlabeled, candidates, prev_model)
         for sid in query.selected:
             if is_labeled[position[sid]]:
                 raise RuntimeError(f"selected id {sid} is already labeled")

@@ -25,6 +25,9 @@ N_ORIENTATIONS = 4
 # are part of the output and must not change.
 _EVAL_CHUNK = 8192
 
+# Images per step of the in-place quarter turn: the one temporary of the rotation pass.
+_TURN_SLAB = 64
+
 
 @dataclass(frozen=True, slots=True)
 class LossRecord:
@@ -53,22 +56,39 @@ def _rotation_writer(x: np.ndarray):
     return lambda samples, out: np.take(flat[samples], order, axis=1, out=out.reshape(-1, *order.shape), mode="clip")
 
 
+def _quarter_turn(x: np.ndarray, slab: np.ndarray) -> None:
+    """Turn every (S, S) image of `x` one quarter counter-clockwise, in place, through `slab`."""
+    for start in range(0, len(x), _TURN_SLAB):
+        images = x[start:start + _TURN_SLAB]
+        turned = slab[:len(images)]
+        turned[...] = np.rot90(images, axes=(1, 2))
+        images[...] = turned
+
+
 def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]:
     """(hits, per-sample mean loss) of `state` over the four rotations of every image in `x`.
 
-    Orientation r outer, _EVAL_CHUNK samples inner, each chunk rotated into one reused
-    buffer; one forward pass gives both its argmax hits and its cross-entropies against r.
+    Orientation r outer, _EVAL_CHUNK samples inner; one forward pass per chunk gives both its
+    argmax hits and its cross-entropies against r. The chunks are slices of `x` itself, which is
+    turned a quarter in place after each orientation, so four turns give it back bit for bit (in
+    a `finally`, also when a pass raises). Read-only pixels are turned in a private copy.
     """
+    if not x.flags.writeable:
+        x = x.copy()
     hits, totals = 0, np.zeros(len(x))
-    buffer = np.empty((min(_EVAL_CHUNK, len(x)), *x.shape[1:]))
-    for r in range(N_ORIENTATIONS):
-        for start in range(0, len(x), _EVAL_CHUNK):
-            images = x[start:start + _EVAL_CHUNK]
-            chunk = buffer[:len(images)]
-            chunk[...] = np.rot90(images, k=r, axes=(1, 2))
-            logits = learner.predict_logits(state, chunk)
-            hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
-            totals[start:start + len(images)] += learner._logsumexp(logits) - logits[:, r]
+    slab = np.empty((min(_TURN_SLAB, len(x)), *x.shape[1:]))
+    turns = 0
+    try:
+        for r in range(N_ORIENTATIONS):
+            for start in range(0, len(x), _EVAL_CHUNK):
+                logits = learner.predict_logits(state, x[start:start + _EVAL_CHUNK])
+                hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
+                totals[start:start + len(logits)] += learner._logsumexp(logits) - logits[:, r]
+            _quarter_turn(x, slab)
+            turns += 1
+    finally:
+        for _ in range(-turns % N_ORIENTATIONS):
+            _quarter_turn(x, slab)
     totals /= N_ORIENTATIONS
     return hits, totals
 
@@ -84,8 +104,9 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     The four orientations of one sample always share a minibatch. Returns
     the best state and a report whose loss records, in pool order, are the
     kept epoch's `extract_losses` pass. Rotated rows are written straight into
-    each minibatch and evaluation chunk, so the pool is held once, plus one
-    chunk. Non-finite kept weights or losses raise RuntimeError.
+    each minibatch, and each epoch's pass turns the pool's own pixels in place
+    and back (a read-only pool is turned in a copy), so the pool is held once.
+    Non-finite kept weights or losses raise RuntimeError.
     """
     if config.n_classes != N_ORIENTATIONS:
         raise ValueError(f"pretext model must have {N_ORIENTATIONS} classes, got {config.n_classes}")
@@ -115,7 +136,9 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
     For each sample all four orientations are fed through the model and
     the four cross-entropies against the true orientation are averaged,
     one orientation and _EVAL_CHUNK samples at a time, in the pass that
-    `train_pretext` evaluates every epoch with. Pure function of (state, pool).
+    `train_pretext` evaluates every epoch with. A function of (state, pool):
+    the pool's pixels are turned in place during the pass and are bit for bit
+    the same when it returns or raises; read-only pixels are turned in a copy.
     """
     if state.config.n_classes != N_ORIENTATIONS:
         raise ValueError(f"expected a {N_ORIENTATIONS}-class rotation model, got {state.config.n_classes} classes")

@@ -126,6 +126,17 @@ def test_plan_rejects_repeated_loss_ids(tmp_path):
     assert not (tmp_path / "out" / "plan.csv").exists()
 
 
+@pytest.mark.parametrize("rows", [3, 0])
+def test_plan_with_fewer_records_than_iterations_exits_1(tmp_path, capsys, rows):
+    cfg = write_config(tmp_path, al={"iterations": 5})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "losses.csv").write_text("sample_id,pretext_loss\n" + "".join(f"{i},0.5\n" for i in range(rows)))
+    assert main(["plan", str(cfg)]) == 1
+    assert f"cannot split {rows} records into 5 batches" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["losses.csv"]
+
+
 def test_run_random_skips_pretext_requirement(tmp_path):
     cfg = write_config(tmp_path, al={"strategy": "random"})
     assert main(["run", str(cfg)]) == 0

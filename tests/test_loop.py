@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pt4al import loop
+from pt4al.data import Pool
 from pt4al.learner import LearnerConfig
 from pt4al.loop import ALConfig, DatasetSpec, cold_start_experiment, run_ablation, run_al
 from pt4al.pretext import LossRecord
@@ -216,6 +217,26 @@ def test_entropy_strategy_runs_and_differs_from_random():
     # first iteration identical rule (seeded random), later ones model-driven
     assert sorted(re_[0].selected_ids) == sorted(rr[0].selected_ids)
     assert re_[1].selected_ids != rr[1].selected_ids
+
+
+@pytest.mark.parametrize("strategy, gathers", [
+    ("random", []), ("pt4al-pretext-only-high", []), ("pt4al-pretext-only-low", []),
+    ("entropy", [144 - 10, 144 - 20]), ("pt4al", [48, 48]),
+])
+def test_only_scoring_rules_gather_candidate_pixels(monkeypatch, strategy, gathers):
+    # Selection takes rows of the label-hidden pool only to score them; the
+    # random, uniform, head and tail rules read ids alone.
+    take, sizes = Pool.take, []
+
+    def recording(self, positions):
+        if self.y is None:
+            sizes.append(len(positions))
+        return take(self, positions)
+
+    monkeypatch.setattr(Pool, "take", recording)
+    reports = run_al(tiny_config(strategy=strategy))
+    assert [r.labeled_size for r in reports] == [10, 20, 30]
+    assert sizes == gathers
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,9 @@ def test_train_pretext_evaluates_in_rotation_pass_chunks_only(monkeypatch):
 
 def test_train_pretext_never_holds_the_rotation_set():
     # The built rotation set alone is 4x the pool; building it peaked near 7x,
-    # and a separate evaluation pass in 8,192-row chunks near 2.6x.
+    # a separate evaluation pass in 8,192-row chunks near 2.6x, and a reused
+    # buffer for the rotated chunk near 1.43x. Turning the pool in place leaves
+    # the chunk's activations and one small slab.
     pool = gen_synthetic(1000, 4, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, hidden=(16,), epochs=1, batch_size=64)
     tracemalloc.start()
@@ -187,7 +189,64 @@ def test_train_pretext_never_holds_the_rotation_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * pool.x.nbytes
+    assert peak < 0.75 * pool.x.nbytes
+
+
+def multi_epoch_setup(channels):
+    # The slow learner of test_pretext_keeps_best_epoch_below_perfect, in one or three channels.
+    pool = gen_synthetic(20, 3, 10, 1.0, seed=5).unlabeled()
+    x = np.repeat(pool.x, channels, axis=3) if channels > 1 else pool.x
+    cfg = pretext_config(10, input_shape=x.shape[1:], hidden=(16,), batch_size=16, learning_rate=0.005)
+    return Pool(pool.ids, x), cfg
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_rotation_pass_gives_the_pool_back_bit_for_bit(monkeypatch, channels):
+    # Seven-sample chunks and five-image turn slabs, so both fall off the pool's length.
+    monkeypatch.setattr(pretext, "_EVAL_CHUNK", 7)
+    monkeypatch.setattr(pretext, "_TURN_SLAB", 5)
+    pool, cfg = multi_epoch_setup(channels)
+    before = pool.x.tobytes()
+    state, report = train_pretext(pool, cfg)
+    assert 0 < report.best_epoch  # several epochs, each with its own pass
+    assert pool.x.tobytes() == before
+    records = extract_losses(state, pool)
+    assert pool.x.tobytes() == before
+    assert [r.loss for r in records] == [r.loss for r in report.records]
+
+
+def test_rotation_pass_that_raises_gives_the_pool_back(monkeypatch):
+    pool, cfg = multi_epoch_setup(1)
+    state = learner.init_learner(cfg)
+    before = pool.x.tobytes()
+    predict, seen = learner.predict_logits, []
+
+    def failing(state, xs):
+        seen.append(xs.tobytes())
+        if len(seen) == 3:  # orientation 2: the pool has been turned twice
+            raise FloatingPointError("boom")
+        return predict(state, xs)
+
+    monkeypatch.setattr(learner, "predict_logits", failing)
+    with pytest.raises(FloatingPointError, match="boom"):
+        extract_losses(state, pool)
+    assert seen == [rotate_batch(pool.x, r).tobytes() for r in range(3)]
+    assert pool.x.tobytes() == before
+
+
+def test_read_only_pool_gives_the_records_of_a_writable_copy():
+    pool, cfg = multi_epoch_setup(1)
+    frozen = pool.x.copy()
+    frozen.setflags(write=False)
+    state, report = train_pretext(Pool(pool.ids, frozen), cfg)
+    writable_state, writable_report = train_pretext(pool, cfg)
+    assert np.array([r.loss for r in report.records]).tobytes() == \
+        np.array([r.loss for r in writable_report.records]).tobytes()
+    assert report.best_epoch == writable_report.best_epoch
+    assert report.rotation_accuracy == writable_report.rotation_accuracy
+    frozen_records = extract_losses(state, Pool(pool.ids, frozen))
+    assert [r.loss for r in frozen_records] == [r.loss for r in extract_losses(writable_state, pool)]
+    assert frozen.tobytes() == pool.x.tobytes()
 
 
 def test_rotation_sensitive_pool_is_learnable_and_learned():
