@@ -48,9 +48,13 @@ def load_config(path: str, overrides: argparse.Namespace) -> tuple[ALConfig, Pat
     config = replace(config, **{name: value for name, value in flags.items() if value is not None})
     config.validate()
 
-    out_dir = getattr(overrides, "output_dir", None) or read_value(raw.get("output_dir"), str | None, "output_dir")
+    out_dir = getattr(overrides, "output_dir", None)
+    if out_dir is None:
+        out_dir = read_value(raw.get("output_dir"), str | None, "output_dir")
     if out_dir is None:
         raise ConfigError("output_dir must be set in the config or via --output-dir")
+    if not out_dir:
+        raise ConfigError("output_dir must be a non-empty path")
     return config, Path(out_dir)
 
 
@@ -127,7 +131,7 @@ def cmd_plan(args) -> int:
     plan_path = out_dir / "plan.csv"
     sampler.write_batch_plan(plan_path, plan)
     write_manifest(out_dir / "plan_manifest.json", "plan", config, [losses_path], [plan_path])
-    print(f"plan: {plan.n_batches} batches over {len(records)} records ({order}) -> {plan_path}")
+    print(f"plan: {len(plan.batches)} batches over {len(records)} records ({order}) -> {plan_path}")
     return 0
 
 
@@ -172,6 +176,9 @@ def cmd_coldstart(args) -> int:
 def cmd_correlate(args) -> int:
     config, out_dir = load_config(args.config, args)
     train_pool, test_pool = loop.build_dataset(config.dataset, config.seed)
+    if len(test_pool) < 2:
+        raise ConfigError(f"dataset.test_fraction {config.dataset.test_fraction} leaves a test split of "
+                          f"{len(test_pool)} sample; correlate ranks at least 2")
     loop.check_learners_fit(config, train_pool)
     shape = train_pool.x.shape[1:]
 

@@ -22,7 +22,6 @@ from .pretext import LossRecord
 ORDER_HIGH_FIRST = "high-loss-first"
 ORDER_LOW_FIRST = "low-loss-first"
 ORDER_RANDOM = "random"
-_ORDERS = (ORDER_HIGH_FIRST, ORDER_LOW_FIRST, ORDER_RANDOM)
 
 
 @dataclass
@@ -31,14 +30,6 @@ class BatchPlan:
 
     batches: list[list[int]]
     order: str = ORDER_HIGH_FIRST
-
-    def __post_init__(self):
-        if self.order not in _ORDERS:
-            raise ValueError(f"unknown batch order {self.order!r}")
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batches)
 
 
 @dataclass
@@ -56,47 +47,31 @@ class QueryResult:
             raise ValueError("scores must align with selected ids")
 
 
-def _equal_sizes(n: int, parts: int) -> list[int]:
-    # Remainder goes to the earliest batches, so sizes differ by at most 1.
-    base, extra = divmod(n, parts)
-    return [base + 1] * extra + [base] * (parts - extra)
+def _split(ids: list[int], n_batches: int) -> list[list[int]]:
+    """Contiguous batches whose sizes differ by at most 1, the larger ones first."""
+    if n_batches < 1:
+        raise ValueError("need at least one batch")
+    if n_batches > len(ids):
+        raise ValueError(f"cannot split {len(ids)} ids into {n_batches} batches")
+    # Slicing the list keeps ids that do not fit in an int64.
+    base, extra = divmod(len(ids), n_batches)
+    starts = [b * base + min(b, extra) for b in range(n_batches + 1)]
+    return [ids[start:end] for start, end in zip(starts, starts[1:])]
 
 
 def build_batch_plan(records: list[LossRecord], n_batches: int, order: str = ORDER_HIGH_FIRST) -> BatchPlan:
     """Sort records by loss and split them contiguously into equal batches."""
     if order not in (ORDER_HIGH_FIRST, ORDER_LOW_FIRST):
         raise ValueError(f"unknown batch order {order!r}")
-    if n_batches < 1:
-        raise ValueError("need at least one batch")
-    if n_batches > len(records):
-        raise ValueError(f"cannot split {len(records)} records into {n_batches} batches")
-    if order == ORDER_HIGH_FIRST:
-        ranked = sorted(records, key=lambda r: (-r.loss, r.sample_id))
-    else:
-        ranked = sorted(records, key=lambda r: (r.loss, r.sample_id))
-    batches: list[list[int]] = []
-    start = 0
-    for size in _equal_sizes(len(ranked), n_batches):
-        batches.append([r.sample_id for r in ranked[start:start + size]])
-        start += size
-    return BatchPlan(batches, order)
+    sign = -1.0 if order == ORDER_HIGH_FIRST else 1.0
+    ranked = sorted(records, key=lambda r: (sign * r.loss, r.sample_id))
+    return BatchPlan(_split([r.sample_id for r in ranked], n_batches), order)
 
 
 def build_random_plan(ids: list[int], n_batches: int, seed: int) -> BatchPlan:
     """Seeded random segmentation into equal batches (the sampling-only ablation)."""
-    if n_batches < 1:
-        raise ValueError("need at least one batch")
-    if n_batches > len(ids):
-        raise ValueError(f"cannot split {len(ids)} ids into {n_batches} batches")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(ids))
-    shuffled = [ids[i] for i in perm]
-    batches: list[list[int]] = []
-    start = 0
-    for size in _equal_sizes(len(ids), n_batches):
-        batches.append(shuffled[start:start + size])
-        start += size
-    return BatchPlan(batches, ORDER_RANDOM)
+    perm = np.random.default_rng(seed).permutation(len(ids))
+    return BatchPlan(_split([ids[i] for i in perm], n_batches), ORDER_RANDOM)
 
 
 def uniform_first_sample(batch: list[int], k: int, iteration: int = 1) -> QueryResult:
@@ -107,14 +82,19 @@ def uniform_first_sample(batch: list[int], k: int, iteration: int = 1) -> QueryR
     return QueryResult(iteration, [batch[p] for p in positions], [float(p) for p in positions])
 
 
+def _ranked_pick(batch: Pool, scores: np.ndarray, sign: float, k: int, iteration: int) -> QueryResult:
+    """The K ids with the smallest `sign * scores`, ties by ascending id, with their scores."""
+    order = np.lexsort((batch.ids, sign * scores))[:k]
+    return QueryResult(iteration, [int(batch.ids[i]) for i in order], [float(scores[i]) for i in order])
+
+
 def uncertainty_sample(batch: Pool, model: LearnerState, k: int, iteration: int = 0) -> QueryResult:
     """K samples with the smallest top-1 posterior probability under `model`."""
     if not 1 <= k <= len(batch):
         raise ValueError(f"K={k} outside [1, {len(batch)}]")
     probs = learner.predict_proba_batch(model, batch.x)
     conf = probs.max(axis=1)
-    order = np.lexsort((batch.ids, conf))[:k]
-    return QueryResult(iteration, [int(batch.ids[i]) for i in order], [float(conf[i]) for i in order])
+    return _ranked_pick(batch, conf, 1.0, k, iteration)
 
 
 def entropy_sample(batch: Pool, model: LearnerState, k: int, iteration: int = 0) -> QueryResult:
@@ -123,8 +103,7 @@ def entropy_sample(batch: Pool, model: LearnerState, k: int, iteration: int = 0)
         raise ValueError(f"K={k} outside [1, {len(batch)}]")
     probs = learner.predict_proba_batch(model, batch.x)
     ent = -np.sum(np.where(probs > 0, probs * np.log(probs), 0.0), axis=1)
-    order = np.lexsort((batch.ids, -ent))[:k]
-    return QueryResult(iteration, [int(batch.ids[i]) for i in order], [float(ent[i]) for i in order])
+    return _ranked_pick(batch, ent, -1.0, k, iteration)
 
 
 def random_sample(ids: list[int], k: int, seed: int, iteration: int = 0) -> QueryResult:

@@ -137,6 +137,17 @@ def test_plan_with_fewer_records_than_iterations_exits_1(tmp_path, capsys, rows)
     assert sorted(p.name for p in out.iterdir()) == ["losses.csv"]
 
 
+def test_plan_accepts_ids_beyond_int64(tmp_path, capsys):
+    cfg = write_config(tmp_path, al={"iterations": 3})
+    out = tmp_path / "out"
+    out.mkdir()
+    big = 2**63 + 5
+    (out / "losses.csv").write_text(f"sample_id,pretext_loss\n1,0.25\n{big},0.75\n2,0.5\n3,0.125\n")
+    assert main(["plan", str(cfg)]) == 0
+    assert (out / "plan.csv").read_text().splitlines() == [
+        "sample_id,batch_index,rank_in_batch", f"{big},0,0", "2,0,1", "1,1,0", "3,2,0"]
+
+
 def test_run_random_skips_pretext_requirement(tmp_path):
     cfg = write_config(tmp_path, al={"strategy": "random"})
     assert main(["run", str(cfg)]) == 0
@@ -373,6 +384,16 @@ def test_correlate_rejects_mismatched_checkpoint_before_training(tmp_path, monke
     assert not (tmp_path / "out").exists()
 
 
+def test_correlate_rejects_a_one_sample_test_split_before_training(tmp_path, monkeypatch, capsys):
+    # Class 0 keeps its one sample for training, class 1 sends 1 of 5 to the test split.
+    cfg = write_config(tmp_path, dataset={"classes": 2, "n_per_class": 5, "imbalance_counts": [1, 5]})
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["correlate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "dataset.test_fraction" in err and "test split of 1 sample" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_correlate_reuses_checkpoint(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["pretext", str(cfg)]) == 0
@@ -423,6 +444,23 @@ def test_flag_overrides_take_precedence(tmp_path):
     manifest = json.loads((alt / "run_manifest.json").read_text())
     assert manifest["config"]["al"]["strategy"] == "random"
     assert manifest["config"]["al"]["budget"] == 5
+
+
+def test_empty_output_dir_flag_is_validation_error(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, al={"strategy": "random"})
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg), "--output-dir", ""]) == 1
+    assert "output_dir must be a non-empty path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_output_dir_in_config_is_validation_error(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, output_dir="", al={"strategy": "random"})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg)]) == 1
+    assert "output_dir must be a non-empty path" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_unparseable_or_unknown_config_is_validation_error(tmp_path):

@@ -14,6 +14,7 @@ from pt4al.pretext import LossRecord
 from pt4al.sampler import (
     ORDER_HIGH_FIRST,
     ORDER_LOW_FIRST,
+    ORDER_RANDOM,
     BatchPlan,
     QueryResult,
     build_batch_plan,
@@ -109,6 +110,46 @@ def test_plan_invariants_property(losses, n_batches, order):
     records = records_from(losses)
     plan = build_batch_plan(records, n_batches, order)
     check_plan_invariants(plan, records)
+
+
+def reference_split(ids, n_batches):
+    """Contiguous batches of divmod sizes, the remainder one each to the earliest batches."""
+    base, extra = divmod(len(ids), n_batches)
+    batches, start = [], 0
+    for b in range(n_batches):
+        size = base + 1 if b < extra else base
+        batches.append(ids[start:start + size])
+        start += size
+    return batches
+
+
+def reference_plan(records, n_batches, order):
+    if order == ORDER_HIGH_FIRST:
+        ranked = sorted(records, key=lambda r: (-r.loss, r.sample_id))
+    else:
+        ranked = sorted(records, key=lambda r: (r.loss, r.sample_id))
+    return reference_split([r.sample_id for r in ranked], n_batches)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=40),
+    st.lists(st.integers(min_value=-2**70, max_value=2**70), min_size=40, max_size=40, unique=True),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_plans_match_reference_split_for_every_batch_count(quanta, ids, seed):
+    # Losses are quarters of small integers, so equal losses are common.
+    records = [LossRecord(sid, q / 4.0) for sid, q in zip(ids, quanta)]
+    perm = np.random.default_rng(seed).permutation(len(records))
+    shuffled = [records[i].sample_id for i in perm]
+    for n_batches in range(1, len(records) + 1):
+        for order in (ORDER_HIGH_FIRST, ORDER_LOW_FIRST):
+            plan = build_batch_plan(records, n_batches, order)
+            assert plan.batches == reference_plan(records, n_batches, order)
+            assert plan.order == order
+        plan = build_random_plan([r.sample_id for r in records], n_batches, seed)
+        assert plan.batches == reference_split(shuffled, n_batches)
+        assert plan.order == ORDER_RANDOM
 
 
 def test_random_plan_is_partition_and_deterministic():
@@ -228,6 +269,30 @@ def test_uncertainty_exhaustive_small_batches_with_ties():
                 batch = pool_of_rows(ids, rows)
                 q = uncertainty_sample(batch, state, k)
                 assert q.selected == brute_force_uncertainty(batch, state, k)
+
+
+def brute_force_entropy(batch, state, k):
+    probs = learner.predict_proba_batch(state, batch.x)
+    ent = -np.sum(np.where(probs > 0, probs * np.log(probs), 0.0), axis=1)
+    ranked = sorted(((-float(e), sid) for e, sid in zip(ent, batch.ids.tolist())))
+    return [sid for _, sid in ranked[:k]], [-e for e, _ in ranked[:k]]
+
+
+def test_entropy_exhaustive_small_batches_with_ties():
+    rng = np.random.default_rng(12)
+    state = proba_state(scale=6.0, classes=3)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for trial in range(40):
+                # Half the trials quantize pixels so equal entropies occur.
+                if trial % 2 == 0:
+                    rows = rng.integers(0, 3, size=(n, 3)) / 2.0
+                else:
+                    rows = rng.random((n, 3))
+                ids = [int(i) for i in rng.permutation(50)[:n]]
+                batch = pool_of_rows(ids, rows)
+                q = entropy_sample(batch, state, k)
+                assert (q.selected, q.scores) == brute_force_entropy(batch, state, k)
 
 
 def test_entropy_prefers_uniform_posterior():
