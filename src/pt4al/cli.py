@@ -32,6 +32,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> tuple[ALConfig, Pat
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -55,7 +57,11 @@ def load_config(path: str, overrides: argparse.Namespace) -> tuple[ALConfig, Pat
         raise ConfigError("output_dir must be set in the config or via --output-dir")
     if not out_dir:
         raise ConfigError("output_dir must be a non-empty path")
-    return config, Path(out_dir)
+    out_dir = Path(out_dir)
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"output_dir {out_dir}: {existing} exists and is not a directory")
+    return config, out_dir
 
 
 def _config_echo(config: ALConfig) -> dict:
@@ -89,35 +95,26 @@ def _read_losses(out_dir: Path, args, need: str) -> tuple[Path, list[pretext.Los
     return path, pretext.read_loss_records(path)
 
 
-def _write_run(out_dir: Path, prefix: str, command: str, config: ALConfig, inputs: list[Path], reports) -> None:
-    """Write an AL run's <prefix>reports.csv, <prefix>queries.csv and <prefix or run_>manifest.json."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    reports_path = out_dir / f"{prefix}reports.csv"
-    queries_path = out_dir / f"{prefix}queries.csv"
-    loop.write_reports_csv(reports_path, reports)
-    sampler.write_query_results(queries_path, loop.reports_to_queries(reports))
-    write_manifest(out_dir / f"{prefix or 'run_'}manifest.json", command, config, inputs, [reports_path, queries_path])
+def _run_files(prefix: str, reports) -> list:
+    """The writers of an AL run's <prefix>reports.csv and <prefix>queries.csv."""
+    return [(f"{prefix}reports.csv", lambda path: loop.write_reports_csv(path, reports)),
+            (f"{prefix}queries.csv", lambda path: sampler.write_query_results(path, loop.reports_to_queries(reports)))]
 
 
-def cmd_pretext(args) -> int:
-    config, out_dir = load_config(args.config, args)
+def cmd_pretext(config: ALConfig, out_dir: Path, args):
     train_pool = loop.build_dataset(config.dataset, config.seed)[0]  # the test split is not kept alive
     loop.check_learners_fit(config, train_pool)
     state, report = loop.pretext_model(config, train_pool.unlabeled())
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "pretext_checkpoint.json"
-    losses_path = out_dir / "losses.csv"
-    learner.save_checkpoint(state, ckpt_path)
-    pretext.write_loss_records(losses_path, report.records)
-    write_manifest(out_dir / "pretext_manifest.json", "pretext", config, [], [ckpt_path, losses_path])
     print(f"pretext: best epoch {report.best_epoch} of {report.epochs_run} run, {config.pretext.epochs} max, "
-          f"rotation accuracy {report.rotation_accuracy:.4f}, {len(report.records)} loss records -> {losses_path}")
-    return 0
+          f"rotation accuracy {report.rotation_accuracy:.4f}, {len(report.records)} loss records -> "
+          f"{out_dir / 'losses.csv'}")
+    return "pretext_manifest.json", [], [
+        ("pretext_checkpoint.json", lambda path: learner.save_checkpoint(state, path)),
+        ("losses.csv", lambda path: pretext.write_loss_records(path, report.records)),
+    ]
 
 
-def cmd_plan(args) -> int:
-    config, out_dir = load_config(args.config, args)
+def cmd_plan(config: ALConfig, out_dir: Path, args):
     losses_path, records = _read_losses(out_dir, args, "plan")
     # Strategies without a loss-sorted plan still get the high-loss-first one.
     order = loop.STRATEGY_TABLE[config.strategy][0]
@@ -127,16 +124,11 @@ def cmd_plan(args) -> int:
         raise pretext.LossRecordError(f"{losses_path}: cannot split {len(records)} records into "
                                       f"{config.iterations} batches")
     plan = sampler.build_batch_plan(records, config.iterations, order)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    plan_path = out_dir / "plan.csv"
-    sampler.write_batch_plan(plan_path, plan)
-    write_manifest(out_dir / "plan_manifest.json", "plan", config, [losses_path], [plan_path])
-    print(f"plan: {len(plan.batches)} batches over {len(records)} records ({order}) -> {plan_path}")
-    return 0
+    print(f"plan: {len(plan.batches)} batches over {len(records)} records ({order}) -> {out_dir / 'plan.csv'}")
+    return "plan_manifest.json", [losses_path], [("plan.csv", lambda path: sampler.write_batch_plan(path, plan))]
 
 
-def cmd_run(args) -> int:
-    config, out_dir = load_config(args.config, args)
+def cmd_run(config: ALConfig, out_dir: Path, args):
     records, inputs = None, []
     if config.strategy in loop.PRETEXT_STRATEGIES:
         losses_path, records = _read_losses(out_dir, args, f"strategy {config.strategy!r}")
@@ -146,35 +138,29 @@ def cmd_run(args) -> int:
     for r in reports:
         print(f"[iter {r.iteration}/{config.iterations}] labeled={r.labeled_size} "
               f"accuracy={r.test_accuracy:.4f} wall={r.wall_time:.2f}s")
-    _write_run(out_dir, "", "run", config, inputs, reports)
-    return 0
+    return "run_manifest.json", inputs, _run_files("", reports)
 
 
-def cmd_coldstart(args) -> int:
-    config, out_dir = load_config(args.config, args)
+def cmd_coldstart(config: ALConfig, out_dir: Path, args):
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--seeds must be a comma-separated list of integers: {exc}") from exc
 
     summary = loop.cold_start_experiment(config, seeds)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    runs_path = out_dir / "coldstart_runs.csv"
-    summary_path = out_dir / "coldstart_summary.csv"
     runs = [(seed, "pt4al", acc) for seed, acc in zip(summary.seeds, summary.pt4al_accuracies)]
     runs += [(seed, "random", acc) for seed, acc in zip(summary.seeds, summary.random_accuracies)]
-    write_csv(runs_path, ["seed", "method", "accuracy"], runs)
     stats = {method: summary.stats(method) for method in ("pt4al", "random")}
-    write_csv(summary_path, ["method", "mean", "std", "min", "max"],
-              [(method, s["mean"], s["std"], s["min"], s["max"]) for method, s in stats.items()])
-    write_manifest(out_dir / "coldstart_manifest.json", "coldstart", config, [], [runs_path, summary_path])
+    rows = [(method, s["mean"], s["std"], s["min"], s["max"]) for method, s in stats.items()]
     for method, s in stats.items():
         print(f"coldstart {method}: mean {s['mean']:.4f} +- {s['std']:.4f} (min {s['min']:.4f} / max {s['max']:.4f})")
-    return 0
+    return "coldstart_manifest.json", [], [
+        ("coldstart_runs.csv", lambda path: write_csv(path, ["seed", "method", "accuracy"], runs)),
+        ("coldstart_summary.csv", lambda path: write_csv(path, ["method", "mean", "std", "min", "max"], rows)),
+    ]
 
 
-def cmd_correlate(args) -> int:
-    config, out_dir = load_config(args.config, args)
+def cmd_correlate(config: ALConfig, out_dir: Path, args):
     train_pool, test_pool = loop.build_dataset(config.dataset, config.seed)
     if len(test_pool) < 2:
         raise ConfigError(f"dataset.test_fraction {config.dataset.test_fraction} leaves a test split of "
@@ -207,23 +193,19 @@ def cmd_correlate(args) -> int:
 
     report = diagnostics.correlation_report(pretext_state, main_state, test_pool,
                                             scatter_seed=derive_seed(config.seed, "scatter"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    corr_path = out_dir / "correlation.csv"
-    scatter_path = out_dir / "scatter.csv"
-    write_csv(corr_path, ["rho", "n"], [(report.rho, report.n)])
-    diagnostics.write_scatter_csv(scatter_path, report)
-    write_manifest(out_dir / "correlate_manifest.json", "correlate", config, inputs, [corr_path, scatter_path])
     print(f"correlate: spearman rho {report.rho:.4f} over {report.n} test samples")
-    return 0
+    return "correlate_manifest.json", inputs, [
+        ("correlation.csv", lambda path: write_csv(path, ["rho", "n"], [(report.rho, report.n)])),
+        ("scatter.csv", lambda path: diagnostics.write_scatter_csv(path, report)),
+    ]
 
 
-def cmd_ablate(args) -> int:
-    config, out_dir = load_config(args.config, args)
+def cmd_ablate(config: ALConfig, out_dir: Path, args):
     reports = loop.run_ablation(config, args.variant)
     for r in reports:
         print(f"[{args.variant} iter {r.iteration}] labeled={r.labeled_size} accuracy={r.test_accuracy:.4f}")
-    _write_run(out_dir, f"ablate_{args.variant.replace('-', '_')}_", "ablate", config, [], reports)
-    return 0
+    prefix = f"ablate_{args.variant.replace('-', '_')}_"
+    return f"{prefix}manifest.json", [], _run_files(prefix, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +253,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        config, out_dir = load_config(args.config, args)
+        # A command only checks, computes and prints; it returns its manifest name, its input
+        # paths and one writer per output file. Nothing is written unless all of that succeeded.
+        manifest, inputs, files = _COMMANDS[args.command](config, out_dir, args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, write in files:
+            write(out_dir / name)
+        write_manifest(out_dir / manifest, args.command, config, inputs, [out_dir / name for name, _ in files])
+        return 0
     except (ConfigError, pretext.LossRecordError) as exc:
         print(f"pt4al {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -163,11 +163,16 @@ def read_loss_records(path) -> list[LossRecord]:
     """Parse a loss-record CSV, rejecting bad losses and repeated sample ids."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_id", "pretext_loss"]:
-            raise LossRecordError(f"{path}: not a loss-record file")
-        try:  # unpacking rejects a row without exactly two fields
+        try:
+            header = next(reader, None)
+            if header != ["sample_id", "pretext_loss"]:
+                raise LossRecordError(f"{path}: not a loss-record file")
+            # unpacking rejects a row without exactly two fields
             records = [LossRecord(int(sid), float(loss)) for sid, loss in filter(None, reader)]
+        except UnicodeDecodeError as exc:
+            raise LossRecordError(f"{path}: not UTF-8 text: {exc}") from exc
+        except LossRecordError:
+            raise
         except ValueError as exc:
             raise LossRecordError(f"{path}: malformed loss record: {exc}") from exc
     seen: set[int] = set()

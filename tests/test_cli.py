@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -146,6 +147,33 @@ def test_plan_accepts_ids_beyond_int64(tmp_path, capsys):
     assert main(["plan", str(cfg)]) == 0
     assert (out / "plan.csv").read_text().splitlines() == [
         "sample_id,batch_index,rank_in_batch", f"{big},0,0", "2,0,1", "1,1,0", "3,2,0"]
+
+
+def losses_elsewhere(tmp_path):
+    """Run pretext, move its records to a file outside the output directory and spoil the default path."""
+    cfg = write_config(tmp_path)
+    assert main(["pretext", str(cfg)]) == 0
+    moved = tmp_path / "elsewhere.csv"
+    moved.write_bytes((tmp_path / "out" / "losses.csv").read_bytes())
+    (tmp_path / "out" / "losses.csv").write_text("not,a loss file\n")
+    return cfg, moved
+
+
+@pytest.mark.parametrize("command, manifest", [("plan", "plan_manifest.json"), ("run", "run_manifest.json")])
+def test_losses_flag_names_the_records_read(tmp_path, command, manifest):
+    cfg, moved = losses_elsewhere(tmp_path)
+    assert main([command, str(cfg), "--losses", str(moved)]) == 0
+    inputs = json.loads((tmp_path / "out" / manifest).read_text())["inputs"]
+    assert inputs == {str(moved): hashlib.sha256(moved.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_missing_losses_flag_file_exits_1(tmp_path, monkeypatch, capsys, command):
+    cfg, _ = losses_elsewhere(tmp_path)
+    ghost = tmp_path / "ghost.csv"
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main([command, str(cfg), "--losses", str(ghost)]) == 1
+    assert f"needs loss records at {ghost}" in capsys.readouterr().err
 
 
 def test_run_random_skips_pretext_requirement(tmp_path):
@@ -463,6 +491,16 @@ def test_empty_output_dir_in_config_is_validation_error(tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("output_dir", ["afile", "afile/sub"], ids=["file", "under-file"])
+def test_output_dir_that_cannot_be_a_directory_exits_1_before_work(tmp_path, monkeypatch, capsys, output_dir):
+    cfg = write_config(tmp_path, al={"strategy": "random"})
+    (tmp_path / "afile").write_text("keep me\n")
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / output_dir)]) == 1
+    assert "output_dir" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "keep me\n"
+
+
 def test_unparseable_or_unknown_config_is_validation_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -473,6 +511,27 @@ def test_unparseable_or_unknown_config_is_validation_error(tmp_path):
     payload["surprise"] = True
     weird.write_text(json.dumps(payload))
     assert main(["pretext", str(weird)]) == 1
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_unreadable_config_is_validation_error(tmp_path, capsys, case):
+    cfg = tmp_path / "config.json"
+    if case == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b'{"output_dir": "\xff"}')
+    assert main(["run", str(cfg)]) == 1
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
+
+def test_plan_rejects_losses_that_are_not_utf8(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "losses.csv").write_bytes(b"sample_id,pretext_loss\n1,0.5\n\xff,0.25\n")
+    assert main(["plan", str(cfg)]) == 1
+    assert "not UTF-8" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["losses.csv"]
+
 
 
 @pytest.mark.parametrize("key", ["budget", "iterations", "seed"])
@@ -506,3 +565,20 @@ def test_commands_never_import_numpy_ma(tmp_path, command):
     done = subprocess.run([sys.executable, "-c", probe, *command, str(cfg)], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+WRITE_PATH = [["pretext"], ["plan"], ["run"], ["coldstart", "--seeds", "1,2"], ["correlate"],
+              ["ablate", "--variant", "sampling-only"]]
+
+
+def test_each_command_adds_exactly_its_manifest_and_listed_outputs(tmp_path):
+    cfg = write_config(tmp_path, al={"iterations": 2, "budget": 5})
+    out = tmp_path / "out"
+    for command in WRITE_PATH:
+        before = set(out.iterdir()) if out.exists() else set()
+        assert main([command[0], str(cfg), *command[1:]]) == 0
+        added = set(out.iterdir()) - before
+        manifests = [p for p in added if p.name.endswith("_manifest.json")]
+        assert len(manifests) == 1, command
+        outputs = json.loads(manifests[0].read_text())["outputs"]
+        assert added == {manifests[0], *map(Path, outputs)}, command
