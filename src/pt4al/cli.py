@@ -166,7 +166,6 @@ def cmd_correlate(config: ALConfig, out_dir: Path, args):
         raise ConfigError(f"dataset.test_fraction {config.dataset.test_fraction} leaves a test split of "
                           f"{len(test_pool)} sample; correlate ranks at least 2")
     loop.check_learners_fit(config, train_pool)
-    shape = train_pool.x.shape[1:]
 
     inputs: list[Path] = []
     if args.pretext_checkpoint:
@@ -177,14 +176,10 @@ def cmd_correlate(config: ALConfig, out_dir: Path, args):
             pretext_state = learner.load_checkpoint(ckpt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        ckpt_cfg = pretext_state.config
-        if ckpt_cfg.n_classes != pretext.N_ORIENTATIONS:
-            raise ConfigError(f"{ckpt}: pretext checkpoint has {ckpt_cfg.n_classes} classes, "
-                              f"expected {pretext.N_ORIENTATIONS} rotations")
-        if tuple(ckpt_cfg.input_shape) != shape:
-            raise ConfigError(f"{ckpt}: pretext checkpoint input shape {tuple(ckpt_cfg.input_shape)} "
-                              f"does not match the dataset's image shape {shape}")
-        loop.check_rotatable(shape)
+        try:
+            pretext.check_model(pretext_state.config, train_pool.x.shape[1:])
+        except ConfigError as exc:
+            raise ConfigError(f"{ckpt}: pretext checkpoint does not fit: {exc}") from exc
         inputs.append(ckpt)
     else:
         pretext_state, _ = loop.pretext_model(config, train_pool.unlabeled())

@@ -56,7 +56,7 @@ class LearnerConfig:
     seed: int = declare(0, derived=True)
 
     def validate(self) -> None:
-        """Check the declared values, then the input shape, class count and conv fit."""
+        """Check the declared values, then the input shape, class count, conv fit and schedule range."""
         check_fields(self)
         if not self.input_shape or any(int(d) <= 0 for d in self.input_shape):
             raise ValueError(f"input_shape must have positive dims, got {self.input_shape!r}")
@@ -67,6 +67,15 @@ class LearnerConfig:
                 raise ValueError("conv layer requires an (H, W, C) input shape")
             if self.conv.kernel > min(self.input_shape[:2]):
                 raise ValueError(f"conv.kernel {self.conv.kernel} does not fit input {self.input_shape}")
+        # Drops only accumulate, so the last epoch's rate is the largest whenever decay_factor > 1.
+        # Not through lr_at: traces count its calls as epochs trained.
+        try:
+            peak = self.learning_rate * self.decay_factor ** _drops(self, self.epochs - 1)
+        except OverflowError:
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise ValueError(f"decay_factor {self.decay_factor} overflows the learning rate schedule: the rate of "
+                             f"epoch {self.epochs - 1} is not finite (learning_rate {self.learning_rate})")
 
     @property
     def input_dim(self) -> int:
@@ -243,7 +252,7 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
     """
     m = len(x)
     logits = _forward(config, weights, biases, x, ws)
-    lse = _logsumexp(logits)
+    lse = logsumexp(logits)
     loss = float(np.add.reduce(lse - logits[ws.rows, y]) / m)
 
     dz = ws.delta
@@ -287,7 +296,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _logsumexp(logits: np.ndarray) -> np.ndarray:
+def logsumexp(logits: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of each row of (m, k) `logits`, shifted by the row max so it cannot overflow."""
     zmax = np.maximum.reduce(logits, axis=1)
     return zmax + np.log(np.add.reduce(np.exp(logits - zmax[:, None]), axis=1))
 
@@ -311,7 +321,7 @@ def per_sample_losses(state: LearnerState, xs, ys) -> np.ndarray:
     xb = as_batch(state.config, xs)
     yb = _as_labels(state.config, ys, len(xb))
     logits = _logits(state, xb)
-    return _logsumexp(logits) - logits[np.arange(len(xb)), yb]
+    return logsumexp(logits) - logits[np.arange(len(xb)), yb]
 
 
 def accuracy(state: LearnerState, xs, ys) -> float:
@@ -355,10 +365,14 @@ def sgd_step(state: LearnerState, x, y, lr: float) -> float:
     return loss
 
 
+def _drops(config: LearnerConfig, epoch: int) -> int:
+    """Milestone fractions of `config.epochs` that `epoch` has reached."""
+    return sum(epoch >= int(m * config.epochs) for m in config.decay_milestones)
+
+
 def lr_at(config: LearnerConfig, epoch: int) -> float:
     """Multi-stage schedule: decay by decay_factor at each milestone fraction."""
-    drops = sum(epoch >= int(m * config.epochs) for m in config.decay_milestones)
-    return config.learning_rate * config.decay_factor ** drops
+    return config.learning_rate * config.decay_factor ** _drops(config, epoch)
 
 
 def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -373,14 +387,12 @@ def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, group: int = 1, on_epoch=None):
+def train(state: LearnerState, x, y, *, group: int = 1, on_epoch=None):
     """Minibatch SGD from `state`; returns (final state, per-epoch mean loss trace).
 
-    Architecture and activation come from `state.config`, the schedule
-    (epochs, learning rate, decay, batch size, shuffle seed) from `config`,
-    which defaults to `state.config`. The shuffling stream is seeded from
-    the config, so identical (state, data, config) triples reproduce
-    bit-identical results. The input state is not mutated.
+    Architecture and schedule (epochs, learning rate, decay, batch size,
+    shuffle seed) come from `state.config`; identical (state, data) pairs
+    reproduce bit-identical results, and the input state is not mutated.
 
     Rows come in runs of `group` that always share a minibatch: each epoch
     permutes the n // group runs and a step takes max(1, batch_size // group)
@@ -397,23 +409,22 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, gro
     in one flat vector, so a step's update is two in-place ops, and every
     batch size gets its own preallocated buffers.
     """
-    cfg = config if config is not None else state.config
+    cfg = state.config
     cfg.validate()
-    arch = state.config
     fill = x if callable(x) else None
-    rows = None if fill else as_batch(arch, x).reshape(-1, arch.input_dim)
+    rows = None if fill else as_batch(cfg, x).reshape(-1, cfg.input_dim)
     n = len(y) if fill else len(rows)
     if n == 0:
         raise ValueError("empty dataset")
     if group < 1 or n % group:
         raise ValueError(f"{n} rows do not split into runs of {group}")
-    yb = _as_labels(arch, y, n)
+    yb = _as_labels(cfg, y, n)
     arrays = [*state.weights, *state.biases]
     params, views = _packed(arrays)
     grads, gviews = _packed(arrays)
     k = len(state.weights)
     weights, biases, gws, gbs = views[:k], views[k:], gviews[:k], gviews[k:]
-    trained = LearnerState(arch, weights, biases)
+    trained = LearnerState(cfg, weights, biases)
     workspaces: dict[int, _Workspace] = {}
     rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     offsets = np.arange(group)
@@ -428,7 +439,7 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, gro
             m = len(idx)
             ws = workspaces.get(m)
             if ws is None:
-                ws = workspaces[m] = _Workspace(arch, m)
+                ws = workspaces[m] = _Workspace(cfg, m)
             if fill is None:
                 # idx is part of a permutation of range(n): "clip" never clips, and
                 # unlike "raise" it lets np.take write straight into the buffer.
@@ -436,7 +447,7 @@ def train(state: LearnerState, x, y, config: LearnerConfig | None = None, *, gro
             else:
                 fill(idx[::group] // group, ws.x)
             np.take(yb, idx, out=ws.y, mode="clip")
-            step_mean = _backprop(arch, weights, biases, ws.x, ws.y, ws, gws, gbs)
+            step_mean = _backprop(cfg, weights, biases, ws.x, ws.y, ws, gws, gbs)
             grads *= lr
             params -= grads
             total += step_mean * m

@@ -185,15 +185,8 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
     return train, test
 
 
-def check_rotatable(shape) -> None:
-    """Raise ConfigError unless images of shape (H, W, C) can take the pretext task's quarter turns."""
-    if shape[0] != shape[1]:
-        raise ConfigError(f"the rotation pretext task needs square images, got {shape[0]}x{shape[1]}")
-
-
 def pretext_model(config: ALConfig, unlabeled: Pool) -> tuple[LearnerState, PretextReport]:
     """Train this config's rotation model on the unlabeled pool."""
-    check_rotatable(unlabeled.x.shape[1:])
     cfg = replace(config.pretext, input_shape=unlabeled.x.shape[1:], n_classes=N_ORIENTATIONS,
                   seed=derive_seed(config.seed, "pretext"))
     return train_pretext(unlabeled, cfg)
@@ -205,10 +198,12 @@ def train_main(config: ALConfig, labeled: Pool, n_classes: int, seed: int) -> Le
     A non-finite epoch loss or final weight raises RuntimeError (exit 2 from the CLI).
     """
     cfg = replace(config.main, input_shape=labeled.x.shape[1:], n_classes=n_classes, seed=seed)
-    trained, trace = learner.train(learner.init_learner(cfg), labeled.x, labeled.y, cfg)
+    trained, trace = learner.train(learner.init_learner(cfg), labeled.x, labeled.y)
     if not all(np.isfinite(a).all() for a in (np.asarray(trace), *trained.weights, *trained.biases)):
         raise RuntimeError(f"main learning rate diverged: non-finite epoch loss or final weights "
-                           f"(epoch losses {trace[0]:.4g} ... {trace[-1]:.4g} over {len(trace)} epochs)")
+                           f"(epoch losses {trace[0]:.4g} ... {trace[-1]:.4g} over {len(trace)} epochs; "
+                           f"learning_rate {cfg.learning_rate}, decay_factor {cfg.decay_factor}, "
+                           f"init_scale {cfg.init_scale})")
     return trained
 
 

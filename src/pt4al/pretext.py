@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner
+from .config import ConfigError
 from .data import Pool, write_csv
 from .learner import LearnerConfig, LearnerState
 
@@ -83,7 +84,7 @@ def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]
             for start in range(0, len(x), _EVAL_CHUNK):
                 logits = learner.predict_logits(state, x[start:start + _EVAL_CHUNK])
                 hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
-                totals[start:start + len(logits)] += learner._logsumexp(logits) - logits[:, r]
+                totals[start:start + len(logits)] += learner.logsumexp(logits) - logits[:, r]
             _quarter_turn(x, slab)
             turns += 1
     finally:
@@ -91,6 +92,17 @@ def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]
             _quarter_turn(x, slab)
     totals /= N_ORIENTATIONS
     return hits, totals
+
+
+def check_model(config: LearnerConfig, shape) -> None:
+    """Raise ConfigError unless `config` has N_ORIENTATIONS classes and the input shape `shape`, which is square."""
+    if config.n_classes != N_ORIENTATIONS:
+        raise ConfigError(f"a rotation model needs {N_ORIENTATIONS} classes, got {config.n_classes}")
+    if shape[0] != shape[1]:
+        raise ConfigError(f"the rotation pretext task needs square images, got {shape[0]}x{shape[1]}")
+    if tuple(config.input_shape) != tuple(shape):
+        raise ConfigError(f"rotation model input shape {tuple(config.input_shape)} does not match "
+                          f"the pool's image shape {tuple(shape)}")
 
 
 def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState, PretextReport]:
@@ -106,13 +118,10 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     kept epoch's `extract_losses` pass. Rotated rows are written straight into
     each minibatch, and each epoch's pass turns the pool's own pixels in place
     and back (a read-only pool is turned in a copy), so the pool is held once.
-    Non-finite kept weights or losses raise RuntimeError.
+    `check_model` runs first; non-finite kept weights or losses raise RuntimeError.
     """
-    if config.n_classes != N_ORIENTATIONS:
-        raise ValueError(f"pretext model must have {N_ORIENTATIONS} classes, got {config.n_classes}")
-    x = learner.as_batch(config, unlabeled.x)
-    if x.shape[1] != x.shape[2]:
-        raise ValueError("pretext rotations require square images")
+    x = unlabeled.x
+    check_model(config, x.shape[1:])
     best_hits, best_epoch, best_state, best_losses = -1, -1, None, None
 
     def keep_best(epoch: int, state: LearnerState) -> bool:
@@ -125,7 +134,9 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     _, trace = learner.train(learner.init_learner(config), _rotation_writer(x),
                              np.tile(np.arange(N_ORIENTATIONS), len(x)), group=N_ORIENTATIONS, on_epoch=keep_best)
     if not all(np.isfinite(a).all() for a in (*best_state.weights, *best_state.biases, best_losses)):
-        raise RuntimeError(f"pretext learning rate diverged: kept epoch {best_epoch} has non-finite weights or losses")
+        raise RuntimeError(f"pretext learning rate diverged: kept epoch {best_epoch} has non-finite weights or losses "
+                           f"(learning_rate {config.learning_rate}, decay_factor {config.decay_factor}, "
+                           f"init_scale {config.init_scale})")
     records = [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), best_losses.tolist())]
     return best_state, PretextReport(best_epoch, len(trace), best_hits / (N_ORIENTATIONS * len(x)), records)
 
@@ -139,14 +150,10 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
     `train_pretext` evaluates every epoch with. A function of (state, pool):
     the pool's pixels are turned in place during the pass and are bit for bit
     the same when it returns or raises; read-only pixels are turned in a copy.
+    `check_model` runs before any forward pass.
     """
-    if state.config.n_classes != N_ORIENTATIONS:
-        raise ValueError(f"expected a {N_ORIENTATIONS}-class rotation model, got {state.config.n_classes} classes")
-    if len(unlabeled) == 0:
-        return []
     x = unlabeled.x
-    if x.shape[1] != x.shape[2]:
-        raise ValueError("pretext loss extraction requires square images")
+    check_model(state.config, x.shape[1:])
     return [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), _rotation_pass(state, x)[1].tolist())]
 
 

@@ -210,7 +210,7 @@ def test_criterion_5_pretext_main_loss_correlation():
         pstate, _ = pretext.train_pretext(train.unlabeled(), pcfg)
         mcfg = replace(loop.default_main_config(), input_shape=shape, n_classes=4,
                        seed=seed * 100 + 2, epochs=20)
-        mstate, _ = learner.train(learner.init_learner(mcfg), train.x, train.y, mcfg)
+        mstate, _ = learner.train(learner.init_learner(mcfg), train.x, train.y)
         rhos.append(diagnostics.correlation_report(pstate, mstate, test).rho)
     mean_rho = float(np.mean(rhos))
     elapsed = time.perf_counter() - tic

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 import pt4al
 from pt4al import learner, loop, pretext
 from pt4al.cli import load_config, main
+from pt4al.config import ConfigError
 from pt4al.data import Pool, gen_synthetic, write_idx
 from pt4al.learner import LearnerConfig
 
@@ -71,6 +73,14 @@ def test_diverged_pretext_exits_2_without_outputs(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["pretext", str(cfg)]) == 2
     assert "pretext learning rate diverged: kept epoch 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # Weights this large overflow the logits; the message names the setting that did it.
+    cfg = write_config(tmp_path, dataset={"n_per_class": 100}, pretext={"init_scale": 1e308, "epochs": 3})
+    with np.errstate(all="ignore"):
+        assert main(["pretext", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "pretext learning rate diverged: kept epoch 0" in err
+    assert "learning_rate 0.3, decay_factor 0.1, init_scale 1e+308" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -300,6 +310,22 @@ def test_test_fraction_that_spoils_a_split_exits_1(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["pretext"], ["run"], ["coldstart", "--seeds", "1,2"], ["correlate"],
+                                     ["ablate", "--variant", "sampling-only"]],
+                         ids=["pretext", "run", "coldstart", "correlate", "ablate"])
+@pytest.mark.parametrize("section", ["pretext", "main"])
+def test_decay_factor_that_overflows_the_schedule_exits_1_before_work(tmp_path, monkeypatch, capsys,
+                                                                      section, command):
+    # The rate of epoch 3 is 1.0 * 1e308 ** 2. A main section like this used to train and
+    # then exit 2 on the float overflow; a pretext one passed, as pretext stops at epoch 0.
+    cfg = write_config(tmp_path, dataset={"n_per_class": 20}, al={"strategy": "random"},
+                       **{section: {"learning_rate": 1.0, "decay_factor": 1e308, "epochs": 4}})
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main([command[0], str(cfg), *command[1:]]) == 1
+    assert f"{section}: decay_factor 1e+308 overflows the learning rate schedule" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def non_square_idx(tmp_path) -> dict:
     """Dataset section of a 3-class, 60-sample IDX corpus of 10x12 images."""
     pool = gen_synthetic(20, 3, 12, 0.0, seed=1)
@@ -412,6 +438,40 @@ def test_correlate_rejects_mismatched_checkpoint_before_training(tmp_path, monke
     assert not (tmp_path / "out").exists()
 
 
+# misfit -> (rotation model input shape, its classes, the pool's image shape)
+MISFIT_MODELS = {
+    "3-class": ((10, 10, 1), 3, (10, 10, 1)),
+    "non-square": ((10, 12, 1), 4, (10, 12, 1)),
+    "input-shape": ((8, 8, 1), 4, (10, 10, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", ["train_pretext", "extract_losses", "correlate"])
+@pytest.mark.parametrize("misfit", sorted(MISFIT_MODELS))
+def test_every_rotation_entry_rejects_a_misfit_model_alike(tmp_path, monkeypatch, capsys, misfit, entry):
+    input_shape, n_classes, shape = MISFIT_MODELS[misfit]
+    model = learner.init_learner(LearnerConfig(input_shape=input_shape, n_classes=n_classes, hidden=(4,)))
+    with pytest.raises(ConfigError) as want:
+        pretext.check_model(model.config, shape)
+    for name in ("init_learner", "train", "predict_logits"):
+        monkeypatch.setattr(learner, name, no_training)
+    if entry == "correlate":
+        cfg = write_config(tmp_path, dataset=non_square_idx(tmp_path) if shape[0] != shape[1] else {})
+        ckpt = tmp_path / "ckpt.json"
+        learner.save_checkpoint(model, ckpt)
+        assert main(["correlate", str(cfg), "--pretext-checkpoint", str(ckpt)]) == 1
+        assert f"{ckpt}: pretext checkpoint does not fit: {want.value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        return
+    pool = Pool(np.arange(6), np.full((6, *shape), 0.5))
+    with pytest.raises(ConfigError) as got:
+        if entry == "train_pretext":
+            pretext.train_pretext(pool, model.config)
+        else:
+            pretext.extract_losses(model, pool)
+    assert str(got.value) == str(want.value)
+
+
 def test_correlate_rejects_a_one_sample_test_split_before_training(tmp_path, monkeypatch, capsys):
     # Class 0 keeps its one sample for training, class 1 sends 1 of 5 to the test split.
     cfg = write_config(tmp_path, dataset={"classes": 2, "n_per_class": 5, "imbalance_counts": [1, 5]})
@@ -459,6 +519,14 @@ def test_diverged_main_model_exits_2_without_outputs(tmp_path, capsys, command):
     with np.errstate(all="ignore"):
         assert main([command[0], str(cfg), *command[1:]]) == 2
     assert "main learning rate diverged" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # Weights this large overflow the logits; the message names the setting that did it.
+    cfg = write_config(tmp_path, main={"init_scale": 1e308, "epochs": 5}, al={"strategy": "random", "iterations": 2})
+    with np.errstate(all="ignore"):
+        assert main([command[0], str(cfg), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "main learning rate diverged" in err
+    assert "learning_rate 0.3, decay_factor 0.1, init_scale 1e+308" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -565,6 +633,32 @@ def test_commands_never_import_numpy_ma(tmp_path, command):
     done = subprocess.run([sys.executable, "-c", probe, *command, str(cfg)], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A pt4al `_name` is read only in the module that defines it."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    src = Path(pt4al.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = {}  # local name -> the pt4al module it is bound to
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (node.level or node.module.split(".")[0] == "pt4al"):
+                continue
+            source = (node.module or "").removeprefix("pt4al").strip(".")
+            for alias in node.names:
+                if not source:
+                    modules[alias.asname or alias.name] = alias.name
+                elif private(alias.name) and source != path.stem:
+                    reads.append(f"{path.name}:{node.lineno} imports {source}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and private(node.attr)
+                    and modules.get(node.value.id, path.stem) != path.stem):
+                reads.append(f"{path.name}:{node.lineno} reads {modules[node.value.id]}.{node.attr}")
+    assert reads == []
 
 
 WRITE_PATH = [["pretext"], ["plan"], ["run"], ["coldstart", "--seeds", "1,2"], ["correlate"],

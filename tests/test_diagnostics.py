@@ -131,7 +131,7 @@ def _small_models_and_pool(seed=0):
                          learning_rate=0.3, epochs=4, batch_size=32, seed=seed + 2)
     pstate, _ = train_pretext(train.unlabeled(), pcfg)
     mcfg = replace(pcfg, seed=seed + 3)
-    mstate, _ = learner.train(learner.init_learner(mcfg), train.x, train.y, mcfg)
+    mstate, _ = learner.train(learner.init_learner(mcfg), train.x, train.y)
     return pstate, mstate, test
 
 

@@ -471,7 +471,7 @@ def train_case(name: str):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((n, *cfg.input_shape))
     y = rng.integers(0, cfg.n_classes, size=n)
-    return learner.train(learner.init_learner(cfg), x, y, cfg)
+    return learner.train(learner.init_learner(cfg), x, y)
 
 
 @pytest.mark.parametrize("name", sorted(TRAIN_CASES))

@@ -290,7 +290,7 @@ def test_train_reaches_high_accuracy_on_separable_toy():
     x, y = separable_toy()
     cfg = LearnerConfig(input_shape=(2,), n_classes=2, hidden=(8,),
                         learning_rate=0.5, epochs=60, batch_size=8, seed=1)
-    state, trace = learner.train(learner.init_learner(cfg), x, y, cfg)
+    state, trace = learner.train(learner.init_learner(cfg), x, y)
     assert learner.accuracy(state, x, y) >= 0.99
     # loss decreases from the first third to the last third of epochs
     third = len(trace) // 3
@@ -302,7 +302,7 @@ def test_train_zero_learning_rate_keeps_state():
     cfg = LearnerConfig(input_shape=(2,), n_classes=2, hidden=(4,),
                         learning_rate=0.0, epochs=3, batch_size=8, seed=2)
     init = learner.init_learner(cfg)
-    trained, _ = learner.train(init, x, y, cfg)
+    trained, _ = learner.train(init, x, y)
     for a, b in zip(init.weights + init.biases, trained.weights + trained.biases):
         assert np.array_equal(a, b)
 
@@ -311,8 +311,8 @@ def test_train_same_seed_identical_traces():
     x, y = separable_toy()
     cfg = LearnerConfig(input_shape=(2,), n_classes=2, hidden=(6,),
                         learning_rate=0.3, epochs=8, batch_size=8, seed=5)
-    s1, t1 = learner.train(learner.init_learner(cfg), x, y, cfg)
-    s2, t2 = learner.train(learner.init_learner(cfg), x, y, cfg)
+    s1, t1 = learner.train(learner.init_learner(cfg), x, y)
+    s2, t2 = learner.train(learner.init_learner(cfg), x, y)
     assert t1 == t2
     for a, b in zip(s1.weights + s1.biases, s2.weights + s2.biases):
         assert np.array_equal(a, b)
@@ -322,14 +322,14 @@ def test_train_empty_dataset_rejected():
     cfg = small_config()
     state = learner.init_learner(cfg)
     with pytest.raises(ValueError):
-        learner.train(state, np.zeros((0, 4)), np.zeros(0, dtype=int), cfg)
+        learner.train(state, np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
 def test_train_rejects_rows_not_in_whole_groups():
     cfg = small_config()
     state = learner.init_learner(cfg)
     with pytest.raises(ValueError, match="runs of 4"):
-        learner.train(state, np.zeros((6, 4)), np.zeros(6, dtype=int), cfg, group=4)
+        learner.train(state, np.zeros((6, 4)), np.zeros(6, dtype=int), group=4)
 
 
 def reference_train(state, x, y, config, group=1, stop=None):
@@ -381,7 +381,7 @@ def reference_logits(state, x):
 N_EQUIV = 24
 CONV_EQUIV = dict(input_shape=(5, 5, 2), conv=ConvSpec(filters=3, kernel=2))
 
-# id -> (LearnerConfig overrides, pass x as flat rows, schedule overrides for the `config` argument)
+# id -> (LearnerConfig overrides, pass x as flat rows, schedule overrides of the trained state's config)
 EQUIV_CASES = {
     **{f"{act}-depth{len(hidden)}": (dict(activation=act, hidden=hidden), False, {})
        for act in ("tanh", "relu") for hidden in ((7,), (7, 5), (7, 5, 6))},
@@ -398,7 +398,7 @@ EQUIV_CASES = {
 def test_train_equals_sgd_step_loop(case):
     overrides, flat, schedule = EQUIV_CASES[case]
     arch = small_config(**{"hidden": (7, 5), "epochs": 4, "batch_size": 5, "learning_rate": 0.3, **overrides})
-    config = replace(arch, **schedule)
+    arch = replace(arch, **schedule)
     rng = np.random.default_rng(31)
     x = rng.standard_normal((N_EQUIV, *arch.input_shape))
     if flat:
@@ -407,8 +407,8 @@ def test_train_equals_sgd_step_loop(case):
     state = learner.init_learner(arch)
     before = state.copy()
 
-    got, got_trace = learner.train(state, x, y, config)
-    want, want_trace = reference_train(state, x, y, config)
+    got, got_trace = learner.train(state, x, y)
+    want, want_trace = reference_train(state, x, y, arch)
 
     assert got.config == arch
     assert got_trace == want_trace

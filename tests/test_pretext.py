@@ -348,6 +348,11 @@ def test_extract_losses_pure_bitwise():
     assert [(r.sample_id, r.loss) for r in a] == [(r.sample_id, r.loss) for r in b]
 
 
+def test_extract_losses_of_an_empty_pool_is_empty():
+    state = learner.init_learner(pretext_config(8))
+    assert extract_losses(state, Pool([], np.zeros((0, 8, 8, 1)))) == []
+
+
 def test_extract_losses_rejects_non_rotation_model():
     cfg = LearnerConfig(input_shape=(8, 8, 1), n_classes=3, hidden=())
     state = learner.init_learner(cfg)
