@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, diagnostics, learner, loop, pretext, sampler
 from .config import ConfigError, from_dict, read_value
 from .data import write_csv
@@ -251,7 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         config, out_dir = load_config(args.config, args)
         # A command only checks, computes and prints; it returns its manifest name, its input
         # paths and one writer per output file. Nothing is written unless all of that succeeded.
-        manifest, inputs, files = _COMMANDS[args.command](config, out_dir, args)
+        # Explicit checks catch every non-finite result, so numpy's warnings would only repeat them.
+        with np.errstate(all="ignore"):
+            manifest, inputs, files = _COMMANDS[args.command](config, out_dir, args)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, write in files:
             write(out_dir / name)

@@ -1,8 +1,10 @@
 """Dataset plumbing: IDX ingestion, synthetic corpus, rotations, splits, CSV output.
 
 All operations are pure and deterministic per seed and never mutate a
-pool. (The pretext rotation pass turns a pool's pixels in place and back;
-see `pretext._rotation_pass`.)
+pool. Two callers do, on pools they own: the pretext rotation pass turns a
+pool's pixels in place and back (`pretext._rotation_pass`), and `run_al`
+compacts the rows not yet picked to the front of its train pool
+(`loop._drop_rows`).
 """
 from __future__ import annotations
 

@@ -510,7 +510,10 @@ def save_checkpoint(state: LearnerState, path) -> None:
 
 
 def load_checkpoint(path) -> LearnerState:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not a learner checkpoint (not UTF-8 JSON: {exc})") from exc
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a learner checkpoint (not a JSON object with magic {CHECKPOINT_MAGIC!r})")
     if payload.get("version") != CHECKPOINT_VERSION:

@@ -218,10 +218,11 @@ def check_learners_fit(config: ALConfig, train_pool: Pool) -> None:
             raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _prepare(config: ALConfig) -> tuple[Pool, Pool, Pool, int, dict[int, int]]:
+def _prepare(config: ALConfig) -> tuple[Pool, Pool, Pool, int]:
     """Validate, build the dataset, check both learners and the budget, before any training.
 
-    Returns (train pool, test pool, train pool unlabeled, classes, id -> position).
+    Returns (train pool, test pool, train pool unlabeled, classes). The train ids
+    ascend, so `_find` looks ids up by bisection.
     """
     config.validate()
     train_pool, test_pool = build_dataset(config.dataset, config.seed)
@@ -230,9 +231,41 @@ def _prepare(config: ALConfig) -> tuple[Pool, Pool, Pool, int, dict[int, int]]:
         raise ConfigError(
             f"budget {config.iterations} x {config.budget} exceeds unlabeled pool size {len(train_pool)}"
         )
-    unlabeled = train_pool.unlabeled()
-    position = {sid: i for i, sid in enumerate(unlabeled.ids.tolist())}
-    return train_pool, test_pool, unlabeled, train_pool.n_classes, position
+    if np.any(np.diff(train_pool.ids) <= 0):
+        raise RuntimeError("train pool ids do not ascend")
+    return train_pool, test_pool, train_pool.unlabeled(), train_pool.n_classes
+
+
+def _find(ids: np.ndarray, wanted) -> np.ndarray:
+    """Positions of the `wanted` ids among the ascending `ids` of the rows not yet picked."""
+    wanted = np.asarray(wanted, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(ids, wanted), len(ids) - 1)
+    missing = ids[pos] != wanted
+    if missing.any():
+        raise RuntimeError(f"selected id {wanted[missing][0]} is already labeled")
+    return pos
+
+
+def _drop_rows(pool: Pool, n: int, picked: np.ndarray) -> int:
+    """Remove the positions `picked` from the first `n` rows of `pool`, in place.
+
+    The kept rows move forward run by run and keep their order, so the ids
+    still ascend. `picked` holds no repeats (`QueryResult` rejects them).
+    Returns the number of rows left.
+    """
+    cut = np.sort(picked).tolist()
+    # 1-D views: numpy moves an overlapping 1-D slice without a temporary copy.
+    x = np.reshape(pool.x, -1, copy=False)
+    row = x.size // len(pool)
+    dst = cut[0]
+    for src, stop in zip(cut, [*cut[1:], n]):
+        src += 1
+        end = dst + stop - src
+        pool.ids[dst:end] = pool.ids[src:stop]
+        pool.y[dst:end] = pool.y[src:stop]
+        x[dst * row:end * row] = x[src * row:stop * row]
+        dst = end
+    return dst
 
 
 def _build_plan(config: ALConfig, unlabeled: Pool, loss_records: list[LossRecord] | None) -> BatchPlan | None:
@@ -251,12 +284,16 @@ def _build_plan(config: ALConfig, unlabeled: Pool, loss_records: list[LossRecord
     return build_batch_plan(loss_records, config.iterations, order)
 
 
-def _select(config: ALConfig, iteration: int, unlabeled: Pool, candidates, model: LearnerState | None) -> QueryResult:
-    """This round's rule over the pool positions `candidates`; only the scoring rules gather pixels."""
+def _select(config: ALConfig, iteration: int, remaining: Pool, batch, model: LearnerState | None) -> QueryResult:
+    """This round's rule over the positions `batch` of the remaining pool, or over all of it.
+
+    Only the scoring rules read pixels; they gather a plan's batch and read a
+    plan-less round's rows in place.
+    """
     _, first, later = STRATEGY_TABLE[config.strategy]
     rule = first if iteration == 1 else later
     k = config.budget
-    ids = unlabeled.ids[candidates].tolist()
+    ids = (remaining.ids if batch is None else remaining.ids[batch]).tolist()
     if rule == "random":
         return random_sample(ids, k, derive_seed(config.seed, "sampling", iteration), iteration)
     if rule == "uniform":
@@ -267,7 +304,7 @@ def _select(config: ALConfig, iteration: int, unlabeled: Pool, candidates, model
         picked = ids[:k] if rule == "head" else ids[len(ids) - k:]
         return QueryResult(iteration, picked, [float(r) for r in range(k)])
     scorer = uncertainty_sample if rule == "confidence" else entropy_sample
-    return scorer(unlabeled.take(candidates), model, k, iteration)
+    return scorer(remaining if batch is None else remaining.take(batch), model, k, iteration)
 
 
 def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> list[IterationReport]:
@@ -276,29 +313,33 @@ def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> li
     `loss_records` short-circuits the pretext phase for strategies that
     need a loss-sorted plan (the CSV contract produced by the pretext
     command); they must cover exactly the unlabeled pool.
+
+    The loop keeps two pools. The rows not yet picked stay at the front of
+    the train pool's own arrays, in id order; each round's picks leave it and
+    are appended to the labeled pool in selection order.
     """
-    train_pool, test_pool, unlabeled, n_classes, position = _prepare(config)
+    train_pool, test_pool, unlabeled, n_classes = _prepare(config)
     plan = _build_plan(config, unlabeled, loss_records)
 
-    labeled: list[int] = []  # pool positions, in selection order
-    is_labeled = np.zeros(len(unlabeled), dtype=bool)
+    n_left, n_labeled = len(train_pool), 0
+    size = config.iterations * config.budget
+    labeled_ids, labeled_y = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    labeled_x = np.empty((size, *train_pool.x.shape[1:]))
     prev_model: LearnerState | None = None
     reports: list[IterationReport] = []
 
     for iteration in range(1, config.iterations + 1):
         tic = time.perf_counter()
-        if plan is None:
-            candidates = np.flatnonzero(~is_labeled)
-        else:
-            candidates = [position[sid] for sid in plan.batches[iteration - 1]]
-        query = _select(config, iteration, unlabeled, candidates, prev_model)
-        for sid in query.selected:
-            if is_labeled[position[sid]]:
-                raise RuntimeError(f"selected id {sid} is already labeled")
-            is_labeled[position[sid]] = True
-            labeled.append(position[sid])
+        remaining = Pool(train_pool.ids[:n_left], train_pool.x[:n_left])  # labels hidden
+        batch = None if plan is None else _find(remaining.ids, plan.batches[iteration - 1])
+        query = _select(config, iteration, remaining, batch, prev_model)
+        picked = _find(remaining.ids, query.selected)
+        end = n_labeled + len(picked)
+        for src, dst in ((train_pool.ids, labeled_ids), (train_pool.x, labeled_x), (train_pool.y, labeled_y)):
+            np.take(src, picked, axis=0, out=dst[n_labeled:end], mode="clip")
+        n_left, n_labeled = _drop_rows(train_pool, n_left, picked), end
 
-        labeled_pool = train_pool.take(labeled)
+        labeled_pool = Pool(labeled_ids[:n_labeled], labeled_x[:n_labeled], labeled_y[:n_labeled])
         model = train_main(config, labeled_pool, n_classes, derive_seed(config.seed, "main", iteration))
         hist = labeled_pool.class_histogram(n_classes)
         reports.append(
@@ -306,7 +347,7 @@ def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> li
                 iteration=iteration,
                 selected_ids=list(query.selected),
                 selection_scores=list(query.scores),
-                labeled_size=len(labeled),
+                labeled_size=n_labeled,
                 test_accuracy=learner.accuracy(model, test_pool.x, test_pool.y),
                 class_histogram=hist,
                 hist_entropy=normalized_histogram_entropy(hist),
@@ -338,14 +379,14 @@ def cold_start_experiment(config: ALConfig, seeds: list[int]) -> ColdStartSummar
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise ConfigError(f"coldstart seed {repeated[0]} is repeated; each seed must be a separate run")
-    train_pool, test_pool, unlabeled, n_classes, position = _prepare(config)
+    train_pool, test_pool, unlabeled, n_classes = _prepare(config)
 
     _, report = pretext_model(config, unlabeled)
     plan = build_batch_plan(report.records, config.iterations, ORDER_HIGH_FIRST)
     pt4al_query = uniform_first_sample(plan.batches[0], config.budget)
 
     def first_iteration_accuracy(selected: list[int], train_seed: int) -> float:
-        labeled = train_pool.take([position[sid] for sid in selected])
+        labeled = train_pool.take(np.searchsorted(train_pool.ids, selected))
         model = train_main(config, labeled, n_classes, train_seed)
         return learner.accuracy(model, test_pool.x, test_pool.y)
 

@@ -70,14 +70,12 @@ def test_diverged_pretext_exits_2_without_outputs(tmp_path, capsys):
     # relu at this rate turns every weight NaN; the kept epoch 0 is one of them.
     cfg = write_config(tmp_path, dataset={"n_per_class": 100},
                        pretext={"activation": "relu", "learning_rate": 1e100, "epochs": 3})
-    with np.errstate(all="ignore"):
-        assert main(["pretext", str(cfg)]) == 2
+    assert main(["pretext", str(cfg)]) == 2
     assert "pretext learning rate diverged: kept epoch 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     # Weights this large overflow the logits; the message names the setting that did it.
     cfg = write_config(tmp_path, dataset={"n_per_class": 100}, pretext={"init_scale": 1e308, "epochs": 3})
-    with np.errstate(all="ignore"):
-        assert main(["pretext", str(cfg)]) == 2
+    assert main(["pretext", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "pretext learning rate diverged: kept epoch 0" in err
     assert "learning_rate 0.3, decay_factor 0.1, init_scale 1e+308" in err
@@ -423,6 +421,17 @@ def test_correlate_rejects_missing_or_invalid_checkpoint(tmp_path):
         assert main(["correlate", str(cfg), "--pretext-checkpoint", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_correlate_names_an_unreadable_checkpoint(tmp_path, monkeypatch, capsys, content):
+    cfg = write_config(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["correlate", str(cfg), "--pretext-checkpoint", str(bad)]) == 1
+    assert f"{bad}: not a learner checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("n_classes, input_shape", [(3, (10, 10, 1)), (4, (8, 8, 1))],
                          ids=["not-4-class", "wrong-input-shape"])
 def test_correlate_rejects_mismatched_checkpoint_before_training(tmp_path, monkeypatch, capsys,
@@ -516,17 +525,27 @@ def test_diverged_main_model_exits_2_without_outputs(tmp_path, capsys, command):
     # relu at this rate overflows in the first epochs; every later epoch loss is NaN.
     cfg = write_config(tmp_path, main={"activation": "relu", "learning_rate": 1e100, "epochs": 5},
                        al={"strategy": "random", "iterations": 2})
-    with np.errstate(all="ignore"):
-        assert main([command[0], str(cfg), *command[1:]]) == 2
+    assert main([command[0], str(cfg), *command[1:]]) == 2
     assert "main learning rate diverged" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     # Weights this large overflow the logits; the message names the setting that did it.
     cfg = write_config(tmp_path, main={"init_scale": 1e308, "epochs": 5}, al={"strategy": "random", "iterations": 2})
-    with np.errstate(all="ignore"):
-        assert main([command[0], str(cfg), *command[1:]]) == 2
+    assert main([command[0], str(cfg), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert "main learning rate diverged" in err
     assert "learning_rate 0.3, decay_factor 0.1, init_scale 1e+308" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_diverged_run_prints_only_its_error_line(tmp_path, capsys):
+    # Weights this large overflow numpy's matmul; the run reports the divergence once,
+    # with no numpy warning before it (the test suite turns any warning into an error).
+    cfg = write_config(tmp_path, main={"init_scale": 1e308},
+                       dataset={"n_per_class": 20}, al={"strategy": "random", "iterations": 2})
+    assert main(["run", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pt4al run: main learning rate diverged: "), captured.err
     assert not (tmp_path / "out").exists()
 
 

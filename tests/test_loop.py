@@ -1,6 +1,7 @@
 """AL orchestration: bookkeeping, strategies, experiments."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,8 @@ from pt4al.data import Pool
 from pt4al.learner import LearnerConfig
 from pt4al.loop import ALConfig, DatasetSpec, cold_start_experiment, run_ablation, run_al
 from pt4al.pretext import LossRecord
+from pt4al.sampler import QueryResult, random_sample, uniform_first_sample
+from pt4al.seeds import derive_seed
 
 
 def tiny_learner(**kw):
@@ -102,6 +105,127 @@ def test_whole_run_properties_for_every_strategy(strategy, data):
         if plan is not None:
             assert picked <= set(plan.batches[i])
         seen |= picked
+
+
+def reference_picks(cfg):
+    """The picks of `run_al`'s rules under the earlier bookkeeping: a labeled mask, an
+    id -> position dict, and a fresh `take` for every pool that is trained on or scored."""
+    train_pool, _ = loop.build_dataset(cfg.dataset, cfg.seed)
+    unlabeled = train_pool.unlabeled()
+    position = {sid: i for i, sid in enumerate(unlabeled.ids.tolist())}
+    plan = loop._build_plan(cfg, unlabeled, None)
+    _, first, later = loop.STRATEGY_TABLE[cfg.strategy]
+    k, labeled, is_labeled, model, picks = cfg.budget, [], np.zeros(len(unlabeled), dtype=bool), None, []
+    for iteration in range(1, cfg.iterations + 1):
+        rule = first if iteration == 1 else later
+        if plan is None:
+            candidates = np.flatnonzero(~is_labeled)
+        else:
+            candidates = [position[sid] for sid in plan.batches[iteration - 1]]
+        ids = unlabeled.ids[candidates].tolist()
+        if rule == "random":
+            selected = random_sample(ids, k, derive_seed(cfg.seed, "sampling", iteration)).selected
+        elif rule == "uniform":
+            selected = uniform_first_sample(ids, k).selected
+        elif rule in ("head", "tail"):
+            selected = ids[:k] if rule == "head" else ids[len(ids) - k:]
+        else:
+            scorer = loop.uncertainty_sample if rule == "confidence" else loop.entropy_sample
+            selected = scorer(unlabeled.take(candidates), model, k).selected
+        for sid in selected:
+            assert not is_labeled[position[sid]]
+            is_labeled[position[sid]] = True
+            labeled.append(position[sid])
+        model = loop.train_main(cfg, train_pool.take(labeled), train_pool.n_classes,
+                                derive_seed(cfg.seed, "main", iteration))
+        picks.append(list(selected))
+    return picks
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_in_place_bookkeeping_hands_over_the_reference_pools(data):
+    # Every pool that is trained on or scored has the ids, pixels and labels, in the
+    # order, that the mask + dict + take bookkeeping gives.
+    spec = DatasetSpec(classes=data.draw(st.integers(2, 4), "classes"), size=10,
+                       n_per_class=data.draw(st.integers(3, 30), "n_per_class"))
+    seed = data.draw(st.integers(0, 2**16), "seed")
+    train, _ = loop.build_dataset(spec, seed)
+    iterations = data.draw(st.integers(1, 4), "iterations")
+    cfg = tiny_config(strategy=data.draw(st.sampled_from(loop.STRATEGIES), "strategy"), dataset=spec, seed=seed,
+                      iterations=iterations, budget=data.draw(st.integers(1, len(train) // iterations), "budget"),
+                      pretext=tiny_learner(hidden=(8,), epochs=2), main=tiny_learner(hidden=(8,), epochs=2))
+
+    def snapshot(pool):
+        return pool.ids.tobytes(), pool.x.tobytes(), None if pool.y is None else pool.y.tobytes()
+
+    def recording(fn, arg):
+        def wrapped(*args):
+            handed.append((fn.__name__, snapshot(args[arg])))
+            return fn(*args)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, arg in (("train_main", 1), ("uncertainty_sample", 0), ("entropy_sample", 0)):
+            mp.setattr(loop, name, recording(getattr(loop, name), arg))
+        handed: list = []
+        picks = [r.selected_ids for r in run_al(cfg)]
+        got, handed = handed, []
+        assert picks == reference_picks(cfg)
+    assert got == handed
+    assert [name for name, _ in got].count("train_main") == iterations
+
+
+def test_an_id_picked_in_an_earlier_round_is_already_labeled(monkeypatch):
+    draw, first = loop.random_sample, []
+
+    def repicking(ids, k, seed, iteration):
+        query = draw(ids, k, seed, iteration)
+        if iteration == 1:
+            first.extend(query.selected)
+            return query
+        return QueryResult(iteration, [first[0], *query.selected[1:]], query.scores)
+
+    monkeypatch.setattr(loop, "random_sample", repicking)
+    with pytest.raises(RuntimeError, match="selected id [0-9]+ is already labeled"):
+        run_al(tiny_config(strategy="random", iterations=2))
+
+
+def test_entropy_scores_the_remaining_rows_in_place(monkeypatch):
+    # The plan-less scorer reads the rows not yet picked where they are: a view, not a copy.
+    batches, score = [], loop.entropy_sample
+
+    def recording(batch, *args):
+        batches.append((len(batch), batch.x.flags.owndata))
+        return score(batch, *args)
+
+    monkeypatch.setattr(loop, "entropy_sample", recording)
+    run_al(tiny_config(strategy="entropy"))
+    assert batches == [(144 - 10, False), (144 - 20, False)]
+
+
+def test_entropy_run_holds_no_copy_of_the_remaining_pool(monkeypatch):
+    # Traced from the end of the dataset build: the labeled pool, the models and the
+    # scoring activations fit in half the train pool's pixels; a copy of the rows not
+    # yet picked (580 of 600 at round 2) does not.
+    cfg = tiny_config(strategy="entropy", budget=20,
+                      dataset=DatasetSpec(classes=3, n_per_class=250, size=12, noise=1.0, test_fraction=0.2))
+    run_al(replace(cfg, iterations=2, dataset=replace(cfg.dataset, n_per_class=20)))  # first-use imports
+    build, train_bytes = loop.build_dataset, []
+
+    def building(*args):
+        train, test = build(*args)
+        train_bytes.append(train.x.nbytes)
+        tracemalloc.start()
+        return train, test
+
+    monkeypatch.setattr(loop, "build_dataset", building)
+    try:
+        run_al(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < train_bytes[0] // 2, (peak, train_bytes[0])
 
 
 def test_reports_reproducible_modulo_wall_time():
@@ -221,11 +345,12 @@ def test_entropy_strategy_runs_and_differs_from_random():
 
 @pytest.mark.parametrize("strategy, gathers", [
     ("random", []), ("pt4al-pretext-only-high", []), ("pt4al-pretext-only-low", []),
-    ("entropy", [144 - 10, 144 - 20]), ("pt4al", [48, 48]),
+    ("entropy", []), ("pt4al", [48, 48]),
 ])
 def test_only_scoring_rules_gather_candidate_pixels(monkeypatch, strategy, gathers):
-    # Selection takes rows of the label-hidden pool only to score them; the
-    # random, uniform, head and tail rules read ids alone.
+    # Selection gathers rows of the label-hidden pool only to score a plan's
+    # batch; the plan-less entropy rule reads the remaining rows in place, and
+    # the random, uniform, head and tail rules read ids alone.
     take, sizes = Pool.take, []
 
     def recording(self, positions):
