@@ -166,18 +166,52 @@ def _as_labels(config: LearnerConfig, y, n: int) -> np.ndarray:
     return arr
 
 
+# Rows per piece of a forward-only pass. OpenBLAS rounds a product by its row count, so a pass
+# is cut only where each piece keeps the bits of the whole pass (OpenBLAS 0.3.31, one thread):
+# the Haswell and Prescott kernels change bits when a piece starts off a multiple of their
+# 4-row unroll, and SkylakeX sends a product of at most 10^6 multiply-adds down a small-matrix
+# path that rounds differently. So pieces start at multiples of 512 rows, the last one takes
+# the remainder, and every hidden product of a 512-row piece must do more than 10^6
+# multiply-adds. The output product is never cut: classes are few, so it would be small.
+_PIECE_ROWS = 512
+_SMALL_PRODUCT_MADDS = 10**6
+
+
+def _piece_starts(config: LearnerConfig, m: int) -> range:
+    """First rows of the pieces a forward-only pass over `m` rows runs its hidden layers in.
+
+    One piece, the whole pass, unless every dense hidden product of a
+    _PIECE_ROWS-row piece leaves the small-matrix path and there are two
+    pieces or more. The conv layer does not count: its products are one
+    small product per image row, the same however many images a pass holds.
+    """
+    dims = [config.feature_dim, *config.hidden]
+    if m < 2 * _PIECE_ROWS or any(_PIECE_ROWS * k * n <= _SMALL_PRODUCT_MADDS for k, n in zip(dims, dims[1:])):
+        return range(1)
+    return range(0, m - _PIECE_ROWS + 1, _PIECE_ROWS)
+
+
 class _Workspace:
     """Buffers for one forward and, unless `backward` is false, one backward pass over `m` rows.
 
-    `acts[l]` holds the activation of layer l for every layer but the last,
-    as (m, width) rows; the conv layer's also has the 4-d view `conv`.
+    `acts[l]` holds the activation of hidden layer l as rows of its width.
+    `pieces` lists (rows, acts of those rows) per piece of the forward pass.
+    With `backward` there is one piece and every `acts[l]` has all m rows;
+    without it only the last hidden layer does, and the others hold one
+    piece, since only the output product needs every row at once.
     `dacts[l]` holds the loss gradient with respect to `acts[l]`. `x` and `y`
     are the gathered rows and labels of the batch when training.
     """
 
     def __init__(self, config: LearnerConfig, m: int, backward: bool = True):
         widths = list(config.hidden) if config.conv is None else [config.feature_dim, *config.hidden]
-        self.acts = [np.empty((m, d)) for d in widths]
+        starts = _piece_starts(config, m) if widths and not backward else range(1)
+        largest = m - starts[-1]
+        self.acts = [np.empty((largest, d)) for d in widths[:-1]] + [np.empty((m, d)) for d in widths[-1:]]
+        self.pieces = []
+        for start, stop in zip(starts, [*starts[1:], m]):
+            acts = [a[:stop - start] for a in self.acts[:-1]] + [a[start:stop] for a in self.acts[-1:]]
+            self.pieces.append((slice(start, stop), acts))
         self.logits = np.empty((m, config.n_classes))
         if backward:
             self.x = np.empty((m, config.input_dim))
@@ -185,10 +219,6 @@ class _Workspace:
             self.rows = np.arange(m)
             self.dacts = [np.empty((m, d)) for d in widths]
             self.delta = np.empty((m, config.n_classes))
-        if config.conv is not None:
-            h, w, _ = config.input_shape
-            k = config.conv.kernel
-            self.conv = self.acts[0].reshape(m, h - k + 1, w - k + 1, config.conv.filters)
 
 
 def _activate(z: np.ndarray, kind: str) -> None:
@@ -219,24 +249,35 @@ def _conv_windows(config: LearnerConfig, x: np.ndarray):
     return [(di, dj, x[:, di:di + ho, dj:dj + wo, :]) for di in range(k) for dj in range(k)]
 
 
-def _forward(config: LearnerConfig, weights, biases, x: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Logits of the (m, input_dim) rows `x`, keeping every activation in `ws`."""
-    h, first = x, 0
-    if config.conv is not None:
-        z = ws.conv
-        z.fill(0.0)
-        z += biases[0]  # 0.0 + b, not b: a -0.0 bias must start the sum as 0.0
-        for di, dj, window in _conv_windows(config, x.reshape(len(x), *config.input_shape)):
-            z += window @ weights[0][di, dj]
-        _activate(z, config.activation)
-        h, first = ws.acts[0], 1
-    for layer in range(first, len(weights) - 1):
-        a = ws.acts[layer]
-        np.matmul(h, weights[layer], out=a)
-        a += biases[layer]
+def _conv_view(config: LearnerConfig, a: np.ndarray) -> np.ndarray:
+    """The conv layer's (m, feature_dim) rows `a` as (m, H', W', filters)."""
+    h, w, _ = config.input_shape
+    k = config.conv.kernel
+    return a.reshape(len(a), h - k + 1, w - k + 1, config.conv.filters)
+
+
+def _hidden(config: LearnerConfig, weights, biases, x: np.ndarray, acts) -> None:
+    """Write the activations of the (m, input_dim) rows `x` into `acts`, one per hidden layer, conv first."""
+    h = x
+    for layer, a in enumerate(acts):
+        if layer == 0 and config.conv is not None:
+            z = _conv_view(config, a)
+            z.fill(0.0)
+            z += biases[0]  # 0.0 + b, not b: a -0.0 bias must start the sum as 0.0
+            for di, dj, window in _conv_windows(config, x.reshape(len(x), *config.input_shape)):
+                z += window @ weights[0][di, dj]
+        else:
+            np.matmul(h, weights[layer], out=a)
+            a += biases[layer]
         _activate(a, config.activation)
         h = a
-    np.matmul(h, weights[-1], out=ws.logits)
+
+
+def _forward(config: LearnerConfig, weights, biases, x: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Logits of the (m, input_dim) rows `x`: hidden layers piece by piece into `ws`, then one output product."""
+    for rows, acts in ws.pieces:
+        _hidden(config, weights, biases, x[rows], acts)
+    np.matmul(ws.acts[-1] if ws.acts else x, weights[-1], out=ws.logits)
     ws.logits += biases[-1]
     return ws.logits
 
@@ -273,7 +314,7 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
         da *= a
         dz = da
     if config.conv is not None:
-        dz = dz.reshape(ws.conv.shape)
+        dz = _conv_view(config, dz)
         for di, dj, window in _conv_windows(config, x.reshape(m, *config.input_shape)):
             gws[0][di, dj] = np.tensordot(window, dz, axes=([0, 1, 2], [0, 1, 2]))
         np.add.reduce(dz, axis=(0, 1, 2), out=gbs[0])

@@ -8,6 +8,7 @@ batch splitting in the active-learning loop.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,9 @@ N_ORIENTATIONS = 4
 # extraction (the kept epoch's pass writes losses.csv). OpenBLAS rounds a product
 # by its row count: the default model's (.x64)(64x4) layer done in pieces under
 # 4,096 rows differs in the last bits from one 8,192-row product. So these chunks
-# are part of the output and must not change.
+# are part of the output and must not change. Inside a chunk, the forward pass runs
+# the hidden layers in 512-row pieces only where that keeps every bit (see
+# learner._PIECE_ROWS), and the output product always takes the whole chunk.
 _EVAL_CHUNK = 8192
 
 # Images per step of the in-place quarter turn: the one temporary of the rotation pass.
@@ -182,22 +185,25 @@ def read_loss_records(path) -> list[LossRecord]:
             raise
         except ValueError as exc:
             raise LossRecordError(f"{path}: malformed loss record: {exc}") from exc
-    seen: set[int] = set()
-    for rec in records:
-        if not np.isfinite(rec.loss) or rec.loss < 0:
-            raise LossRecordError(f"{path}: invalid loss for sample {rec.sample_id}")
-        if rec.sample_id in seen:
-            raise LossRecordError(f"{path}: repeated sample id {rec.sample_id}")
-        seen.add(rec.sample_id)
+    _check_records(records, path)
     return records
 
 
+def _check_records(records: list[LossRecord], source) -> None:
+    """Raise LossRecordError, naming `source`, unless every loss is finite and >= 0 and no sample id repeats."""
+    seen: set[int] = set()
+    for rec in records:
+        if not (math.isfinite(rec.loss) and rec.loss >= 0):
+            raise LossRecordError(f"{source}: invalid loss for sample {rec.sample_id}")
+        if rec.sample_id in seen:
+            raise LossRecordError(f"{source}: repeated sample id {rec.sample_id}")
+        seen.add(rec.sample_id)
+
+
 def check_records_cover(records: list[LossRecord], pool_ids: list[int]) -> None:
-    """Raise LossRecordError unless `records` hold exactly one entry per pool id."""
-    ids = [r.sample_id for r in records]
-    named, pool = set(ids), set(pool_ids)
-    if len(named) != len(ids):
-        raise LossRecordError("loss records repeat a sample id")
+    """Raise LossRecordError unless `records` hold exactly one valid entry per pool id."""
+    _check_records(records, "loss records")
+    named, pool = {r.sample_id for r in records}, set(pool_ids)
     missing, foreign = pool - named, named - pool
     if missing or foreign:
         raise LossRecordError(

@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -130,6 +134,23 @@ def test_predict_logits_allocates_activations_and_logits_only():
         tracemalloc.stop()
     wanted = m * (32 + 16 + 4) * 8
     # numpy's ufunc buffers add a fixed 64 KiB; a copy of the inputs alone would add 1.6 MB.
+    assert wanted <= peak < wanted + 128 * 1024
+
+
+def test_predict_logits_cuts_a_long_pass_into_pieces():
+    cfg = LearnerConfig(input_shape=(12, 12, 1), n_classes=4, hidden=(128, 64), seed=3)
+    state = learner.init_learner(cfg)
+    m = 5000
+    xs = np.random.default_rng(0).random((m, 12, 12, 1))
+    tracemalloc.start()
+    try:
+        learner.predict_logits(state, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The last hidden layer and the logits on every row, the 128-wide layer for one piece
+    # (its last, rows 4096-4999); the whole pass would hold m * (128 + 64 + 4) * 8 B.
+    wanted = m * (64 + 4) * 8 + (m - 4096) * 128 * 8
     assert wanted <= peak < wanted + 128 * 1024
 
 
@@ -474,6 +495,87 @@ def test_train_and_predict_match_references(case):
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         assert np.array_equal(a, b)
     assert np.array_equal(learner.predict_logits(got, x), reference_logits(got, x))
+
+
+# id -> (LearnerConfig overrides on 12x12x1 inputs, rows, pieces of the forward pass). A piece
+# starts at a multiple of 512 rows, the last one takes the remainder, and a pass is cut only
+# when each dense hidden product of a 512-row piece does more than 10^6 multiply-adds.
+FORWARD_CASES = {
+    "default-1023": (dict(hidden=(128, 64)), 1023, 1),
+    "default-1024": (dict(hidden=(128, 64)), 1024, 2),
+    "default-2047": (dict(hidden=(128, 64)), 2047, 3),
+    "default-relu": (dict(hidden=(128, 64), activation="relu"), 1100, 2),
+    "classes-2": (dict(hidden=(128, 64), n_classes=2), 1536, 3),
+    "classes-3": (dict(hidden=(130, 40), n_classes=3), 1600, 3),
+    "classes-12": (dict(hidden=(128, 64), n_classes=12), 2000, 3),
+    "width-14": (dict(hidden=(14,)), 1537, 3),
+    "width-13": (dict(hidden=(13,)), 1537, 1),
+    "narrow-12-4": (dict(hidden=(130, 12, 4)), 1800, 1),
+    "depth-3": (dict(hidden=(130, 64, 40)), 1800, 3),
+    "no-hidden": (dict(hidden=()), 2047, 1),
+    "conv-c1": (dict(conv=ConvSpec(filters=8, kernel=3), hidden=(64,)), 1300, 2),
+    "conv-c2-only": (dict(input_shape=(10, 10, 2), conv=ConvSpec(filters=4, kernel=3), hidden=()), 1100, 2),
+    "conv-c2-relu": (dict(input_shape=(10, 10, 2), conv=ConvSpec(filters=3, kernel=2), hidden=(70, 40),
+                          activation="relu"), 1700, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD_CASES))
+def test_forward_pieces_match_reference(case):
+    overrides, m, pieces = FORWARD_CASES[case]
+    cfg = LearnerConfig(**{"input_shape": (12, 12, 1), "n_classes": 4, "seed": 5, **overrides})
+    state = learner.init_learner(cfg)
+    x = np.random.default_rng(m).random((m, *cfg.input_shape))
+    starts = [rows.start for rows, _ in learner._Workspace(cfg, m, backward=False).pieces]
+    assert starts == list(range(0, 512 * pieces, 512))
+    assert learner.predict_logits(state, x).tobytes() == reference_logits(state, x).tobytes()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("env", [{"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"},
+                                 {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1"},
+                                 {"OPENBLAS_NUM_THREADS": "2"}], ids=["haswell", "prescott", "two-threads"])
+def test_forward_pieces_match_reference_under_other_blas_kernels(env):
+    """OpenBLAS picks its kernel and thread count when it loads, so each setting gets a fresh process.
+
+    Haswell and Prescott run on one thread: with two, they split a product's rows
+    between the threads by its row count, so even the whole pass changes bits with it.
+    Two threads run on the kernel OpenBLAS picks for this CPU.
+    """
+    node = f"{__file__}::test_forward_pieces_match_reference"
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+                          env={**inherited, **env}, cwd=Path(__file__).parents[1],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"{len(FORWARD_CASES)} passed" in done.stdout
+
+
+@st.composite
+def forward_cases(draw):
+    """(state, rows) for the piecewise forward pass: 0-3 dense layers after an optional conv, 1 to 2,047 rows.
+
+    Half the draws take only widths of 48 or more, and depths and whole pieces are sampled, not
+    drawn as integers (which hypothesis keeps small), so that about a quarter of the passes are cut.
+    """
+    size, c = draw(st.integers(8, 12)), draw(st.integers(1, 2))
+    conv = None
+    if draw(st.booleans()):
+        conv = ConvSpec(filters=draw(st.integers(1, 8)), kernel=draw(st.integers(1, 3)))
+    width = st.integers(48, 130) if draw(st.booleans()) else st.sampled_from([2, 3, 4, 12]) | st.integers(1, 130)
+    cfg = LearnerConfig(input_shape=(size, size, c), n_classes=draw(st.sampled_from([2, 3, 4, 12])), conv=conv,
+                        hidden=tuple(draw(width) for _ in range(draw(st.sampled_from([3, 2, 1, 0])))),
+                        activation=draw(st.sampled_from(["tanh", "relu"])), seed=draw(st.integers(0, 2**16)))
+    m = max(1, 512 * draw(st.sampled_from([3, 2, 1, 0])) + draw(st.integers(0, 511)))
+    x = np.random.default_rng(draw(st.integers(0, 2**16))).random((m, size, size, c))
+    return learner.init_learner(cfg), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(forward_cases())
+def test_predict_logits_in_pieces_equals_the_whole_pass(case):
+    state, x = case
+    assert learner.predict_logits(state, x).tobytes() == reference_logits(state, x).tobytes()
 
 
 def test_lr_schedule_multi_stage():

@@ -12,7 +12,7 @@ from pt4al import loop
 from pt4al.data import Pool
 from pt4al.learner import LearnerConfig
 from pt4al.loop import ALConfig, DatasetSpec, cold_start_experiment, run_ablation, run_al
-from pt4al.pretext import LossRecord
+from pt4al.pretext import LossRecord, LossRecordError
 from pt4al.sampler import QueryResult, random_sample, uniform_first_sample
 from pt4al.seeds import derive_seed
 
@@ -256,6 +256,16 @@ def test_loss_records_must_cover_pool():
     covering = [LossRecord(sid, 1.0) for sid in train_pool.ids.tolist()]
     with pytest.raises(ValueError, match="repeat"):
         run_al(cfg, loss_records=covering + covering[:1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+def test_loss_records_must_hold_valid_losses(bad):
+    cfg = tiny_config()
+    train_pool, _ = loop.build_dataset(cfg.dataset, cfg.seed)
+    records = [LossRecord(sid, 1.0) for sid in train_pool.ids.tolist()]
+    records[1] = LossRecord(records[1].sample_id, bad)
+    with pytest.raises(LossRecordError, match=f"invalid loss for sample {records[1].sample_id}"):
+        run_al(cfg, loss_records=records)
 
 
 def test_histogram_entropy_emitted_on_imbalanced_runs():
