@@ -3,8 +3,9 @@
 Subcommands: pretext, plan, run, coldstart, correlate, ablate. Each takes
 a JSON config file (see README for the schema), writes its outputs plus a
 JSON manifest into the output directory, and returns 0 on success, 1 on
-validation errors (config, flags, or a loss-record file that breaks its
-contract with the pool), and 2 on runtime failures. Identical config and seed
+validation errors (config, flags, a loss-record file that breaks its
+contract with the pool, or a `correlate` model whose test losses are all
+equal), and 2 on runtime failures. Identical config and seed
 reproduce byte-identical output files; no command mutates its inputs.
 """
 from __future__ import annotations
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pt4al {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("config", help="JSON config file")
         p.add_argument("--output-dir", default=None, help="override output_dir from the config")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
@@ -223,28 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None, help="override the per-iteration budget K")
         return p
 
-    common(sub.add_parser("pretext", help="train the rotation model and write losses.csv"))
-    p = common(sub.add_parser("plan", help="split loss records into batches"))
+    common(sub.add_parser("pretext", help="train the rotation model and write losses.csv"), cmd_pretext)
+    p = common(sub.add_parser("plan", help="split loss records into batches"), cmd_plan)
     p.add_argument("--losses", default=None, help="loss-record CSV (default: <output_dir>/losses.csv)")
-    p = common(sub.add_parser("run", help="run the active-learning loop"))
+    p = common(sub.add_parser("run", help="run the active-learning loop"), cmd_run)
     p.add_argument("--losses", default=None, help="loss-record CSV (default: <output_dir>/losses.csv)")
-    p = common(sub.add_parser("coldstart", help="first-iteration comparison over seeds"))
+    p = common(sub.add_parser("coldstart", help="first-iteration comparison over seeds"), cmd_coldstart)
     p.add_argument("--seeds", required=True, help="comma-separated seed list, e.g. 1,2,3")
-    p = common(sub.add_parser("correlate", help="pretext/main loss rank correlation"))
+    p = common(sub.add_parser("correlate", help="pretext/main loss rank correlation"), cmd_correlate)
     p.add_argument("--pretext-checkpoint", default=None, help="reuse a trained pretext checkpoint")
-    p = common(sub.add_parser("ablate", help="run a component-ablation variant"))
+    p = common(sub.add_parser("ablate", help="run a component-ablation variant"), cmd_ablate)
     p.add_argument("--variant", required=True, help=f"one of {sorted(loop.ABLATION_VARIANTS)}")
     return parser
-
-
-_COMMANDS = {
-    "pretext": cmd_pretext,
-    "plan": cmd_plan,
-    "run": cmd_run,
-    "coldstart": cmd_coldstart,
-    "correlate": cmd_correlate,
-    "ablate": cmd_ablate,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -255,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         # paths and one writer per output file. Nothing is written unless all of that succeeded.
         # Explicit checks catch every non-finite result, so numpy's warnings would only repeat them.
         with np.errstate(all="ignore"):
-            manifest, inputs, files = _COMMANDS[args.command](config, out_dir, args)
+            manifest, inputs, files = args.handler(config, out_dir, args)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, write in files:
             write(out_dir / name)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner, pretext
+from .config import ConfigError
 from .data import Pool, write_csv
 from .learner import LearnerState
 
@@ -78,12 +79,19 @@ def correlation_report(
 
     Both losses are computed on the same evaluation pool, which must be
     labeled. rho uses the full pool; the scatter is a seeded subsample of
-    at most `scatter_cap` normalized-rank pairs for plotting.
+    at most `scatter_cap` normalized-rank pairs for plotting. If either
+    model gives every sample the same loss, rho is undefined: that raises
+    ConfigError naming the model and its `learning_rate` and `init_scale`.
     """
     if eval_pool.y is None:
         raise ValueError("correlation report requires a labeled evaluation pool")
     pretext_losses = np.array([r.loss for r in pretext.extract_losses(pretext_model, eval_pool)])
     main_losses = learner.per_sample_losses(main_model, eval_pool.x, eval_pool.y)
+    for role, model, losses in (("pretext", pretext_model, pretext_losses), ("main", main_model, main_losses)):
+        if len(losses) > 1 and np.all(losses == losses[0]):
+            raise ConfigError(f"the {role} losses of all {len(losses)} test samples are equal, so their rank "
+                              f"correlation is undefined ({role} learning_rate {model.config.learning_rate}, "
+                              f"init_scale {model.config.init_scale})")
     rho = spearman_rho(pretext_losses, main_losses)
 
     p_ranks = normalized_rank(pretext_losses)

@@ -321,14 +321,11 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
     return loss
 
 
-def _logits(state: LearnerState, xb: np.ndarray) -> np.ndarray:
-    """Logits of a canonical batch, with forward-only buffers of its own."""
-    cfg = state.config
-    return _forward(cfg, state.weights, state.biases, xb.reshape(len(xb), -1), _Workspace(cfg, len(xb), backward=False))
-
-
 def predict_logits(state: LearnerState, xs) -> np.ndarray:
-    return _logits(state, as_batch(state.config, xs))
+    """Logits of a batch, with forward-only buffers of its own."""
+    cfg = state.config
+    xb = as_batch(cfg, xs)
+    return _forward(cfg, state.weights, state.biases, xb.reshape(len(xb), -1), _Workspace(cfg, len(xb), backward=False))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -361,7 +358,7 @@ def per_sample_losses(state: LearnerState, xs, ys) -> np.ndarray:
     """Vectorized -log p_y per row, computed with the stable log-sum-exp form."""
     xb = as_batch(state.config, xs)
     yb = _as_labels(state.config, ys, len(xb))
-    logits = _logits(state, xb)
+    logits = predict_logits(state, xb)
     return logsumexp(logits) - logits[np.arange(len(xb)), yb]
 
 
@@ -414,6 +411,13 @@ def _drops(config: LearnerConfig, epoch: int) -> int:
 def lr_at(config: LearnerConfig, epoch: int) -> float:
     """Multi-stage schedule: decay by decay_factor at each milestone fraction."""
     return config.learning_rate * config.decay_factor ** _drops(config, epoch)
+
+
+def check_converged(config: LearnerConfig, role: str, what: str, arrays) -> None:
+    """Raise RuntimeError naming `what` and the knobs that drive divergence unless every array is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise RuntimeError(f"{role} learning rate diverged: {what} (learning_rate {config.learning_rate}, "
+                           f"decay_factor {config.decay_factor}, init_scale {config.init_scale})")
 
 
 def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -173,7 +173,7 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
             if counts is None:
                 counts = imbalance_ramp(master.n_classes, spec.imbalance_factor)
             master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # a huge factor overflows the ramp's counts
             raise ConfigError(f"dataset.{key}: {exc}") from exc
     train, test = split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
     if len(train) == 0 or len(test) == 0:
@@ -199,11 +199,8 @@ def train_main(config: ALConfig, labeled: Pool, n_classes: int, seed: int) -> Le
     """
     cfg = replace(config.main, input_shape=labeled.x.shape[1:], n_classes=n_classes, seed=seed)
     trained, trace = learner.train(learner.init_learner(cfg), labeled.x, labeled.y)
-    if not all(np.isfinite(a).all() for a in (np.asarray(trace), *trained.weights, *trained.biases)):
-        raise RuntimeError(f"main learning rate diverged: non-finite epoch loss or final weights "
-                           f"(epoch losses {trace[0]:.4g} ... {trace[-1]:.4g} over {len(trace)} epochs; "
-                           f"learning_rate {cfg.learning_rate}, decay_factor {cfg.decay_factor}, "
-                           f"init_scale {cfg.init_scale})")
+    learner.check_converged(cfg, "main", f"non-finite epoch loss or final weights, epoch losses {trace[0]:.4g} ... "
+                            f"{trace[-1]:.4g} over {len(trace)} epochs", (trace, *trained.weights, *trained.biases))
     return trained
 
 
@@ -237,7 +234,7 @@ def _prepare(config: ALConfig) -> tuple[Pool, Pool, Pool, int]:
 
 
 def _find(ids: np.ndarray, wanted) -> np.ndarray:
-    """Positions of the `wanted` ids among the ascending `ids` of the rows not yet picked."""
+    """Positions of the `wanted` ids among the ascending `ids`, such as those of the rows not yet picked."""
     wanted = np.asarray(wanted, dtype=np.int64)
     pos = np.minimum(np.searchsorted(ids, wanted), len(ids) - 1)
     missing = ids[pos] != wanted
@@ -386,7 +383,7 @@ def cold_start_experiment(config: ALConfig, seeds: list[int]) -> ColdStartSummar
     pt4al_query = uniform_first_sample(plan.batches[0], config.budget)
 
     def first_iteration_accuracy(selected: list[int], train_seed: int) -> float:
-        labeled = train_pool.take(np.searchsorted(train_pool.ids, selected))
+        labeled = train_pool.take(_find(train_pool.ids, selected))
         model = train_main(config, labeled, n_classes, train_seed)
         return learner.accuracy(model, test_pool.x, test_pool.y)
 

@@ -136,10 +136,8 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
 
     _, trace = learner.train(learner.init_learner(config), _rotation_writer(x),
                              np.tile(np.arange(N_ORIENTATIONS), len(x)), group=N_ORIENTATIONS, on_epoch=keep_best)
-    if not all(np.isfinite(a).all() for a in (*best_state.weights, *best_state.biases, best_losses)):
-        raise RuntimeError(f"pretext learning rate diverged: kept epoch {best_epoch} has non-finite weights or losses "
-                           f"(learning_rate {config.learning_rate}, decay_factor {config.decay_factor}, "
-                           f"init_scale {config.init_scale})")
+    learner.check_converged(config, "pretext", f"kept epoch {best_epoch} has non-finite weights or losses",
+                            (*best_state.weights, *best_state.biases, best_losses))
     records = [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), best_losses.tolist())]
     return best_state, PretextReport(best_epoch, len(trace), best_hits / (N_ORIENTATIONS * len(x)), records)
 

@@ -10,7 +10,7 @@ Ties are broken by ascending sample id everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +38,12 @@ class QueryResult:
 
     iteration: int
     selected: list[int]
-    scores: list[float] = field(default_factory=list)
+    scores: list[float]
 
     def __post_init__(self):
         if len(set(self.selected)) != len(self.selected):
             raise ValueError("duplicate ids in query result")
-        if self.scores and len(self.scores) != len(self.selected):
+        if len(self.scores) != len(self.selected):
             raise ValueError("scores must align with selected ids")
 
 
@@ -122,7 +122,7 @@ def write_batch_plan(path, plan: BatchPlan) -> None:
 
 
 def write_query_results(path, queries: list[QueryResult]) -> None:
-    """CSV export `iteration,sample_id,score` across all iterations; missing scores are 0."""
+    """CSV export `iteration,sample_id,score` across all iterations."""
     write_csv(path, ["iteration", "sample_id", "score"],
               [(q.iteration, sid, score) for q in queries
-               for sid, score in zip(q.selected, q.scores or [0.0] * len(q.selected))])
+               for sid, score in zip(q.selected, q.scores)])

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import pt4al
-from pt4al import learner, loop, pretext
-from pt4al.cli import load_config, main
+from pt4al import cli, learner, loop, pretext
+from pt4al.cli import build_parser, load_config, main
 from pt4al.config import ConfigError
 from pt4al.data import Pool, gen_synthetic, write_idx
 from pt4al.learner import LearnerConfig
@@ -272,6 +272,7 @@ IMBALANCE_MISFITS = {
     "counts-too-few": ({"imbalance_counts": [5, 5]}, "imbalance_counts"),
     "counts-too-many": ({"imbalance_counts": [50, 5, 5]}, "imbalance_counts"),
     "factor-too-large": ({"imbalance_factor": 0.5}, "imbalance_factor"),
+    "factor-overflows": ({"imbalance_factor": 1e306}, "imbalance_factor"),
     "idx-counts-too-many": ({"kind": "idx", "imbalance_counts": [50, 5, 5]}, "imbalance_counts"),
 }
 
@@ -537,6 +538,40 @@ def test_diverged_main_model_exits_2_without_outputs(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_both_divergence_messages_come_from_check_converged(tmp_path, monkeypatch, capsys):
+    raised, check = [], learner.check_converged
+
+    def recording(*args):
+        try:
+            check(*args)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(learner, "check_converged", recording)
+    for command, section in (("pretext", "pretext"), ("run", "main")):
+        cfg = write_config(tmp_path, dataset={"n_per_class": 20}, al={"strategy": "random", "iterations": 2},
+                           **{section: {"init_scale": 1e308, "decay_factor": 0.5}})
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"pt4al {command}: {raised[-1]}\n"
+        assert raised[-1].startswith(f"{section} learning rate diverged: ")
+        assert raised[-1].endswith("(learning_rate 0.3, decay_factor 0.5, init_scale 1e+308)")
+        assert not (tmp_path / "out").exists()
+    assert len(raised) == 2
+
+
+@pytest.mark.parametrize("section", ["pretext", "main"])
+def test_correlate_with_constant_losses_exits_1_naming_the_model(tmp_path, capsys, section):
+    # An all-zero model that never moves gives every test sample the same loss: rho is undefined.
+    cfg = write_config(tmp_path, dataset={"n_per_class": 20}, **{section: {
+        "hidden": [8], "epochs": 2, "learning_rate": 0.0, "init_scale": 0.0, "decay_milestones": []}})
+    assert main(["correlate", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"the {section} losses of all 12 test samples are equal" in err
+    assert f"({section} learning_rate 0.0, init_scale 0.0)" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_diverged_run_prints_only_its_error_line(tmp_path, capsys):
     # Weights this large overflow numpy's matmul; the run reports the divergence once,
     # with no numpy warning before it (the test suite turns any warning into an error).
@@ -682,6 +717,13 @@ def test_no_module_reads_another_modules_private_names():
 
 WRITE_PATH = [["pretext"], ["plan"], ["run"], ["coldstart", "--seeds", "1,2"], ["correlate"],
               ["ablate", "--variant", "sampling-only"]]
+
+
+@pytest.mark.parametrize("command", WRITE_PATH, ids=[c[0] for c in WRITE_PATH])
+def test_each_subcommand_resolves_to_its_handler_through_the_parser(command):
+    args = build_parser().parse_args([command[0], "config.json", *command[1:]])
+    assert args.command == command[0]
+    assert args.handler is getattr(cli, f"cmd_{command[0]}")
 
 
 def test_each_command_adds_exactly_its_manifest_and_listed_outputs(tmp_path):

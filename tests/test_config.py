@@ -2,19 +2,23 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pt4al.cli import _config_echo, load_config
+from pt4al.cli import _config_echo, load_config, main
 from pt4al.config import ConfigError, from_dict
 from pt4al.learner import ConvSpec, LearnerConfig
-from pt4al.loop import ALConfig, DatasetSpec
+from pt4al.loop import ABLATION_VARIANTS, ALConfig, DatasetSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -110,3 +114,92 @@ def test_readme_schema_matches_the_default_echo():
     assert documented.pop("output_dir") is None
     echo = without_derived(_config_echo(ALConfig()))
     assert documented == json.loads(json.dumps(echo))
+
+
+# The largest value drawn for each integer field (and integer list element), so that no
+# draw allocates much: every integer field with a range needs an entry here.
+INT_CAPS = {"classes": 4, "n_per_class": 30, "size": 12, "hidden": 8, "filters": 4, "kernel": 12, "epochs": 3,
+            "batch_size": 10**12, "iterations": 3, "budget": 10, "imbalance_counts": 30}
+
+# Floats tried at every float field whose range holds them: zero, subnormals, and up to 1e308.
+WILD_FLOATS = [0.0, 5e-324, 1e-310, 1e-300, 1e-8, 0.5, 1.0, 10.0, 1e100, 1e308]
+
+# An idx dataset needs files, which the fuzz does not write; `kind` stays synthetic.
+FIXED = {"kind": st.just("synthetic")}
+
+
+def within_values(name: str, hint, within):
+    """Hypothesis strategy for the JSON values of one declared field, inside its declared range."""
+    if name in FIXED:
+        return FIXED[name]
+    if type(None) in get_args(hint):
+        inner = bare(hint)
+        if inner is str and within is None:  # a free string is a file path: it stays unset
+            return st.none()
+        # Set one time in four, so that most draws get past the dataset's imbalance checks.
+        return st.integers(0, 3).flatmap(lambda i: within_values(name, inner, within) if i == 0 else st.none())
+    if get_origin(hint) is tuple:
+        return st.lists(within_values(name, get_args(hint)[0], within), max_size=4)
+    if is_dataclass(hint):
+        return section_values(hint)
+    if isinstance(within, tuple):
+        return st.sampled_from(within)
+    if within is None:
+        return st.integers(-2**70, 2**70)  # the seed
+    lo, hi = (float(b) for b in within[1:-1].split(","))
+    low_open, high_open = within[0] == "(", within[-1] == ")"
+    if hint is int:
+        return st.integers(int(lo) + low_open, int(min(hi, INT_CAPS[name])))
+    inside = [v for v in WILD_FLOATS if (lo < v if low_open else lo <= v) and (v < hi if high_open else v <= hi)]
+    top = min(hi, 1e308)
+    return st.sampled_from(inside) | st.floats(lo, top, exclude_min=low_open, exclude_max=high_open and top == hi)
+
+
+def section_values(cls):
+    """Strategy for one config section: a value for every field of `cls` that is not derived."""
+    hints = get_type_hints(cls)
+    return st.fixed_dictionaries({f.name: within_values(f.name, hints[f.name], f.metadata.get("within"))
+                                  for f in fields(cls) if not f.metadata.get("derived")})
+
+
+def config_files():
+    """Strategy for whole config files: the "al" section, then the top-level keys derived in ALConfig."""
+    hints = get_type_hints(ALConfig)
+    top = {f.name: within_values(f.name, hints[f.name], f.metadata.get("within"))
+           for f in fields(ALConfig) if f.metadata.get("derived")}
+    return st.fixed_dictionaries({"al": section_values(ALConfig), **top})
+
+
+FUZZ_COMMANDS = [["pretext"], ["plan"], ["run"], ["coldstart", "--seeds", "1,2"], ["correlate"]]
+
+
+def files_in(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_files(), st.sampled_from(sorted(ABLATION_VARIANTS)))
+def test_every_command_on_declared_values_exits_cleanly(raw, variant):
+    """Every command on a config drawn from the declarations: exit 0, exit 1, or exit 2 for a divergence.
+
+    Exit 1 and exit 2 leave the output directory as it was; exit 0 adds exactly
+    the command's manifest and the files that manifest lists.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**raw, "output_dir": str(out)}))
+        for command in [*FUZZ_COMMANDS, ["ablate", "--variant", variant]]:
+            before, err = files_in(out), io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:]])
+            after = files_in(out)
+            assert code in (0, 1) or (code == 2 and "diverged" in err.getvalue()), (command, code, err.getvalue())
+            if code:
+                assert after == before, command
+                continue
+            added = set(after) - set(before)
+            manifests = [name for name in added if name.endswith("_manifest.json")]
+            assert len(manifests) == 1, (command, added)
+            listed = {Path(p).name for p in json.loads(after[manifests[0]])["outputs"]}
+            assert added == {manifests[0], *listed}, command

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pt4al import learner
+from pt4al.config import ConfigError
 from pt4al.data import gen_synthetic, split_train_test
 from pt4al.diagnostics import (
     average_ranks,
@@ -150,6 +151,19 @@ def test_correlation_report_requires_labels():
     pstate, mstate, test = _small_models_and_pool(seed=5)
     with pytest.raises(ValueError):
         correlation_report(pstate, mstate, test.unlabeled())
+
+
+@pytest.mark.parametrize("side", ["pretext", "main"])
+def test_correlation_report_rejects_constant_losses_naming_the_model(side):
+    # An all-zero network predicts the uniform distribution, so every sample has the same loss.
+    pstate, mstate, test = _small_models_and_pool(seed=5)
+    models = {"pretext": pstate, "main": mstate}
+    cfg = models[side].config
+    models[side] = learner.init_learner(replace(cfg, init_scale=0.0))
+    with pytest.raises(ConfigError) as exc:
+        correlation_report(models["pretext"], models["main"], test)
+    assert str(exc.value) == (f"the {side} losses of all {len(test)} test samples are equal, so their rank "
+                              f"correlation is undefined ({side} learning_rate {cfg.learning_rate}, init_scale 0.0)")
 
 
 def test_scatter_capped_and_seeded():

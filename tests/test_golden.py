@@ -19,11 +19,15 @@ A change that alters an output byte on purpose re-records the affected
 rows and says why in CHANGES.md.
 
 The digests are tied to float64 arithmetic on numpy 2.4.6 with OpenBLAS
-0.3.31. Another numpy or BLAS build may round matrix products differently,
-and then the table has to be re-recorded on that build.
+0.3.31 and its SkylakeX kernel. Another numpy or BLAS build, or another
+kernel (OpenBLAS picks one for the CPU), may round matrix products
+differently, and then the table has to be re-recorded on that build. So
+every digest failure names the kernel the digests were recorded on and the
+kernel of the run.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -41,6 +45,20 @@ from pt4al.data import gen_synthetic
 from pt4al.learner import ConvSpec, LearnerConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def blas_core() -> str:
+    """Name of the OpenBLAS kernel numpy's bundled library runs on this CPU, or "unknown"."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+KERNEL = f"digests recorded on the SkylakeX OpenBLAS kernel; this run uses {blas_core()}"
 
 OUTPUTS = ("losses.csv", "plan.csv", "reports.csv", "queries.csv", "pretext_checkpoint.json")
 
@@ -441,8 +459,8 @@ def test_cli_outputs_match_golden_digests(tmp_path, case):
     path = write_case_config(tmp_path, CASES[case])
     for command in ("pretext", "plan", "run"):
         assert main([command, str(path)]) == 0
-    assert output_digests(tmp_path / "out") == GOLDEN_RUNS[case]
-    assert manifest_digests(tmp_path / "out", tmp_path) == GOLDEN_MANIFESTS[case]
+    assert output_digests(tmp_path / "out") == GOLDEN_RUNS[case], KERNEL
+    assert manifest_digests(tmp_path / "out", tmp_path) == GOLDEN_MANIFESTS[case], KERNEL
 
 
 @pytest.mark.parametrize("case", sorted(COMMAND_CASES))
@@ -454,8 +472,8 @@ def test_command_outputs_match_golden_digests(tmp_path, case):
     out = tmp_path / "out"
     for command, *flags in commands:
         assert main([command, str(path), *(f.format(out=out) for f in flags)]) == 0
-    assert output_digests(out, outputs) == GOLDEN_COMMANDS[case]
-    assert manifest_digests(out, tmp_path) == GOLDEN_MANIFESTS[case]
+    assert output_digests(out, outputs) == GOLDEN_COMMANDS[case], KERNEL
+    assert manifest_digests(out, tmp_path) == GOLDEN_MANIFESTS[case], KERNEL
 
 
 def train_digest(state: learner.LearnerState, trace: list[float]) -> str:
@@ -476,13 +494,13 @@ def train_case(name: str):
 
 @pytest.mark.parametrize("name", sorted(TRAIN_CASES))
 def test_train_matches_golden_digests(name):
-    assert train_digest(*train_case(name)) == GOLDEN_TRAIN[name]
+    assert train_digest(*train_case(name)) == GOLDEN_TRAIN[name], KERNEL
 
 
 @pytest.mark.parametrize("classes, noise", sorted(GOLDEN_CORPUS))
 def test_synthetic_corpus_matches_golden_digests(classes, noise):
     pool = gen_synthetic(60, classes, 12, noise, seed=5)
-    assert (array_digest(pool.x), array_digest(pool.y)) == GOLDEN_CORPUS[(classes, noise)]
+    assert (array_digest(pool.x), array_digest(pool.y)) == GOLDEN_CORPUS[(classes, noise)], KERNEL
 
 
 def test_outputs_independent_of_blas_thread_count(tmp_path):
@@ -497,4 +515,4 @@ def test_outputs_independent_of_blas_thread_count(tmp_path):
             subprocess.run([sys.executable, "-m", "pt4al.cli", command, str(path)],
                            env=env, check=True, capture_output=True, timeout=120)
         digests.append(output_digests(case_dir / "out"))
-    assert digests[0] == digests[1]
+    assert digests[0] == digests[1], KERNEL

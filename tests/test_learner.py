@@ -318,6 +318,16 @@ def test_train_reaches_high_accuracy_on_separable_toy():
     assert np.mean(trace[-third:]) <= np.mean(trace[:third])
 
 
+def test_check_converged_passes_finite_arrays_and_names_the_knobs_otherwise():
+    cfg = small_config(learning_rate=0.5, decay_factor=0.25, init_scale=2.0)
+    learner.check_converged(cfg, "main", "unused", [np.ones(3), [1.0, 2.0]])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(RuntimeError) as exc:
+            learner.check_converged(cfg, "main", "epoch 2 is not finite", [np.ones(3), [1.0, bad]])
+        assert str(exc.value) == ("main learning rate diverged: epoch 2 is not finite "
+                                  "(learning_rate 0.5, decay_factor 0.25, init_scale 2.0)")
+
+
 def test_train_zero_learning_rate_keeps_state():
     x, y = separable_toy()
     cfg = LearnerConfig(input_shape=(2,), n_classes=2, hidden=(4,),

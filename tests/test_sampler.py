@@ -334,9 +334,16 @@ def test_selection_rejects_bad_k():
 
 def test_query_result_validates():
     with pytest.raises(ValueError):
-        QueryResult(1, [3, 3])
+        QueryResult(1, [3, 3], [0.0, 0.0])
     with pytest.raises(ValueError):
         QueryResult(1, [1, 2], [0.5])
+
+
+def test_query_result_needs_one_score_per_selected_id():
+    with pytest.raises(ValueError, match="scores must align"):
+        QueryResult(1, [1], [])
+    with pytest.raises(TypeError):
+        QueryResult(1, [1])
 
 
 def test_query_csv_export(tmp_path):
