@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands: pretext, plan, run, coldstart, correlate, ablate. Each takes
-a JSON config file (see README for the schema), writes its outputs plus a
-JSON manifest into the output directory, and returns 0 on success, 1 on
-validation errors (config, flags, a loss-record file that breaks its
-contract with the pool, or a `correlate` model whose test losses are all
-equal), and 2 on runtime failures. Identical config and seed
-reproduce byte-identical output files; no command mutates its inputs.
+Subcommands: pretext, plan, run, coldstart, correlate, ablate. Each takes a JSON
+config file (see README for the schema), writes its outputs plus a JSON manifest
+into the output directory, and returns 0 on success, 2 on runtime failures, and 1
+on validation errors, each a `ConfigError`: config, flags, an IDX dataset file or
+pretext checkpoint that cannot be read or parsed, a loss-record file that breaks
+its contract with the pool, or a `correlate` model whose test losses are all equal.
+Identical config and seed reproduce byte-identical output files; no command mutates its inputs.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> tuple[ALConfig, Pat
         raise ConfigError(f"config file not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the last: nesting too deep to decode
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -173,12 +173,7 @@ def cmd_correlate(config: ALConfig, out_dir: Path, args):
     inputs: list[Path] = []
     if args.pretext_checkpoint:
         ckpt = Path(args.pretext_checkpoint)
-        if not ckpt.is_file():
-            raise ConfigError(f"pretext checkpoint not found: {ckpt}")
-        try:
-            pretext_state = learner.load_checkpoint(ckpt)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        pretext_state = learner.load_checkpoint(ckpt)
         try:
             pretext.check_model(pretext_state.config, train_pool.x.shape[1:])
         except ConfigError as exc:
@@ -253,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
             write(out_dir / name)
         write_manifest(out_dir / manifest, args.command, config, inputs, [out_dir / name for name, _ in files])
         return 0
-    except (ConfigError, pretext.LossRecordError) as exc:
+    except ConfigError as exc:
         print(f"pt4al {args.command}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: report, do not traceback

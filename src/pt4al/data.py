@@ -9,11 +9,14 @@ compacts the rows not yet picked to the front of its train pool
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .config import ConfigError
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -96,32 +99,35 @@ def write_csv(path, header, rows) -> None:
 
 def _read_exact(data: bytes, offset: int, count: int, path) -> bytes:
     if offset + count > len(data):
-        raise ValueError(f"{path}: truncated IDX file")
+        raise ConfigError(f"{path}: truncated IDX file")
     return data[offset:offset + count]
 
 
 def load_idx(images_path, labels_path) -> Pool:
     """Decode an IDX image/label file pair into a labeled pool.
 
-    Pixel bytes are scaled by 1/255; decoding is bit-exact and validated
-    against the standard magic numbers.
+    Pixel bytes are scaled by 1/255; decoding is bit-exact. An unreadable file and every
+    format fault raise ConfigError naming the file, or both files for a count mismatch.
     """
-    images_path, labels_path = Path(images_path), Path(labels_path)
-    img_data = images_path.read_bytes()
-    lab_data = labels_path.read_bytes()
+    try:
+        img_data, lab_data = Path(images_path).read_bytes(), Path(labels_path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename}: cannot read dataset file: {exc.strerror}") from exc
 
     magic, = struct.unpack(">I", _read_exact(img_data, 0, 4, images_path))
     if magic != IMAGE_MAGIC:
-        raise ValueError(f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
+        raise ConfigError(f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IMAGE_MAGIC:08x}")
     n, rows, cols = struct.unpack(">III", _read_exact(img_data, 4, 12, images_path))
+    if n and not rows * cols:
+        raise ConfigError(f"{images_path}: {n} images of {rows}x{cols} pixels hold no pixels")
     payload = _read_exact(img_data, 16, n * rows * cols, images_path)
 
     lmagic, = struct.unpack(">I", _read_exact(lab_data, 0, 4, labels_path))
     if lmagic != LABEL_MAGIC:
-        raise ValueError(f"{labels_path}: bad label magic 0x{lmagic:08x}, expected 0x{LABEL_MAGIC:08x}")
+        raise ConfigError(f"{labels_path}: bad label magic 0x{lmagic:08x}, expected 0x{LABEL_MAGIC:08x}")
     ln, = struct.unpack(">I", _read_exact(lab_data, 4, 4, labels_path))
     if ln != n:
-        raise ValueError(f"count mismatch: {n} images vs {ln} labels")
+        raise ConfigError(f"count mismatch: {images_path} holds {n} images, {labels_path} {ln} labels")
     labels = np.frombuffer(_read_exact(lab_data, 8, ln, labels_path), dtype=np.uint8)
 
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols, 1).astype(np.float64) / 255.0
@@ -311,7 +317,12 @@ def rotate_batch(x: np.ndarray, y: int) -> np.ndarray:
 
 def imbalance_ramp(classes: int, factor: float) -> list[int]:
     """Linear per-class count ramp 500, 1000, ... scaled by `factor`."""
-    counts = [int(round(500 * (c + 1) * factor)) for c in range(classes)]
+    counts = [500 * (c + 1) * factor for c in range(classes)]
+    if not math.isfinite(counts[-1]):
+        c = next(c for c, count in enumerate(counts) if not math.isfinite(count))
+        raise ValueError(f"imbalance factor {factor} is too large: the count of class {c}, "
+                         f"500 x {c + 1} x {factor}, leaves the float range")
+    counts = [int(round(count)) for count in counts]
     if any(c < 1 for c in counts):
         raise ValueError(f"imbalance factor {factor} produces empty classes")
     return counts

@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .config import check_fields, declare, from_dict
+from .config import ConfigError, check_fields, declare, from_dict
 from .seeds import derive_seed
 
 CHECKPOINT_MAGIC = "PT4AL-CKPT"
@@ -59,14 +60,14 @@ class LearnerConfig:
         """Check the declared values, then the input shape, class count, conv fit and schedule range."""
         check_fields(self)
         if not self.input_shape or any(int(d) <= 0 for d in self.input_shape):
-            raise ValueError(f"input_shape must have positive dims, got {self.input_shape!r}")
+            raise ConfigError(f"input_shape must have positive dims, got {self.input_shape!r}")
         if self.n_classes < 2:
-            raise ValueError(f"need at least 2 output classes, got {self.n_classes}")
+            raise ConfigError(f"need at least 2 output classes, got {self.n_classes}")
         if self.conv is not None:
             if len(self.input_shape) != 3:
-                raise ValueError("conv layer requires an (H, W, C) input shape")
+                raise ConfigError("conv layer requires an (H, W, C) input shape")
             if self.conv.kernel > min(self.input_shape[:2]):
-                raise ValueError(f"conv.kernel {self.conv.kernel} does not fit input {self.input_shape}")
+                raise ConfigError(f"conv.kernel {self.conv.kernel} does not fit input {self.input_shape}")
         # Drops only accumulate, so the last epoch's rate is the largest whenever decay_factor > 1.
         # Not through lr_at: traces count its calls as epochs trained.
         try:
@@ -74,8 +75,8 @@ class LearnerConfig:
         except OverflowError:
             peak = math.inf
         if not math.isfinite(peak):
-            raise ValueError(f"decay_factor {self.decay_factor} overflows the learning rate schedule: the rate of "
-                             f"epoch {self.epochs - 1} is not finite (learning_rate {self.learning_rate})")
+            raise ConfigError(f"decay_factor {self.decay_factor} overflows the learning rate schedule: the rate of "
+                              f"epoch {self.epochs - 1} is not finite (learning_rate {self.learning_rate})")
 
     @property
     def input_dim(self) -> int:
@@ -506,11 +507,13 @@ def train(state: LearnerState, x, y, *, group: int = 1, on_epoch=None):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _unpack_array(obj: dict, path) -> np.ndarray:
+def _unpack_array(obj: dict) -> np.ndarray:
     arr = np.asarray(obj["data"], dtype=np.float64)
     shape = tuple(int(d) for d in obj["shape"])
     if arr.size != int(np.prod(shape)):
-        raise ValueError(f"{path}: array data does not match its declared shape {shape}")
+        raise ConfigError(f"array data does not match its declared shape {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError("checkpoint contains non-finite values")
     return arr.reshape(shape)
 
 
@@ -555,26 +558,28 @@ def save_checkpoint(state: LearnerState, path) -> None:
 
 
 def load_checkpoint(path) -> LearnerState:
+    """The state that `save_checkpoint` wrote to `path`; any fault of the file raises ConfigError naming `path`."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: not a learner checkpoint (not UTF-8 JSON: {exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read checkpoint: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # the last: nesting too deep
+        raise ConfigError(f"{path}: not a learner checkpoint (not UTF-8 JSON: {exc})") from exc
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a learner checkpoint (not a JSON object with magic {CHECKPOINT_MAGIC!r})")
+        raise ConfigError(f"{path}: not a learner checkpoint (not a JSON object with magic {CHECKPOINT_MAGIC!r})")
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+        raise ConfigError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     try:
-        config = from_dict(LearnerConfig(), payload["config"], f"{path}: config", allow_derived=True)
-        weights = [_unpack_array(w, path) for w in payload["weights"]]
-        biases = [_unpack_array(b, path) for b in payload["biases"]]
+        config = from_dict(LearnerConfig(), payload["config"], "config", allow_derived=True)
+        weights = [_unpack_array(w) for w in payload["weights"]]
+        biases = [_unpack_array(b) for b in payload["biases"]]
+        config.validate()
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: checkpoint key missing or of the wrong type: {exc!r}") from exc
-    config.validate()
+        raise ConfigError(f"{path}: checkpoint key missing or of the wrong type: {exc!r}") from exc
+    except (ValueError, OverflowError) as exc:  # ConfigError or a value numpy or int() cannot parse
+        raise ConfigError(f"{path}: {exc}") from exc
     expected = param_shapes(config)
-    got = [(w.shape, b.shape) for w, b in zip(weights, biases)]
-    if len(got) != len(expected) or any(g != e for g, e in zip(got, expected)):
-        raise ValueError(f"{path}: weight shapes {got} do not match config {expected}")
-    for arr in (*weights, *biases):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: checkpoint contains non-finite values")
+    got = list(zip_longest([w.shape for w in weights], [b.shape for b in biases]))
+    if got != expected:
+        raise ConfigError(f"{path}: weight shapes {got} do not match config {expected}")
     return LearnerState(config=config, weights=weights, biases=biases)

@@ -162,10 +162,7 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
     if spec.kind == "synthetic":
         master = gen_synthetic(spec.n_per_class, spec.classes, spec.size, spec.noise, derive_seed(seed, "data"))
     else:
-        try:
-            master = load_idx(spec.images, spec.labels)
-        except OSError as exc:
-            raise ConfigError(f"cannot read dataset file: {exc}") from exc
+        master = load_idx(spec.images, spec.labels)
     key = "imbalance_counts" if spec.imbalance_counts is not None else "imbalance_factor"
     if getattr(spec, key) is not None:
         try:
@@ -173,7 +170,7 @@ def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
             if counts is None:
                 counts = imbalance_ramp(master.n_classes, spec.imbalance_factor)
             master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
-        except (ValueError, OverflowError) as exc:  # a huge factor overflows the ramp's counts
+        except ValueError as exc:
             raise ConfigError(f"dataset.{key}: {exc}") from exc
     train, test = split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
     if len(train) == 0 or len(test) == 0:
@@ -211,7 +208,7 @@ def check_learners_fit(config: ALConfig, train_pool: Pool) -> None:
                                  ("main", config.main, train_pool.n_classes)):
         try:
             replace(cfg, input_shape=shape, n_classes=n_classes).validate()
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
 
 

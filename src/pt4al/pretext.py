@@ -163,7 +163,7 @@ def write_loss_records(path, records: list[LossRecord]) -> None:
     write_csv(path, ["sample_id", "pretext_loss"], [(rec.sample_id, rec.loss) for rec in records])
 
 
-class LossRecordError(ValueError):
+class LossRecordError(ConfigError):
     """Loss records that break the contract: one finite, nonnegative loss per pool sample."""
 
 
@@ -172,17 +172,15 @@ def read_loss_records(path) -> list[LossRecord]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header != ["sample_id", "pretext_loss"]:
-                raise LossRecordError(f"{path}: not a loss-record file")
-            # unpacking rejects a row without exactly two fields
-            records = [LossRecord(int(sid), float(loss)) for sid, loss in filter(None, reader)]
+            # None under another header; unpacking rejects a row without exactly two fields
+            records = ([LossRecord(int(sid), float(loss)) for sid, loss in filter(None, reader)]
+                       if next(reader, None) == ["sample_id", "pretext_loss"] else None)
         except UnicodeDecodeError as exc:
             raise LossRecordError(f"{path}: not UTF-8 text: {exc}") from exc
-        except LossRecordError:
-            raise
         except ValueError as exc:
             raise LossRecordError(f"{path}: malformed loss record: {exc}") from exc
+    if records is None:
+        raise LossRecordError(f"{path}: not a loss-record file")
     _check_records(records, path)
     return records
 

@@ -5,7 +5,9 @@ import argparse
 import ast
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +88,59 @@ def test_missing_dataset_path_fails_without_partial_outputs(tmp_path):
     cfg = write_config(tmp_path, dataset={"kind": "idx", "images": str(tmp_path / "nope.idx"),
                                           "labels": str(tmp_path / "nope2.idx")})
     assert main(["pretext", str(cfg)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+# case -> (file to spoil, offset of the big-endian uint32 to overwrite or None to cut the
+# file short, the new value or length). Each used to exit 2.
+IDX_FAULTS = {
+    "truncated": ("images", None, 100),
+    "image-magic": ("images", 0, 0x801),
+    "label-magic": ("labels", 0, 0x803),
+    "count-mismatch": ("labels", 4, 59),
+    "no-pixels": ("images", 8, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDX_FAULTS))
+def test_malformed_idx_file_exits_1_naming_it(tmp_path, monkeypatch, capsys, case):
+    name, offset, value = IDX_FAULTS[case]
+    paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+    write_idx(gen_synthetic(20, 3, 10, 0.0, seed=1), paths["images"], paths["labels"])
+    data = bytearray(paths[name].read_bytes())
+    if offset is None:
+        del data[value:]
+    else:
+        struct.pack_into(">I", data, offset, value)
+    paths[name].write_bytes(bytes(data))
+    cfg = write_config(tmp_path, dataset={"kind": "idx", **{k: str(p) for k, p in paths.items()}},
+                       al={"strategy": "random"})
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    if case == "count-mismatch":
+        assert f"{paths['images']} holds 60 images, {paths['labels']} 59 labels" in err
+    else:
+        assert f"{paths[name]}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_idx_file_exits_1_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, dataset={"kind": "idx", "images": str(tmp_path), "labels": str(tmp_path)})
+    assert main(["pretext", str(cfg)]) == 1
+    assert f"{tmp_path}: cannot read dataset file: Is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_value_error_from_a_code_fault_exits_2(tmp_path, monkeypatch, capsys):
+    # Only ConfigError means exit 1: no handler turns another ValueError into one.
+    def broken(self):
+        raise ValueError("a bug")
+
+    cfg = write_config(tmp_path, al={"strategy": "random"})
+    monkeypatch.setattr(LearnerConfig, "validate", broken)
+    assert main(["run", str(cfg)]) == 2
+    assert "pt4al run: a bug" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -291,6 +346,16 @@ def test_imbalance_that_does_not_fit_the_corpus_exits_1(tmp_path, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("factor, cls", [(1e306, 0), (1.5e305, 2)])
+def test_imbalance_factor_past_the_float_range_names_the_class(tmp_path, monkeypatch, capsys, factor, cls):
+    cfg = write_config(tmp_path, dataset={"n_per_class": 20, "imbalance_factor": factor}, al={"strategy": "random"})
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg)]) == 1
+    assert (f"dataset.imbalance_factor: imbalance factor {factor} is too large: the count of class {cls}, "
+            f"500 x {cls + 1} x {factor}, leaves the float range") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # dataset section -> the split it spoils: each test_fraction leaves one side
 # empty or puts a whole class in the test split only.
 BAD_SPLITS = {
@@ -445,6 +510,56 @@ def test_correlate_rejects_mismatched_checkpoint_before_training(tmp_path, monke
     monkeypatch.setattr(learner, "train", no_training)
     assert main(["correlate", str(cfg), "--pretext-checkpoint", str(ckpt)]) == 1
     assert "pretext checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# case -> (edit of the checkpoint's weight arrays, what the message says). Every case names
+# the file; before, the string cases did not and the extra array exited 2.
+CHECKPOINT_FAULTS = {
+    "string-data": (lambda w: w[0]["data"].__setitem__(0, "abc"), "could not convert string to float: 'abc'"),
+    "string-shape": (lambda w: w[0]["shape"].__setitem__(0, "abc"), "invalid literal for int()"),
+    "data-shape-mismatch": (lambda w: w[0]["data"].pop(), "array data does not match its declared shape (100, 4)"),
+    "nan-token": (lambda w: w[0]["data"].__setitem__(0, math.nan), "checkpoint contains non-finite values"),
+    "extra-array": (lambda w: w.append({"data": [0.0], "shape": [1]}), "weight shapes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_FAULTS))
+def test_unparseable_checkpoint_exits_1_naming_it(tmp_path, monkeypatch, capsys, case):
+    edit, says = CHECKPOINT_FAULTS[case]
+    cfg = write_config(tmp_path)
+    ckpt = tmp_path / "ckpt.json"
+    model = learner.init_learner(LearnerConfig(input_shape=(10, 10, 1), n_classes=4, hidden=(4,)))
+    learner.save_checkpoint(model, ckpt)
+    payload = json.loads(ckpt.read_text())
+    edit(payload["weights"])
+    ckpt.write_text(json.dumps(payload))  # math.nan is written as the token NaN
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["correlate", str(cfg), "--pretext-checkpoint", str(ckpt)]) == 1
+    assert f"{ckpt}: {says}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["missing", "directory"])
+def test_unreadable_checkpoint_exits_1_naming_it(tmp_path, monkeypatch, capsys, case):
+    cfg = write_config(tmp_path)
+    ckpt = tmp_path / "ckpt"
+    if case == "directory":
+        ckpt.mkdir()
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["correlate", str(cfg), "--pretext-checkpoint", str(ckpt)]) == 1
+    reason = "Is a directory" if case == "directory" else "No such file or directory"
+    assert f"{ckpt}: cannot read checkpoint: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_nested_past_the_decoder_limit_exits_1_naming_it(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text("[" * 100_000 + "]" * 100_000)
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["correlate", str(cfg), "--pretext-checkpoint", str(ckpt)]) == 1
+    assert f"{ckpt}: not a learner checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -643,6 +758,13 @@ def test_unreadable_config_is_validation_error(tmp_path, capsys, case):
         cfg.write_bytes(b'{"output_dir": "\xff"}')
     assert main(["run", str(cfg)]) == 1
     assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
+
+def test_config_nested_past_the_decoder_limit_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"al": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["run", str(cfg)]) == 1
+    assert f"config file {cfg} is not valid JSON" in capsys.readouterr().err
 
 
 def test_plan_rejects_losses_that_are_not_utf8(tmp_path, capsys):

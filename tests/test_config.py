@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import struct
 import tempfile
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from pt4al.cli import _config_echo, load_config, main
 from pt4al.config import ConfigError, from_dict
+from pt4al.data import gen_synthetic, write_idx
 from pt4al.learner import ConvSpec, LearnerConfig
 from pt4al.loop import ABLATION_VARIANTS, ALConfig, DatasetSpec
 
@@ -203,3 +205,53 @@ def test_every_command_on_declared_values_exits_cleanly(raw, variant):
             assert len(manifests) == 1, (command, added)
             listed = {Path(p).name for p in json.loads(after[manifests[0]])["outputs"]}
             assert added == {manifests[0], *listed}, command
+
+
+# Faults written into the IDX pair of the idx fuzz: (file, offset of the big-endian uint32 to
+# overwrite with the drawn value: the magic number, the count or an image side; or None to cut
+# the file to the drawn length).
+IDX_FAULTS = [(name, offset) for name, offsets in (("images", (None, 0, 4, 8, 12)), ("labels", (None, 0, 4)))
+              for offset in offsets]
+
+
+@st.composite
+def idx_cases(draw):
+    """A config drawn as above with conv kernels near the image side, an IDX fault or None, and a value.
+
+    Half the draws clear the imbalance keys and take a plain test fraction, so that more of
+    them get past the dataset checks to training.
+    """
+    raw = draw(config_files())
+    if draw(st.booleans()):
+        raw["dataset"].update(imbalance_counts=None, imbalance_factor=None, test_fraction=0.25)
+    side = raw["dataset"]["size"]
+    for section in ("pretext", "main"):
+        raw[section]["conv"] = draw(st.none() | st.fixed_dictionaries(
+            {"filters": st.integers(1, 4), "kernel": st.integers(side - 3, side + 1)}))
+    return raw, draw(st.none() | st.sampled_from(IDX_FAULTS)), draw(st.integers(0, 300) | st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(idx_cases(), st.sampled_from(sorted(ABLATION_VARIANTS)))
+def test_every_command_on_a_drawn_idx_pair_exits_cleanly(case, variant):
+    """The property above over an IDX pair written from the drawn synthetic values, sometimes spoiled.
+
+    One uint32 of the pair (a magic number, a count or an image side) takes the drawn
+    value, or one file is cut to the drawn length.
+    """
+    raw, fault, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"images": Path(tmp) / "images.idx", "labels": Path(tmp) / "labels.idx"}
+        dataset = raw["dataset"]
+        write_idx(gen_synthetic(dataset["n_per_class"], dataset["classes"], dataset["size"], dataset["noise"], 0),
+                  paths["images"], paths["labels"])
+        if fault is not None:
+            name, offset = fault
+            data = bytearray(paths[name].read_bytes())
+            if offset is None:
+                del data[value:]
+            else:
+                struct.pack_into(">I", data, offset, value)
+            paths[name].write_bytes(bytes(data))
+        raw["dataset"] = {**dataset, "kind": "idx", **{key: str(path) for key, path in paths.items()}}
+        test_every_command_on_declared_values_exits_cleanly.hypothesis.inner_test(raw, variant)
