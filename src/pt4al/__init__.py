@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .data import Pool, gen_synthetic, load_idx, rotate, split_train_test
+from .data import DatasetSpec, Pool, gen_synthetic, load_idx, rotate, split_train_test
 from .diagnostics import CorrelationReport, correlation_report, normalized_rank, spearman_rho
 from .learner import (
     ConvSpec,
@@ -16,7 +16,6 @@ from .learner import (
 from .loop import (
     ALConfig,
     ColdStartSummary,
-    DatasetSpec,
     IterationReport,
     cold_start_experiment,
     run_ablation,

@@ -1,4 +1,4 @@
-"""Dataset plumbing: IDX ingestion, synthetic corpus, rotations, splits, CSV output.
+"""Dataset plumbing: the spec and its build, IDX ingestion, synthetic corpus, rotations, splits, CSV.
 
 All operations are pure and deterministic per seed and never mutate a
 pool. Two callers do, on pools they own: the pretext rotation pass turns a
@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, check_fields, declare
+from .seeds import derive_seed
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -103,11 +104,18 @@ def _read_exact(data: bytes, offset: int, count: int, path) -> bytes:
     return data[offset:offset + count]
 
 
+def _check_size(data: bytes, header: int, count: int, path) -> None:
+    if len(data) != header + count:
+        fault = "truncated IDX file" if len(data) < header + count else "IDX file longer than its header says"
+        raise ConfigError(f"{path}: {fault}: {len(data)} bytes where its header says {header + count}")
+
+
 def load_idx(images_path, labels_path) -> Pool:
     """Decode an IDX image/label file pair into a labeled pool.
 
-    Pixel bytes are scaled by 1/255; decoding is bit-exact. An unreadable file and every
-    format fault raise ConfigError naming the file, or both files for a count mismatch.
+    Pixel bytes are scaled by 1/255; decoding is bit-exact. Each file must be exactly as long as
+    its header says. An unreadable file and every format fault raise ConfigError naming the
+    file, or both files for a count mismatch.
     """
     try:
         img_data, lab_data = Path(images_path).read_bytes(), Path(labels_path).read_bytes()
@@ -120,7 +128,7 @@ def load_idx(images_path, labels_path) -> Pool:
     n, rows, cols = struct.unpack(">III", _read_exact(img_data, 4, 12, images_path))
     if n and not rows * cols:
         raise ConfigError(f"{images_path}: {n} images of {rows}x{cols} pixels hold no pixels")
-    payload = _read_exact(img_data, 16, n * rows * cols, images_path)
+    _check_size(img_data, 16, n * rows * cols, images_path)
 
     lmagic, = struct.unpack(">I", _read_exact(lab_data, 0, 4, labels_path))
     if lmagic != LABEL_MAGIC:
@@ -128,9 +136,10 @@ def load_idx(images_path, labels_path) -> Pool:
     ln, = struct.unpack(">I", _read_exact(lab_data, 4, 4, labels_path))
     if ln != n:
         raise ConfigError(f"count mismatch: {images_path} holds {n} images, {labels_path} {ln} labels")
-    labels = np.frombuffer(_read_exact(lab_data, 8, ln, labels_path), dtype=np.uint8)
+    _check_size(lab_data, 8, ln, labels_path)
+    labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8)
 
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows, cols, 1).astype(np.float64) / 255.0
+    pixels = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(n, rows, cols, 1).astype(np.float64) / 255.0
     return Pool(np.arange(n), pixels, labels)
 
 
@@ -168,18 +177,6 @@ _JUNK_FRAC = 0.025
 _JUNK_NOISE = 0.08
 
 
-def _check_synthetic(n_per_class: int, classes: int, size: int, noise: float) -> None:
-    """Raise ValueError unless `gen_synthetic` can build a corpus from these values."""
-    if not 2 <= classes <= MAX_CLASSES:
-        raise ValueError(f"classes must be within [2, {MAX_CLASSES}], got {classes}")
-    if size < 10:
-        raise ValueError(f"size must be >= 10, got {size}")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    if noise < 0:
-        raise ValueError("noise level must be >= 0")
-
-
 def _body_masks(classes: int, size: int) -> np.ndarray:
     """Per-class body patterns on the interior (size-6)^2 region, values {0, 1}."""
     m = size - 6
@@ -209,7 +206,7 @@ def class_templates(classes: int, size: int) -> np.ndarray:
     0..1), which pins the orientation for the rotation pretext task, plus
     a class-specific body pattern. The marker guarantees that no rotation
     of any template coincides with any template. `classes` and `size` must
-    pass `_check_synthetic`.
+    be within their `DatasetSpec` declarations.
     """
     bodies = _body_masks(classes, size)
     templates = np.full((classes, size, size, 1), _BACKGROUND)
@@ -244,7 +241,7 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
     model can resolve and which permanently bait uncertainty-style
     samplers. At noise 0 every sample equals its class template exactly.
     """
-    _check_synthetic(n_per_class, classes, size, noise)
+    check_fields(DatasetSpec(n_per_class=n_per_class, classes=classes, size=size, noise=noise))
     templates = class_templates(classes, size)
     bodies = _body_masks(classes, size)
     lo, hi = 3, size - 3
@@ -312,7 +309,7 @@ def rotate_batch(x: np.ndarray, y: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subsets and splits
+# subsets, splits and the dataset build
 # ---------------------------------------------------------------------------
 
 def imbalance_ramp(classes: int, factor: float) -> list[int]:
@@ -330,9 +327,8 @@ def imbalance_ramp(classes: int, factor: float) -> list[int]:
 
 def make_imbalanced(pool: Pool, counts, seed: int) -> Pool:
     """Seeded subsample with exactly `counts[c]` samples of each class c."""
-    if pool.y is None:
-        raise ValueError("imbalanced subsampling requires a fully labeled pool")
-    n_classes = pool.n_classes
+    check_fields(DatasetSpec(imbalance_counts=tuple(counts)))
+    n_classes = pool.n_classes  # raises ValueError for hidden labels
     if len(counts) != n_classes:
         raise ValueError(f"counts has {len(counts)} entries but pool has {n_classes} classes")
     rng = np.random.default_rng(seed)
@@ -340,8 +336,6 @@ def make_imbalanced(pool: Pool, counts, seed: int) -> Pool:
     for c in range(n_classes):
         avail = np.flatnonzero(pool.y == c)
         want = int(counts[c])
-        if want < 0:
-            raise ValueError("counts must be nonnegative")
         if want > len(avail):
             raise ValueError(f"class {c}: requested {want} samples but only {len(avail)} available")
         keep.append(avail[rng.choice(len(avail), size=want, replace=False)])
@@ -350,8 +344,7 @@ def make_imbalanced(pool: Pool, counts, seed: int) -> Pool:
 
 def split_train_test(pool: Pool, test_fraction: float, seed: int) -> tuple[Pool, Pool]:
     """Disjoint, exhaustive, per-class stratified split, deterministic per seed."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction}")
+    check_fields(DatasetSpec(test_fraction=test_fraction))
     if pool.y is None:
         raise ValueError("a stratified split requires labels")
     rng = np.random.default_rng(seed)
@@ -361,3 +354,62 @@ def split_train_test(pool: Pool, test_fraction: float, seed: int) -> tuple[Pool,
         k = int(test_fraction * len(positions) + 0.5)
         is_test[positions[rng.permutation(len(positions))[:k]]] = True
     return pool.take(np.flatnonzero(~is_test)), pool.take(np.flatnonzero(is_test))
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Where the corpus comes from and how it is split.
+
+    Its declared bounds are the only ones: `gen_synthetic`, `make_imbalanced` and
+    `split_train_test` check their arguments against them.
+    """
+
+    kind: str = declare("synthetic", ("synthetic", "idx"))
+    classes: int = declare(4, f"[2, {MAX_CLASSES}]")
+    n_per_class: int = declare(1250, "[1, inf)")
+    size: int = declare(12, "[10, inf)")
+    noise: float = declare(1.0, "[0, inf)")
+    test_fraction: float = declare(0.2, "(0, 1)")
+    images: str | None = None
+    labels: str | None = None
+    imbalance_counts: tuple[int, ...] | None = declare(None, "[0, inf)")
+    imbalance_factor: float | None = declare(None, "(0, inf)")
+
+    def validate(self) -> None:
+        """Check the declared values, then the idx paths and the choice of one imbalance key."""
+        check_fields(self)
+        if self.kind == "idx" and (self.images is None or self.labels is None):
+            raise ConfigError("idx dataset requires both image and label paths")
+        if self.imbalance_counts is not None and self.imbalance_factor is not None:
+            raise ConfigError("set either imbalance_counts or imbalance_factor, not both")
+
+
+def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
+    """Materialize (train pool, test pool) from the dataset spec."""
+    spec.validate()
+    if spec.kind == "synthetic":
+        master = gen_synthetic(spec.n_per_class, spec.classes, spec.size, spec.noise, derive_seed(seed, "data"))
+    else:
+        master = load_idx(spec.images, spec.labels)
+        # minlength 2: a pool of one label misses the second one.
+        missing = np.flatnonzero(np.bincount(master.y, minlength=2) == 0).tolist()
+        if missing:
+            shown = ", ".join(map(str, missing[:5])) + (f", ... ({len(missing)} labels)" if len(missing) > 5 else "")
+            raise ConfigError(f"{spec.labels}: labels must be 0..C-1 for some C >= 2, each present; missing {shown}")
+    key = "imbalance_counts" if spec.imbalance_counts is not None else "imbalance_factor"
+    if getattr(spec, key) is not None:
+        try:
+            counts = spec.imbalance_counts
+            if counts is None:
+                counts = imbalance_ramp(master.n_classes, spec.imbalance_factor)
+            master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
+        except ValueError as exc:
+            raise ConfigError(f"dataset.{key}: {exc}") from exc
+    train, test = split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
+    if len(train) == 0 or len(test) == 0:
+        raise ConfigError(f"dataset.test_fraction {spec.test_fraction} leaves the "
+                          f"{'train' if len(train) == 0 else 'test'} split of {len(master)} samples empty")
+    if test.y.max() >= train.n_classes:
+        raise ConfigError(f"dataset.test_fraction {spec.test_fraction} puts every sample of label "
+                          f"{test.y.max()} in the test split, where the main model cannot predict it")
+    return train, test

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import learner
 from .config import ConfigError, check_fields, declare
-from .data import (MAX_CLASSES, Pool, gen_synthetic, imbalance_ramp, load_idx, make_imbalanced, split_train_test,
-                   write_csv)
+from .data import DatasetSpec, Pool, build_dataset, write_csv
 from .learner import LearnerConfig, LearnerState
 from .pretext import N_ORIENTATIONS, LossRecord, PretextReport, check_records_cover, train_pretext
 from .sampler import (
@@ -60,30 +59,6 @@ PRETEXT_STRATEGIES = tuple(s for s, (order, _, _) in STRATEGY_TABLE.items()
 
 # The component ablations of the full method, named without the prefix.
 ABLATION_VARIANTS = {s.removeprefix("pt4al-"): s for s in STRATEGIES if s.startswith("pt4al-")}
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Where the corpus comes from and how it is split."""
-
-    kind: str = declare("synthetic", ("synthetic", "idx"))
-    classes: int = declare(4, f"[2, {MAX_CLASSES}]")
-    n_per_class: int = declare(1250, "[1, inf)")
-    size: int = declare(12, "[10, inf)")
-    noise: float = declare(1.0, "[0, inf)")
-    test_fraction: float = declare(0.2, "(0, 1)")
-    images: str | None = None
-    labels: str | None = None
-    imbalance_counts: tuple[int, ...] | None = declare(None, "[0, inf)")
-    imbalance_factor: float | None = declare(None, "(0, inf)")
-
-    def validate(self) -> None:
-        """Check the declared values, then the idx paths and the choice of one imbalance key."""
-        check_fields(self)
-        if self.kind == "idx" and (self.images is None or self.labels is None):
-            raise ConfigError("idx dataset requires both image and label paths")
-        if self.imbalance_counts is not None and self.imbalance_factor is not None:
-            raise ConfigError("set either imbalance_counts or imbalance_factor, not both")
 
 
 def default_pretext_config() -> LearnerConfig:
@@ -149,37 +124,11 @@ class ColdStartSummary:
 def normalized_histogram_entropy(histogram: list[int]) -> float:
     """Entropy of the class histogram divided by ln(n_classes); 1 = balanced."""
     total = sum(histogram)
-    if total == 0 or len(histogram) < 2:
-        return 0.0
     probs = [h / total for h in histogram if h > 0]
+    if len(probs) < 2:  # +0.0: the sum below gives -0.0 for one class
+        return 0.0
     ent = -sum(p * math.log(p) for p in probs)
     return ent / math.log(len(histogram))
-
-
-def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
-    """Materialize (train pool, test pool) from the dataset spec."""
-    spec.validate()
-    if spec.kind == "synthetic":
-        master = gen_synthetic(spec.n_per_class, spec.classes, spec.size, spec.noise, derive_seed(seed, "data"))
-    else:
-        master = load_idx(spec.images, spec.labels)
-    key = "imbalance_counts" if spec.imbalance_counts is not None else "imbalance_factor"
-    if getattr(spec, key) is not None:
-        try:
-            counts = spec.imbalance_counts
-            if counts is None:
-                counts = imbalance_ramp(master.n_classes, spec.imbalance_factor)
-            master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
-        except ValueError as exc:
-            raise ConfigError(f"dataset.{key}: {exc}") from exc
-    train, test = split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
-    if len(train) == 0 or len(test) == 0:
-        raise ConfigError(f"dataset.test_fraction {spec.test_fraction} leaves the "
-                          f"{'train' if len(train) == 0 else 'test'} split of {len(master)} samples empty")
-    if test.y.max() >= train.n_classes:
-        raise ConfigError(f"dataset.test_fraction {spec.test_fraction} puts every sample of label "
-                          f"{test.y.max()} in the test split, where the main model cannot predict it")
-    return train, test
 
 
 def pretext_model(config: ALConfig, unlabeled: Pool) -> tuple[LearnerState, PretextReport]:

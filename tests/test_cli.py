@@ -91,30 +91,38 @@ def test_missing_dataset_path_fails_without_partial_outputs(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def write_idx_config(tmp_path, pool: Pool) -> tuple[Path, dict]:
+    """A random-strategy config over `pool` written as an IDX pair, and the pair's paths."""
+    paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+    write_idx(pool, paths["images"], paths["labels"])
+    cfg = write_config(tmp_path, dataset={"kind": "idx", **{k: str(p) for k, p in paths.items()}},
+                       al={"strategy": "random"})
+    return cfg, paths
+
+
 # case -> (file to spoil, offset of the big-endian uint32 to overwrite or None to cut the
-# file short, the new value or length). Each used to exit 2.
+# file short, the new value or length). Each used to exit 2, except rows-shrunk, which trained on
+# images cut from the pixel bytes.
 IDX_FAULTS = {
     "truncated": ("images", None, 100),
     "image-magic": ("images", 0, 0x801),
     "label-magic": ("labels", 0, 0x803),
     "count-mismatch": ("labels", 4, 59),
     "no-pixels": ("images", 8, 0),
+    "rows-shrunk": ("images", 8, 5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(IDX_FAULTS))
 def test_malformed_idx_file_exits_1_naming_it(tmp_path, monkeypatch, capsys, case):
     name, offset, value = IDX_FAULTS[case]
-    paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
-    write_idx(gen_synthetic(20, 3, 10, 0.0, seed=1), paths["images"], paths["labels"])
+    cfg, paths = write_idx_config(tmp_path, gen_synthetic(20, 3, 10, 0.0, seed=1))
     data = bytearray(paths[name].read_bytes())
     if offset is None:
         del data[value:]
     else:
         struct.pack_into(">I", data, offset, value)
     paths[name].write_bytes(bytes(data))
-    cfg = write_config(tmp_path, dataset={"kind": "idx", **{k: str(p) for k, p in paths.items()}},
-                       al={"strategy": "random"})
     monkeypatch.setattr(learner, "train", no_training)
     assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
@@ -122,6 +130,41 @@ def test_malformed_idx_file_exits_1_naming_it(tmp_path, monkeypatch, capsys, cas
         assert f"{paths['images']} holds 60 images, {paths['labels']} 59 labels" in err
     else:
         assert f"{paths[name]}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, extra", [("images", 500), ("labels", 5)])
+def test_idx_file_longer_than_its_header_exits_1_naming_both_sizes(tmp_path, monkeypatch, capsys, name, extra):
+    # 60 images of 10x10 and then the extra bytes, which loaded as 60 images and trained.
+    cfg, paths = write_idx_config(tmp_path, gen_synthetic(20, 3, 10, 0.0, seed=1))
+    expected = {"images": 16 + 60 * 10 * 10, "labels": 8 + 60}[name]
+    paths[name].write_bytes(paths[name].read_bytes() + bytes(extra))
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg)]) == 1
+    assert (f"{paths[name]}: IDX file longer than its header says: {expected + extra} bytes where its header "
+            f"says {expected}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# case -> (labels of the 60 images, the missing labels as the message lists them).
+# Each used to exit 0 and train.
+IDX_LABEL_FAULTS = {
+    "gap-to-200": (np.repeat([0, 200], 30), "missing 1, 2, 3, 4, 5, ... (199 labels)"),
+    "gap-to-5": (np.repeat([0, 5], 30), "missing 1, 2, 3, 4"),
+    "all-3": (np.full(60, 3), "missing 0, 1, 2"),
+    "all-0": (np.zeros(60, dtype=int), "missing 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDX_LABEL_FAULTS))
+def test_idx_labels_that_are_not_0_to_c_exit_1_naming_the_missing_ones(tmp_path, monkeypatch, capsys, case):
+    labels, missing = IDX_LABEL_FAULTS[case]
+    pool = gen_synthetic(20, 3, 10, 1.0, seed=1)
+    cfg, paths = write_idx_config(tmp_path, Pool(pool.ids, pool.x, labels))
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main(["run", str(cfg)]) == 1
+    assert f"{paths['labels']}: labels must be 0..C-1 for some C >= 2, each present; {missing}\n" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -247,6 +290,13 @@ def test_run_random_skips_pretext_requirement(tmp_path):
     assert lines[0] == "iteration,accuracy,labeled_size,hist_entropy,class_histogram"
     assert len(lines) == 4
     assert (out / "queries.csv").is_file()
+
+
+def test_one_class_round_writes_a_zero_entropy_not_minus_zero(tmp_path):
+    cfg = write_config(tmp_path, al={"strategy": "random", "budget": 1})
+    assert main(["run", str(cfg)]) == 0
+    round_1 = (tmp_path / "out" / "reports.csv").read_text().splitlines()[1]
+    assert round_1.split(",")[3] == "0", round_1
 
 
 def assert_budget_rejected(tmp_path, capsys, command, *flags):

@@ -1,6 +1,7 @@
 """AL orchestration: bookkeeping, strategies, experiments."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -276,6 +277,12 @@ def test_histogram_entropy_emitted_on_imbalanced_runs():
     for r in reports:
         assert 0.0 <= r.hist_entropy <= 1.0
     assert sum(reports[-1].class_histogram) == 16
+
+
+def test_histogram_entropy_of_one_class_is_positive_zero():
+    # -0.0 would print as "-0" in reports.csv.
+    for histogram in ([0, 3, 0], [5], [0, 0]):
+        assert math.copysign(1.0, loop.normalized_histogram_entropy(histogram)) == 1.0
 
 
 def test_imbalance_factor_builds_ramp():
