@@ -5,6 +5,14 @@ pool. Two callers do, on pools they own: the pretext rotation pass turns a
 pool's pixels in place and back (`pretext._rotation_pass`), and `run_al`
 compacts the rows not yet picked to the front of its train pool
 (`loop._drop_rows`).
+
+`build_dataset` holds each split's pixels once. `split_positions` draws the
+imbalance subsample and the stratified split from the labels alone, so the
+checks on the splits run before any pixel exists. Synthetic samples are
+then drawn straight into their split's rows, and an IDX split gathers its
+uint8 pixels before the float conversion; no whole float corpus is made.
+`gen_synthetic` and `load_idx` use the same generator and decoder and
+return the whole corpus.
 """
 from __future__ import annotations
 
@@ -110,12 +118,11 @@ def _check_size(data: bytes, header: int, count: int, path) -> None:
         raise ConfigError(f"{path}: {fault}: {len(data)} bytes where its header says {header + count}")
 
 
-def load_idx(images_path, labels_path) -> Pool:
-    """Decode an IDX image/label file pair into a labeled pool.
+def _read_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Decode an IDX image/label file pair into its uint8 pixels (N, H, W, 1) and int64 labels (N,).
 
-    Pixel bytes are scaled by 1/255; decoding is bit-exact. Each file must be exactly as long as
-    its header says. An unreadable file and every format fault raise ConfigError naming the
-    file, or both files for a count mismatch.
+    Each file must be exactly as long as its header says. An unreadable file and every format
+    fault raise ConfigError naming the file, or both files for a count mismatch.
     """
     try:
         img_data, lab_data = Path(images_path).read_bytes(), Path(labels_path).read_bytes()
@@ -137,10 +144,24 @@ def load_idx(images_path, labels_path) -> Pool:
     if ln != n:
         raise ConfigError(f"count mismatch: {images_path} holds {n} images, {labels_path} {ln} labels")
     _check_size(lab_data, 8, ln, labels_path)
-    labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8)
+    labels = np.frombuffer(lab_data, dtype=np.uint8, offset=8).astype(np.int64)
+    return np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(n, rows, cols, 1), labels
 
-    pixels = np.frombuffer(img_data, dtype=np.uint8, offset=16).reshape(n, rows, cols, 1).astype(np.float64) / 255.0
-    return Pool(np.arange(n), pixels, labels)
+
+def _idx_pixels(payload: np.ndarray) -> np.ndarray:
+    """uint8 pixels scaled by 1/255 into a new float64 array; decoding is bit-exact."""
+    pixels = payload.astype(np.float64)
+    pixels /= 255.0
+    return pixels
+
+
+def load_idx(images_path, labels_path) -> Pool:
+    """Decode an IDX image/label file pair into a labeled pool, pixel bytes scaled by 1/255 bit-exactly.
+
+    An unreadable file and every format fault raise ConfigError naming the file (`_read_idx`).
+    """
+    payload, labels = _read_idx(images_path, labels_path)
+    return Pool(np.arange(len(labels)), _idx_pixels(payload), labels)
 
 
 def write_idx(pool: Pool, images_path, labels_path) -> None:
@@ -175,6 +196,7 @@ _MIX_GAIN = 0.48
 _DUPLICATE_FRAC = 0.35
 _JUNK_FRAC = 0.025
 _JUNK_NOISE = 0.08
+_BASE_ROWS = 256
 
 
 def _body_masks(classes: int, size: int) -> np.ndarray:
@@ -242,15 +264,40 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
     samplers. At noise 0 every sample equals its class template exactly.
     """
     check_fields(DatasetSpec(n_per_class=n_per_class, classes=classes, size=size, noise=noise))
+    everything = np.arange(classes * n_per_class)
+    pixels, = _synthetic_pixels(n_per_class, classes, size, noise, seed, [everything])
+    return Pool(everything, pixels, _synthetic_labels(n_per_class, classes))
+
+
+def _synthetic_labels(n_per_class: int, classes: int) -> np.ndarray:
+    """The synthetic corpus's labels: `n_per_class` of class 0, then of class 1, and so on."""
+    return np.repeat(np.arange(classes), n_per_class)
+
+
+def _synthetic_pixels(n_per_class: int, classes: int, size: int, noise: float, seed: int,
+                      parts: list[np.ndarray]) -> list[np.ndarray]:
+    """The pixels of the synthetic corpus's samples at each part's positions, one new array per part.
+
+    Each part's positions ascend. Every sample is drawn, in corpus order,
+    straight into its row of its part's array; a sample in no part is drawn
+    into one scratch row, so the stream and every kept pixel stay those of
+    the whole corpus.
+    """
     templates = class_templates(classes, size)
     bodies = _body_masks(classes, size)
     lo, hi = 3, size - 3
     n = classes * n_per_class
-    labels = np.repeat(np.arange(classes), n_per_class)
+    outs = [np.empty((len(positions), size, size, 1)) for positions in parts]
+    outs.append(np.empty((1, size, size, 1)))
+    part = np.full(n, len(parts))
+    row = np.zeros(n, dtype=np.int64)
+    for k, positions in enumerate(parts):
+        part[positions] = k
+        row[positions] = np.arange(len(positions))
+    part, row = part.tolist(), row.tolist()
     u = np.empty(n)
     partner = np.empty(n, dtype=np.int64)
     junk = np.empty(n, dtype=bool)
-    eps = np.empty((n, size, size, 1))
     # The draws stay per sample and in this order: integers() and the
     # ziggurat normal consume a variable number of words, so the stream
     # cannot be drawn array-wise without changing every sample.
@@ -259,14 +306,15 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
     for i in range(n):
         u[i] = rng.random()
         partner[i] = rng.integers(0, classes - 1)
-        rng.standard_normal(out=eps[i])
+        rng.standard_normal(out=outs[part[i]][row[i]])
         junk[i] = rng.random() < junk_p
-    partner += partner >= labels
+    partner += partner >= _synthetic_labels(n_per_class, classes)
 
     # Pixel arithmetic on whole arrays, in the same operation order as the
     # per-sample formula, (template + body blend) + noise, so every pixel
-    # keeps its bits. The noise buffer becomes the corpus, and the base
-    # images are built one class at a time to keep the peak memory low.
+    # keeps its bits. Each part's noise becomes its pixels, and the base
+    # images are built for at most _BASE_ROWS samples of one class at a
+    # time, to keep the peak memory low.
     d = np.maximum(0.0, u - _DUPLICATE_FRAC) / (1.0 - _DUPLICATE_FRAC)
     mix = np.minimum(_MIX_GAIN, _MIX_GAIN * noise * d)
     gain = _NOISE_GAIN * noise * d
@@ -278,16 +326,22 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
     junk_base[:, 0:2, :] = _MARKER_VALUE
     junk_base[lo:hi, lo:hi, 0] += _BODY_GAIN * bodies.mean(axis=0)
     gain[junk] = _JUNK_NOISE * noise
-    pixels = eps
-    pixels *= gain[:, None, None, None]
-    for c in range(classes):
-        rows = slice(c * n_per_class, (c + 1) * n_per_class)
-        base = np.repeat(templates[c:c + 1], n_per_class, axis=0)
-        base[:, lo:hi, lo:hi, 0] += (_BODY_GAIN * mix[rows])[:, None, None] * (bodies[partner[rows]] - bodies[c])
-        base[junk[rows]] = junk_base
-        pixels[rows] += base
-    np.clip(pixels, 0.0, 1.0, out=pixels)
-    return Pool(np.arange(n), pixels, labels)
+    for pixels, positions in zip(outs, parts):
+        pixels *= gain[positions][:, None, None, None]
+        # The positions ascend and the corpus is ordered by class, so each
+        # class's rows are one run of the part.
+        bounds = np.searchsorted(positions, np.arange(classes + 1) * n_per_class).tolist()
+        for c in range(classes):
+            for start in range(bounds[c], bounds[c + 1], _BASE_ROWS):
+                stop = min(start + _BASE_ROWS, bounds[c + 1])
+                samples = positions[start:stop]
+                base = np.repeat(templates[c:c + 1], stop - start, axis=0)
+                base[:, lo:hi, lo:hi, 0] += ((_BODY_GAIN * mix[samples])[:, None, None]
+                                             * (bodies[partner[samples]] - bodies[c]))
+                base[junk[samples]] = junk_base
+                pixels[start:stop] += base
+        np.clip(pixels, 0.0, 1.0, out=pixels)
+    return outs[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -325,43 +379,63 @@ def imbalance_ramp(classes: int, factor: float) -> list[int]:
     return counts
 
 
+def split_positions(y: np.ndarray, test_fraction: float | None, split_seed: int,
+                    counts=None, imbalance_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Positions into the labels `y` of the train samples and of the test samples, each ascending.
+
+    Every draw of the dataset build is made here, from the labels alone, so
+    the pixels can be made per split. With `counts`, a seeded subsample
+    (`imbalance_seed`) first keeps exactly `counts[c]` samples of each class
+    c. The kept samples are then split per class: round(test_fraction x the
+    class's size) go to test, drawn with `split_seed`. `test_fraction` None
+    skips the split and returns every kept sample as train.
+    """
+    check_fields(DatasetSpec(test_fraction=test_fraction, imbalance_counts=None if counts is None else tuple(counts)))
+    keep = np.arange(len(y))
+    if counts is not None:
+        n_classes = int(y.max()) + 1
+        if len(counts) != n_classes:
+            raise ValueError(f"counts has {len(counts)} entries but pool has {n_classes} classes")
+        rng = np.random.default_rng(imbalance_seed)
+        kept: list[np.ndarray] = []
+        for c in range(n_classes):
+            avail = np.flatnonzero(y == c)
+            want = int(counts[c])
+            if want > len(avail):
+                raise ValueError(f"class {c}: requested {want} samples but only {len(avail)} available")
+            kept.append(avail[rng.choice(len(avail), size=want, replace=False)])
+        keep = np.sort(np.concatenate(kept))
+    if test_fraction is None:
+        return keep, keep[:0]
+    kept_y = y[keep]
+    rng = np.random.default_rng(split_seed)
+    is_test = np.zeros(len(keep), dtype=bool)
+    for label in np.flatnonzero(np.bincount(kept_y)):
+        positions = np.flatnonzero(kept_y == label)
+        k = int(test_fraction * len(positions) + 0.5)
+        is_test[positions[rng.permutation(len(positions))[:k]]] = True
+    return keep[~is_test], keep[is_test]
+
+
 def make_imbalanced(pool: Pool, counts, seed: int) -> Pool:
     """Seeded subsample with exactly `counts[c]` samples of each class c."""
-    check_fields(DatasetSpec(imbalance_counts=tuple(counts)))
-    n_classes = pool.n_classes  # raises ValueError for hidden labels
-    if len(counts) != n_classes:
-        raise ValueError(f"counts has {len(counts)} entries but pool has {n_classes} classes")
-    rng = np.random.default_rng(seed)
-    keep: list[np.ndarray] = []
-    for c in range(n_classes):
-        avail = np.flatnonzero(pool.y == c)
-        want = int(counts[c])
-        if want > len(avail):
-            raise ValueError(f"class {c}: requested {want} samples but only {len(avail)} available")
-        keep.append(avail[rng.choice(len(avail), size=want, replace=False)])
-    return pool.take(np.sort(np.concatenate(keep)))
+    return pool.take(split_positions(pool._labels(), None, 0, counts, seed)[0])
 
 
 def split_train_test(pool: Pool, test_fraction: float, seed: int) -> tuple[Pool, Pool]:
     """Disjoint, exhaustive, per-class stratified split, deterministic per seed."""
-    check_fields(DatasetSpec(test_fraction=test_fraction))
     if pool.y is None:
         raise ValueError("a stratified split requires labels")
-    rng = np.random.default_rng(seed)
-    is_test = np.zeros(len(pool), dtype=bool)
-    for label in np.flatnonzero(np.bincount(pool.y)):
-        positions = np.flatnonzero(pool.y == label)
-        k = int(test_fraction * len(positions) + 0.5)
-        is_test[positions[rng.permutation(len(positions))[:k]]] = True
-    return pool.take(np.flatnonzero(~is_test)), pool.take(np.flatnonzero(is_test))
+    train, test = split_positions(pool.y, test_fraction, seed)
+    return pool.take(train), pool.take(test)
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
     """Where the corpus comes from and how it is split.
 
-    Its declared bounds are the only ones: `gen_synthetic`, `make_imbalanced` and
-    `split_train_test` check their arguments against them.
+    Its declared bounds are the only ones: `gen_synthetic` and `split_positions` (so
+    `make_imbalanced` and `split_train_test`) check their arguments against them.
     """
 
     kind: str = declare("synthetic", ("synthetic", "idx"))
@@ -372,7 +446,7 @@ class DatasetSpec:
     test_fraction: float = declare(0.2, "(0, 1)")
     images: str | None = None
     labels: str | None = None
-    imbalance_counts: tuple[int, ...] | None = declare(None, "[0, inf)")
+    imbalance_counts: tuple[int, ...] | None = declare(None, "[1, inf)")
     imbalance_factor: float | None = declare(None, "(0, inf)")
 
     def validate(self) -> None:
@@ -385,31 +459,43 @@ class DatasetSpec:
 
 
 def build_dataset(spec: DatasetSpec, seed: int) -> tuple[Pool, Pool]:
-    """Materialize (train pool, test pool) from the dataset spec."""
+    """Materialize (train pool, test pool) from the dataset spec.
+
+    `split_positions` picks both splits from the labels first, and every
+    check runs before any pixel exists. Each split's pixels are then made
+    once: synthetic samples are drawn straight into their split's rows, and
+    an IDX split's uint8 pixels are gathered before the float conversion.
+    The pools equal `split_train_test` of the whole corpus (after
+    `make_imbalanced` when an imbalance key is set), bit for bit.
+    """
     spec.validate()
     if spec.kind == "synthetic":
-        master = gen_synthetic(spec.n_per_class, spec.classes, spec.size, spec.noise, derive_seed(seed, "data"))
+        y = _synthetic_labels(spec.n_per_class, spec.classes)
     else:
-        master = load_idx(spec.images, spec.labels)
+        payload, y = _read_idx(spec.images, spec.labels)
         # minlength 2: a pool of one label misses the second one.
-        missing = np.flatnonzero(np.bincount(master.y, minlength=2) == 0).tolist()
+        missing = np.flatnonzero(np.bincount(y, minlength=2) == 0).tolist()
         if missing:
             shown = ", ".join(map(str, missing[:5])) + (f", ... ({len(missing)} labels)" if len(missing) > 5 else "")
             raise ConfigError(f"{spec.labels}: labels must be 0..C-1 for some C >= 2, each present; missing {shown}")
     key = "imbalance_counts" if spec.imbalance_counts is not None else "imbalance_factor"
-    if getattr(spec, key) is not None:
-        try:
-            counts = spec.imbalance_counts
-            if counts is None:
-                counts = imbalance_ramp(master.n_classes, spec.imbalance_factor)
-            master = make_imbalanced(master, counts, derive_seed(seed, "imbalance"))
-        except ValueError as exc:
-            raise ConfigError(f"dataset.{key}: {exc}") from exc
-    train, test = split_train_test(master, spec.test_fraction, derive_seed(seed, "split"))
+    counts = spec.imbalance_counts
+    try:
+        if spec.imbalance_factor is not None:
+            counts = imbalance_ramp(int(y.max()) + 1, spec.imbalance_factor)
+        train, test = split_positions(y, spec.test_fraction, derive_seed(seed, "split"),
+                                      counts, derive_seed(seed, "imbalance"))
+    except ValueError as exc:
+        raise ConfigError(f"dataset.{key}: {exc}") from exc
     if len(train) == 0 or len(test) == 0:
         raise ConfigError(f"dataset.test_fraction {spec.test_fraction} leaves the "
-                          f"{'train' if len(train) == 0 else 'test'} split of {len(master)} samples empty")
-    if test.y.max() >= train.n_classes:
+                          f"{'train' if len(train) == 0 else 'test'} split of {len(train) + len(test)} samples empty")
+    if y[test].max() > y[train].max():
         raise ConfigError(f"dataset.test_fraction {spec.test_fraction} puts every sample of label "
-                          f"{test.y.max()} in the test split, where the main model cannot predict it")
-    return train, test
+                          f"{y[test].max()} in the test split, where the main model cannot predict it")
+    if spec.kind == "synthetic":
+        pixels = _synthetic_pixels(spec.n_per_class, spec.classes, spec.size, spec.noise,
+                                   derive_seed(seed, "data"), [train, test])
+    else:
+        pixels = [_idx_pixels(payload[positions]) for positions in (train, test)]
+    return Pool(train, pixels[0], y[train]), Pool(test, pixels[1], y[test])

@@ -350,6 +350,7 @@ BAD_VALUES = {
     "dataset.classes-x": ({"dataset": {"classes": "x"}}, "dataset.classes"),
     "dataset.n_per_class-2.5": ({"dataset": {"n_per_class": 2.5}}, "dataset.n_per_class"),
     "dataset.imbalance_counts-negative": ({"dataset": {"imbalance_counts": [-1, 5, 5]}}, "dataset.imbalance_counts"),
+    "dataset.imbalance_counts-zero": ({"dataset": {"imbalance_counts": [20, 0, 20]}}, "dataset.imbalance_counts"),
     "dataset.imbalance_factor-nan": ({"dataset": {"imbalance_factor": float("nan")}}, "dataset.imbalance_factor"),
     "al.budget-true": ({"al": {"budget": True}}, "al.budget"),
     "al.budget-2.7": ({"al": {"budget": 2.7}}, "al.budget"),
