@@ -11,7 +11,7 @@ Identical config and seed reproduce byte-identical output files; no command muta
 from __future__ import annotations
 
 import argparse
-import hashlib
+import importlib.util
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -23,7 +23,7 @@ from . import __version__, diagnostics, learner, loop, pretext, sampler
 from .config import ConfigError, from_dict, read_value
 from .data import write_csv
 from .loop import ALConfig
-from .seeds import derive_seed
+from .seeds import derive_seed, sha256
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def write_manifest(path: Path, command: str, config: ALConfig, inputs: list[Path
         "command": command,
         "seed": config.seed,
         "config": _config_echo(config),
-        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
+        "inputs": {str(p): sha256(p.read_bytes()).hexdigest() for p in inputs},
         "outputs": [str(p) for p in outputs],
     }
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -234,7 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def keep_openssl_out() -> None:
+    """Block OpenSSL's `_hashlib` in this process if CPython's builtin SHA-256 can stand in.
+
+    pt4al only hashes with SHA-256, and `libcrypto` adds about 3.4 MB to every command's
+    peak RSS (README, "The CLI loads no OpenSSL"). With `_hashlib` blocked, `hashlib` and
+    `hmac` (which numpy.random loads through `secrets`) use their builtin code, and every
+    digest stays the same. A no-op where `_hashlib` is already loaded; an interpreter built
+    without the builtin module keeps OpenSSL.
+    """
+    if importlib.util.find_spec("_sha2" if sys.version_info >= (3, 12) else "_sha256") is not None:
+        sys.modules.setdefault("_hashlib", None)
+
+
 def main(argv: list[str] | None = None) -> int:
+    keep_openssl_out()  # first, before anything imports hashlib or numpy.random
     args = build_parser().parse_args(argv)
     try:
         config, out_dir = load_config(args.config, args)

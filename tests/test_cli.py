@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import ast
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -847,19 +848,82 @@ def test_inputs_never_mutated(tmp_path):
     assert (tmp_path / "out" / "losses.csv").read_bytes() == losses
 
 
-@pytest.mark.parametrize("command", [["pretext"], ["run"], ["run", "--strategy", "entropy"]])
-def test_commands_never_import_numpy_ma(tmp_path, command):
-    # numpy.ma costs 16-18 ms of import time in every process that loads it;
-    # np.unique is the usual way in.
-    cfg = write_config(tmp_path)
-    if command[0] == "run":
-        assert main(["pretext", str(cfg)]) == 0
-    probe = "import sys\nfrom pt4al.cli import main\nassert main(sys.argv[1:]) == 0\nprint('numpy.ma' in sys.modules)"
+# Runs pt4al commands in a fresh interpreter and prints what the process loaded. With
+# argv[1] == "no-builtin-sha256", importlib finds no builtin SHA-256 module, as on an
+# interpreter built without one.
+PROBE = """
+import importlib.util, json, sys
+from pathlib import Path
+if sys.argv[1] == "no-builtin-sha256":
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *args: None if name in ("_sha2", "_sha256") else find_spec(name, *args)
+from pt4al.cli import main
+from pt4al.seeds import derive_seed
+for argv in json.loads(sys.argv[2]):
+    assert main(argv) == 0
+maps = Path("/proc/self/maps")
+print(json.dumps({"numpy.ma": "numpy.ma" in sys.modules, "_hashlib": sys.modules.get("_hashlib") is not None,
+                  "libcrypto": maps.exists() and "libcrypto" in maps.read_text(),
+                  "split_seed": derive_seed(0, "split")}))
+"""
+
+
+def run_child(script: str, *args: str, cwd=None) -> list[str]:
+    """The stdout lines of `python -c script args` with this pt4al on the path."""
     src = str(Path(pt4al.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", probe, *command, str(cfg)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, check=True, timeout=120)
-    assert done.stdout.splitlines()[-1] == "False"
+    return done.stdout.splitlines()
+
+
+def run_probe(commands, mode="as-built", cwd=None) -> dict:
+    return json.loads(run_child(PROBE, mode, json.dumps(commands), cwd=cwd)[-1])
+
+
+def openssl_sha256(data: bytes):
+    return pytest.importorskip("_hashlib").openssl_sha256(data)
+
+
+@pytest.mark.parametrize("command", [["pretext"], ["run"], ["run", "--strategy", "entropy"], ["plan"]])
+def test_commands_never_import_numpy_ma(tmp_path, command):
+    # numpy.ma costs 16-18 ms of import time in every process that loads it;
+    # np.unique is the usual way in. OpenSSL's libcrypto adds 3.4 MB to the peak RSS.
+    cfg = write_config(tmp_path)
+    if command[0] != "pretext":
+        assert main(["pretext", str(cfg)]) == 0
+    loaded = run_probe([[*command, str(cfg)]])
+    assert loaded["numpy.ma"] is False
+    assert loaded["_hashlib"] is False
+    assert loaded["libcrypto"] is False
+    # The builtin SHA-256 in the child against OpenSSL's here: seeds and input digests agree.
+    assert loaded["split_seed"] == int.from_bytes(openssl_sha256(b"0:split").digest()[:8], "big") >> 1
+    manifest = json.loads((tmp_path / "out" / f"{command[0]}_manifest.json").read_text())
+    assert manifest["inputs"] == {p: openssl_sha256(Path(p).read_bytes()).hexdigest() for p in manifest["inputs"]}
+    assert len(manifest["inputs"]) == (0 if command in (["pretext"], ["run", "--strategy", "entropy"]) else 1)
+
+
+def test_importing_pt4al_leaves_openssl_to_the_importer():
+    """Only `cli.main` blocks OpenSSL: a library user who imports hashlib still gets it."""
+    if importlib.util.find_spec("_hashlib") is None:
+        pytest.skip("this interpreter has no OpenSSL")
+    probe = ("import sys\nimport pt4al.cli\nprint('hashlib' in sys.modules, 'numpy.random' in sys.modules)\n"
+             "import hashlib\nprint(sys.modules['_hashlib'] is not None, type(hashlib.sha256()).__module__)")
+    assert run_child(probe) == ["False False", "True _hashlib"]
+
+
+def test_cli_keeps_openssl_without_a_builtin_sha256_and_writes_the_same_bytes(tmp_path):
+    cfg = str(write_config(tmp_path, output_dir="out"))  # relative, so the manifests name the same paths
+    has_openssl = importlib.util.find_spec("_hashlib") is not None
+    outputs = {}
+    for mode in ("as-built", "no-builtin-sha256"):
+        (tmp_path / mode).mkdir()
+        loaded = run_probe([["pretext", cfg], ["run", cfg]], mode, cwd=tmp_path / mode)
+        assert loaded["_hashlib"] is (mode == "no-builtin-sha256" and has_openssl)
+        outputs[mode] = {p.name: p.read_bytes() for p in sorted((tmp_path / mode / "out").iterdir())}
+    assert len(outputs["as-built"]) == 6
+    assert json.loads(outputs["as-built"]["run_manifest.json"])["inputs"]  # a digest is among the bytes
+    assert outputs["no-builtin-sha256"] == outputs["as-built"]
 
 
 def test_no_module_reads_another_modules_private_names():
