@@ -205,32 +205,39 @@ def cmd_ablate(config: ALConfig, out_dir: Path, args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, subparsers included, whose usage errors are ConfigErrors: a bad flag exits 1 like bad config."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pt4al", description=__doc__)
+    parser = _Parser(prog="pt4al", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pt4al {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, handler):
+    flags = {"output-dir": {"help": "override output_dir from the config"},
+             "seed": {"type": int, "help": "override the run seed"},
+             "strategy": {"choices": loop.STRATEGIES, "help": "override the AL strategy"},
+             "iterations": {"type": int, "help": "override the iteration count"},
+             "budget": {"type": int, "help": "override the per-iteration budget K"},
+             "losses": {"help": "loss-record CSV (default: <output_dir>/losses.csv)"},
+             "seeds": {"required": True, "help": "comma-separated seed list, e.g. 1,2,3"},
+             "pretext-checkpoint": {"help": "reuse a trained pretext checkpoint"},
+             "variant": {"required": True, "help": f"one of {sorted(loop.ABLATION_VARIANTS)}"}}
+    # Each command takes --output-dir, the config values that its handler reads, and its own flags.
+    for name, handler, about, names in [
+            ("pretext", cmd_pretext, "train the rotation model and write losses.csv", "seed"),
+            ("plan", cmd_plan, "split loss records into batches", "strategy iterations losses"),
+            ("run", cmd_run, "run the active-learning loop", "seed strategy iterations budget losses"),
+            ("coldstart", cmd_coldstart, "first-iteration comparison over seeds", "seed iterations budget seeds"),
+            ("correlate", cmd_correlate, "pretext/main loss rank correlation", "seed pretext-checkpoint"),
+            ("ablate", cmd_ablate, "run a component-ablation variant", "seed iterations budget variant")]:
+        p = sub.add_parser(name, help=about)
         p.set_defaults(handler=handler)
         p.add_argument("config", help="JSON config file")
-        p.add_argument("--output-dir", default=None, help="override output_dir from the config")
-        p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--strategy", default=None, choices=loop.STRATEGIES, help="override the AL strategy")
-        p.add_argument("--iterations", type=int, default=None, help="override the iteration count")
-        p.add_argument("--budget", type=int, default=None, help="override the per-iteration budget K")
-        return p
-
-    common(sub.add_parser("pretext", help="train the rotation model and write losses.csv"), cmd_pretext)
-    p = common(sub.add_parser("plan", help="split loss records into batches"), cmd_plan)
-    p.add_argument("--losses", default=None, help="loss-record CSV (default: <output_dir>/losses.csv)")
-    p = common(sub.add_parser("run", help="run the active-learning loop"), cmd_run)
-    p.add_argument("--losses", default=None, help="loss-record CSV (default: <output_dir>/losses.csv)")
-    p = common(sub.add_parser("coldstart", help="first-iteration comparison over seeds"), cmd_coldstart)
-    p.add_argument("--seeds", required=True, help="comma-separated seed list, e.g. 1,2,3")
-    p = common(sub.add_parser("correlate", help="pretext/main loss rank correlation"), cmd_correlate)
-    p.add_argument("--pretext-checkpoint", default=None, help="reuse a trained pretext checkpoint")
-    p = common(sub.add_parser("ablate", help="run a component-ablation variant"), cmd_ablate)
-    p.add_argument("--variant", required=True, help=f"one of {sorted(loop.ABLATION_VARIANTS)}")
+        for flag in ["output-dir", *names.split()]:
+            p.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 
@@ -249,8 +256,10 @@ def keep_openssl_out() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     keep_openssl_out()  # first, before anything imports hashlib or numpy.random
-    args = build_parser().parse_args(argv)
+    prog = "pt4al"
     try:
+        args = build_parser().parse_args(argv)
+        prog = f"pt4al {args.command}"
         config, out_dir = load_config(args.config, args)
         # A command only checks, computes and prints; it returns its manifest name, its input
         # paths and one writer per output file. Nothing is written unless all of that succeeded.
@@ -263,10 +272,10 @@ def main(argv: list[str] | None = None) -> int:
         write_manifest(out_dir / manifest, args.command, config, inputs, [out_dir / name for name, _ in files])
         return 0
     except ConfigError as exc:
-        print(f"pt4al {args.command}: {exc}", file=sys.stderr)
+        print(f"{prog}: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: report, do not traceback
-        print(f"pt4al {args.command}: {exc}", file=sys.stderr)
+        print(f"{prog}: {exc}", file=sys.stderr)
         return 2
 
 

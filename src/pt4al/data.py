@@ -31,6 +31,16 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 
+def whole_numbers(values, name: str) -> np.ndarray:
+    """`values` as int64; ValueError naming `name` unless every value is a whole number that int64 holds."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        bad = ~((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63))  # NaN fails both
+        if bad.any():
+            raise ValueError(f"{name} must be whole numbers within int64, got {arr[bad].item(0)!r}")
+    return np.asarray(arr, dtype=np.int64)
+
+
 @dataclass(eq=False)
 class Pool:
     """Samples as parallel arrays, validated once on construction.
@@ -45,7 +55,7 @@ class Pool:
     y: np.ndarray | None = None
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.ids = whole_numbers(self.ids, "sample ids")
         self.x = np.asarray(self.x, dtype=np.float64)
         n = len(self.ids)
         if self.ids.ndim != 1 or self.x.ndim != 4 or len(self.x) != n:
@@ -57,7 +67,7 @@ class Pool:
         if n and not (self.x.min() >= 0.0 and self.x.max() <= 1.0):
             raise ValueError("pixel values must be finite and within [0, 1]")
         if self.y is not None:
-            self.y = np.asarray(self.y, dtype=np.int64)
+            self.y = whole_numbers(self.y, "labels")
             if self.y.shape != (n,):
                 raise ValueError(f"labels must have shape ({n},), got {self.y.shape}")
             if n and self.y.min() < 0:
@@ -245,7 +255,7 @@ def _check_rotation_distinct(templates: np.ndarray) -> None:
     flat = templates.reshape(len(templates), -1)
     for c in range(len(templates)):
         for k in range(1, 4):
-            rot = np.rot90(templates[c], k=k, axes=(0, 1)).reshape(-1)
+            rot = rotate_batch(templates[c:c + 1], k).reshape(-1)
             if np.min(np.linalg.norm(flat - rot, axis=1)) <= 1e-9:
                 raise RuntimeError(f"template {c} rotated {90 * k} degrees collides with the template set")
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, check_fields, declare, from_dict
+from .data import whole_numbers
 from .seeds import derive_seed
 
 CHECKPOINT_MAGIC = "PT4AL-CKPT"
@@ -161,7 +162,7 @@ def _as_labels(config: LearnerConfig, y, n: int) -> np.ndarray:
     arr = np.asarray(y)
     if arr.ndim != 1 or len(arr) != n:
         raise ValueError(f"labels must be a length-{n} vector, got shape {arr.shape}")
-    arr = arr.astype(np.int64)
+    arr = whole_numbers(arr, "labels")
     if arr.min(initial=0) < 0 or (len(arr) and arr.max() >= config.n_classes):
         raise ValueError(f"labels must lie in [0, {config.n_classes})")
     return arr

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import learner
 from .config import ConfigError
-from .data import Pool, write_csv
+from .data import Pool, rotate_batch, write_csv
 from .learner import LearnerConfig, LearnerState
 
 N_ORIENTATIONS = 4
@@ -55,18 +55,16 @@ def _rotation_writer(x: np.ndarray):
     One gather per call; `order` holds in-range pixel positions, so "clip" only unbuffers np.take.
     """
     pixels = np.arange(np.prod(x.shape[1:])).reshape(x.shape[1:])
-    order = np.stack([np.rot90(pixels, k=r).ravel() for r in range(N_ORIENTATIONS)])
+    order = np.stack([rotate_batch(pixels[None], r).ravel() for r in range(N_ORIENTATIONS)])
     flat = x.reshape(len(x), pixels.size)
     return lambda samples, out: np.take(flat[samples], order, axis=1, out=out.reshape(-1, *order.shape), mode="clip")
 
 
-def _quarter_turn(x: np.ndarray, slab: np.ndarray) -> None:
-    """Turn every (S, S) image of `x` one quarter counter-clockwise, in place, through `slab`."""
+def _quarter_turn(x: np.ndarray) -> None:
+    """Turn every (S, S) image of `x` one quarter counter-clockwise, in place, _TURN_SLAB images at a time."""
     for start in range(0, len(x), _TURN_SLAB):
         images = x[start:start + _TURN_SLAB]
-        turned = slab[:len(images)]
-        turned[...] = np.rot90(images, axes=(1, 2))
-        images[...] = turned
+        images[...] = rotate_batch(images, 1)
 
 
 def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]:
@@ -80,7 +78,6 @@ def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]
     if not x.flags.writeable:
         x = x.copy()
     hits, totals = 0, np.zeros(len(x))
-    slab = np.empty((min(_TURN_SLAB, len(x)), *x.shape[1:]))
     turns = 0
     try:
         for r in range(N_ORIENTATIONS):
@@ -88,11 +85,11 @@ def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]
                 logits = learner.predict_logits(state, x[start:start + _EVAL_CHUNK])
                 hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
                 totals[start:start + len(logits)] += learner.logsumexp(logits) - logits[:, r]
-            _quarter_turn(x, slab)
+            _quarter_turn(x)
             turns += 1
     finally:
         for _ in range(-turns % N_ORIENTATIONS):
-            _quarter_turn(x, slab)
+            _quarter_turn(x)
     totals /= N_ORIENTATIONS
     return hits, totals
 

@@ -102,7 +102,7 @@ def entropy_sample(batch: Pool, model: LearnerState, k: int, iteration: int = 0)
     if not 1 <= k <= len(batch):
         raise ValueError(f"K={k} outside [1, {len(batch)}]")
     probs = learner.predict_proba_batch(model, batch.x)
-    ent = -np.sum(np.where(probs > 0, probs * np.log(probs), 0.0), axis=1)
+    ent = -np.sum(probs * np.log(probs, out=np.zeros_like(probs), where=probs > 0), axis=1)  # 0 log 0 = 0
     return _ranked_pick(batch, ent, -1.0, k, iteration)
 
 

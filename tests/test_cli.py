@@ -763,6 +763,78 @@ def test_flag_overrides_take_precedence(tmp_path):
     assert manifest["config"]["al"]["budget"] == 5
 
 
+def write_losses(out: Path, n: int = 20) -> None:
+    out.mkdir(exist_ok=True)
+    (out / "losses.csv").write_text("sample_id,pretext_loss\n" + "".join(f"{i},{i / 10}\n" for i in range(n)))
+
+
+# (command, override flag its handler does not read, value): each was taken, ignored by
+# the handler and echoed into the manifest as if it had run.
+DROPPED_FLAGS = [("pretext", "--strategy", "random"), ("pretext", "--iterations", "2"), ("pretext", "--budget", "5"),
+                 ("plan", "--seed", "4"), ("plan", "--budget", "5"), ("coldstart", "--strategy", "entropy"),
+                 ("correlate", "--strategy", "random"), ("correlate", "--iterations", "2"),
+                 ("correlate", "--budget", "5"), ("ablate", "--strategy", "random")]
+OWN_FLAGS = {"coldstart": ["--seeds", "1,2"], "ablate": ["--variant", "sampling-only"]}
+
+
+@pytest.mark.parametrize("command, flag, value", DROPPED_FLAGS, ids=[f"{c}{f}" for c, f, _ in DROPPED_FLAGS])
+def test_an_override_its_command_does_not_read_exits_1(tmp_path, monkeypatch, capsys, command, flag, value):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    write_losses(out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main([command, str(cfg), *OWN_FLAGS.get(command, []), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err and len(err.splitlines()) == 1, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# Every override that a command other than `run` still takes, with a value unlike the config's.
+KEPT_FLAGS = {"pretext": {"--seed": 4}, "plan": {"--strategy": "pt4al-low-loss-first", "--iterations": 2},
+              "coldstart": {"--seed": 4, "--iterations": 2, "--budget": 5}, "correlate": {"--seed": 4},
+              "ablate": {"--seed": 4, "--iterations": 2, "--budget": 5}}
+
+
+@pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+def test_every_kept_override_reaches_the_config_echo(tmp_path, command):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    write_losses(out)
+    flags = [str(s) for flag, value in KEPT_FLAGS[command].items() for s in (flag, value)]
+    assert main([command, str(cfg), *OWN_FLAGS.get(command, []), *flags]) == 0
+    manifest = json.loads(next(out.glob("*_manifest.json")).read_text())
+    echo = {**manifest["config"]["al"], "seed": manifest["config"]["seed"]}
+    assert {flag: echo[flag[2:]] for flag in KEPT_FLAGS[command]} == KEPT_FLAGS[command]
+
+
+# (argv after the config file, the flag the one-line message must name); each exited 2 through argparse.
+USAGE_ERRORS = {"bad-int": (["run", "--budget", "2x"], "--budget"),
+                "bad-choice": (["run", "--strategy", "nope"], "--strategy"),
+                "unknown-flag": (["run", "--bogus"], "--bogus"),
+                "no-variant": (["ablate"], "--variant"),
+                "no-seeds": (["coldstart"], "--seeds")}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_a_usage_error_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys, case):
+    cfg = write_config(tmp_path, al={"strategy": "random"})
+    (command, *flags), named = USAGE_ERRORS[case]
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main([command, str(cfg), *flags]) == 1
+    err = capsys.readouterr().err
+    assert named in err and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["ablate", "--help"]], ids=" ".join)
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_empty_output_dir_flag_is_validation_error(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, al={"strategy": "random"})
     monkeypatch.setattr(learner, "train", no_training)

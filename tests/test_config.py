@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pt4al.cli import _config_echo, load_config, main
+from pt4al.cli import _config_echo, build_parser, load_config, main
 from pt4al.config import ConfigError, from_dict
 from pt4al.data import gen_synthetic, write_idx
 from pt4al.learner import ConvSpec, LearnerConfig
@@ -117,6 +117,17 @@ def test_readme_schema_matches_the_default_echo():
     echo = without_derived(_config_echo(ALConfig()))
     assert documented == json.loads(json.dumps(echo))
 
+
+def test_readme_flag_table_matches_the_parser():
+    rows = README.read_text(encoding="utf-8").split("| command | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in rows.splitlines():
+        command, flags = row.strip("|").split("|")
+        documented[command.strip(" `")] = re.findall(r"`(--[a-z-]+)`", flags)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+              for name, p in sub.choices.items()}
+    assert documented == parsed
 
 # The largest value drawn for each integer field (and integer list element), so that no
 # draw allocates much: every integer field with a range needs an entry here.

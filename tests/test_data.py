@@ -40,6 +40,25 @@ def test_pool_rejects_duplicate_ids():
         Pool([1, 1], np.zeros((2, 2, 2, 1)), [0, 1])
 
 
+@pytest.mark.parametrize("ids, labels, named", [([0.5, 1.7, 2.2], None, "sample ids"),
+                                                ([1, 1.2, 3], None, "sample ids"),
+                                                ([1e20, 1, 2], None, "sample ids"),
+                                                ([0, 1, 2], [0.9, 1.6, 2.0], "labels"),
+                                                ([0, 1, 2], [0, -0.5, np.nan], "labels")],
+                         ids=["fractional-ids", "near-duplicate-ids", "beyond-int64-ids", "fractional-labels",
+                              "negative-and-nan-labels"])
+def test_pool_rejects_ids_and_labels_that_are_not_whole_numbers(ids, labels, named):
+    with pytest.raises(ValueError, match=f"{named} must be whole numbers"):
+        Pool(ids, np.zeros((3, 2, 2, 1)), labels)
+
+
+def test_pool_takes_whole_floats_and_empty_inputs():
+    pool = Pool([0.0, 7.0, 2.0], np.zeros((3, 2, 2, 1)), [2.0, 0.0, 1.0])
+    assert pool.ids.tolist() == [0, 7, 2] and pool.y.tolist() == [2, 0, 1]
+    empty = Pool(np.array([]), np.zeros((0, 2, 2, 1)), [])
+    assert len(empty) == 0 and empty.ids.dtype == empty.y.dtype == np.int64
+
+
 def test_pool_role_label_consistency():
     x = np.zeros((2, 2, 2, 1))
     with pytest.raises(ValueError, match="labels must have shape"):

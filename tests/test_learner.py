@@ -185,6 +185,15 @@ def test_per_sample_loss_invalid_label():
         learner.per_sample_loss(state, np.zeros(4), 3)
 
 
+@pytest.mark.parametrize("score", [learner.accuracy, learner.per_sample_losses, learner.loss_and_grad],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("labels", [[0.9, 1.6, 2.5], [-0.5, 1, 2]], ids=["fractional", "negative-half"])
+def test_labels_that_are_not_whole_numbers_are_rejected(score, labels):
+    # They were truncated toward zero: [0.9, 1.6, 2.5] scored as [0, 1, 2], and -0.5 as a valid 0.
+    state = learner.init_learner(small_config())
+    with pytest.raises(ValueError, match="labels must be whole numbers"):
+        score(state, np.zeros((3, 4)), labels)
+
 # ---------------------------------------------------------------------------
 # gradients vs central finite differences
 # ---------------------------------------------------------------------------

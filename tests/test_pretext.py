@@ -1,8 +1,10 @@
 """Rotation pretext task: training, loss extraction, CSV contract."""
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -122,6 +124,18 @@ def test_rotation_rows_match_the_built_rotation_set(data):
     idx = (samples[:, None] * 4 + np.arange(4)).ravel()
     assert out.tobytes() == reference_rotation_set(x)[idx].tobytes()
 
+
+def test_every_rotation_in_the_package_is_rotate_batch():
+    # One rotation routine: the rotation writer, the in-place quarter turn and the template
+    # check all call data.rotate_batch, so the rotation tests of test_data.py cover every
+    # rotation that the pretext model sees.
+    callers = set()
+    for path in sorted(Path(pretext.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                callers |= {(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Attribute) and node.attr == "rot90"}
+    assert callers == {("data.py", "rotate_batch")}
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())

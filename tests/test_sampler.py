@@ -312,6 +312,16 @@ def test_entropy_uniform_posterior_equals_ln_c():
         assert q.scores[0] == pytest.approx(math.log(classes), abs=1e-12)
 
 
+def test_entropy_of_a_saturated_posterior_takes_no_log_of_zero():
+    # Probabilities that underflow to 0 add 0 log 0 = 0; under the suite's warnings-as-errors
+    # a log taken of them would raise a divide-by-zero RuntimeWarning.
+    state = proba_state(scale=2000.0, classes=3)
+    batch = pool_of_rows([1, 2], [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    assert np.count_nonzero(learner.predict_proba_batch(state, batch.x) == 0) == 3
+    q = entropy_sample(batch, state, 2)
+    assert q.selected == [2, 1]
+    assert q.scores == [pytest.approx(math.log(2.0), abs=1e-12), 0.0]
+
 def test_random_sample_deterministic_and_without_replacement():
     ids = list(range(30))
     a = random_sample(ids, 10, seed=42)
