@@ -3,8 +3,8 @@
 All operations are pure and deterministic per seed and never mutate a
 pool. Two callers do, on pools they own: the pretext rotation pass turns a
 pool's pixels in place and back (`pretext._rotation_pass`), and `run_al`
-compacts the rows not yet picked to the front of its train pool
-(`loop._drop_rows`).
+moves each round's picks into the labeled prefix of its train pool
+(`loop._label_rows`).
 
 `build_dataset` holds each split's pixels once. `split_positions` draws the
 imbalance subsample and the stratified split from the labels alone, so the
@@ -34,8 +34,12 @@ LABEL_MAGIC = 0x00000801
 def whole_numbers(values, name: str) -> np.ndarray:
     """`values` as int64; ValueError naming `name` unless every value is a whole number that int64 holds."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "f":
-        bad = ~((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63))  # NaN fails both
+    if arr.dtype.kind in "fuO":
+        # NaN fails both bounds. An unsigned value past int64 would wrap, and
+        # Python ints past it come as an object array, which int64 cannot take.
+        bad = ~((arr >= -2**63) & (arr < 2**63))
+        held = np.where(bad, 0, arr).astype(np.float64)
+        bad |= held != np.trunc(held)
         if bad.any():
             raise ValueError(f"{name} must be whole numbers within int64, got {arr[bad].item(0)!r}")
     return np.asarray(arr, dtype=np.int64)

@@ -189,25 +189,30 @@ def _find(ids: np.ndarray, wanted) -> np.ndarray:
     return pos
 
 
-def _drop_rows(pool: Pool, n: int, picked: np.ndarray) -> int:
-    """Remove the positions `picked` from the first `n` rows of `pool`, in place.
+def _label_rows(pool: Pool, n_labeled: int, picked: np.ndarray) -> int:
+    """Move the rows at positions `picked` after the first `n_labeled` of `pool` into that prefix, in place.
 
-    The kept rows move forward run by run and keep their order, so the ids
-    still ascend. `picked` holds no repeats (`QueryResult` rejects them).
-    Returns the number of rows left.
+    The picks land at [n_labeled, n_labeled + K) in the order of `picked`.
+    The unpicked rows before the last pick move back run by run, from the
+    last run, and keep their order, so the ids after the prefix still
+    ascend. `picked` holds no repeats (`QueryResult` rejects them).
+    Returns the new prefix length.
     """
-    cut = np.sort(picked).tolist()
+    at = n_labeled + picked
+    picks = pool.ids[at], pool.y[at], pool.x[at]
+    cut = [n_labeled - 1, *np.sort(at).tolist()]
     # 1-D views: numpy moves an overlapping 1-D slice without a temporary copy.
     x = np.reshape(pool.x, -1, copy=False)
     row = x.size // len(pool)
-    dst = cut[0]
-    for src, stop in zip(cut, [*cut[1:], n]):
-        src += 1
-        end = dst + stop - src
-        pool.ids[dst:end] = pool.ids[src:stop]
-        pool.y[dst:end] = pool.y[src:stop]
-        x[dst * row:end * row] = x[src * row:stop * row]
+    dst = cut[-1] + 1
+    for start, stop in reversed(list(zip(cut, cut[1:]))):
+        start += 1
+        end = dst - (stop - start)
+        pool.ids[end:dst] = pool.ids[start:stop]
+        pool.y[end:dst] = pool.y[start:stop]
+        x[end * row:dst * row] = x[start * row:stop * row]
         dst = end
+    pool.ids[n_labeled:dst], pool.y[n_labeled:dst], pool.x[n_labeled:dst] = picks
     return dst
 
 
@@ -257,32 +262,25 @@ def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> li
     need a loss-sorted plan (the CSV contract produced by the pretext
     command); they must cover exactly the unlabeled pool.
 
-    The loop keeps two pools. The rows not yet picked stay at the front of
-    the train pool's own arrays, in id order; each round's picks leave it and
-    are appended to the labeled pool in selection order.
+    The labeled rows are a prefix of the train pool's own arrays, in
+    selection order, and the rows not yet picked follow them in id order;
+    each round moves its picks to the end of the prefix (`_label_rows`).
     """
     train_pool, test_pool, unlabeled, n_classes = _prepare(config)
     plan = _build_plan(config, unlabeled, loss_records)
 
-    n_left, n_labeled = len(train_pool), 0
-    size = config.iterations * config.budget
-    labeled_ids, labeled_y = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    labeled_x = np.empty((size, *train_pool.x.shape[1:]))
+    n_labeled = 0
     prev_model: LearnerState | None = None
     reports: list[IterationReport] = []
 
     for iteration in range(1, config.iterations + 1):
         tic = time.perf_counter()
-        remaining = Pool(train_pool.ids[:n_left], train_pool.x[:n_left])  # labels hidden
+        remaining = Pool(train_pool.ids[n_labeled:], train_pool.x[n_labeled:])  # labels hidden
         batch = None if plan is None else _find(remaining.ids, plan.batches[iteration - 1])
         query = _select(config, iteration, remaining, batch, prev_model)
-        picked = _find(remaining.ids, query.selected)
-        end = n_labeled + len(picked)
-        for src, dst in ((train_pool.ids, labeled_ids), (train_pool.x, labeled_x), (train_pool.y, labeled_y)):
-            np.take(src, picked, axis=0, out=dst[n_labeled:end], mode="clip")
-        n_left, n_labeled = _drop_rows(train_pool, n_left, picked), end
+        n_labeled = _label_rows(train_pool, n_labeled, _find(remaining.ids, query.selected))
 
-        labeled_pool = Pool(labeled_ids[:n_labeled], labeled_x[:n_labeled], labeled_y[:n_labeled])
+        labeled_pool = Pool(train_pool.ids[:n_labeled], train_pool.x[:n_labeled], train_pool.y[:n_labeled])
         model = train_main(config, labeled_pool, n_classes, derive_seed(config.seed, "main", iteration))
         hist = labeled_pool.class_histogram(n_classes)
         reports.append(

@@ -52,6 +52,23 @@ def test_pool_rejects_ids_and_labels_that_are_not_whole_numbers(ids, labels, nam
         Pool(ids, np.zeros((3, 2, 2, 1)), labels)
 
 
+@pytest.mark.parametrize("ids, labels, named, value", [([2**70, 1], None, "sample ids", 2**70),
+                                                       ([-2**63 - 1, 1], None, "sample ids", -2**63 - 1),
+                                                       ([0, 1], [2**70, 0], "labels", 2**70)],
+                         ids=["big-ids", "small-ids", "big-labels"])
+def test_pool_rejects_python_ints_beyond_int64(ids, labels, named, value):
+    # They come as an object array, which used to raise OverflowError, not ValueError.
+    with pytest.raises(ValueError, match=f"{named} must be whole numbers within int64, got {value}$"):
+        Pool(ids, np.zeros((2, 2, 2, 1)), labels)
+
+
+def test_pool_rejects_unsigned_ids_beyond_int64():
+    # uint64 2**63 used to wrap silently to id -2**63.
+    with pytest.raises(ValueError, match=f"sample ids must be whole numbers within int64, got {2**63}"):
+        Pool(np.array([2**63, 5], dtype=np.uint64), np.zeros((2, 2, 2, 1)))
+    assert Pool(np.array([2**63 - 1, 5], dtype=np.uint64), np.zeros((2, 2, 2, 1))).ids.tolist() == [2**63 - 1, 5]
+
+
 def test_pool_takes_whole_floats_and_empty_inputs():
     pool = Pool([0.0, 7.0, 2.0], np.zeros((3, 2, 2, 1)), [2.0, 0.0, 1.0])
     assert pool.ids.tolist() == [0, 7, 2] and pool.y.tolist() == [2, 0, 1]

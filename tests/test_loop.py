@@ -177,6 +177,55 @@ def test_in_place_bookkeeping_hands_over_the_reference_pools(data):
     assert [name for name, _ in got].count("train_main") == iterations
 
 
+def picks_in_any_order(left: int):
+    """Positions among `left` remaining rows: any subset in any order, or one run, ascending or not."""
+    scattered = st.permutations(range(left)).flatmap(lambda p: st.integers(1, left).map(lambda k: p[:k]))
+    run = st.tuples(st.integers(0, left - 1), st.integers(1, left), st.booleans()).map(
+        lambda t: list(range(t[0], min(t[0] + t[1], left)))[::-1 if t[2] else 1])
+    ends = st.integers(1, left).flatmap(lambda k: st.sampled_from([list(range(k)), list(range(left - k, left))]))
+    return st.one_of(scattered, run, ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_label_rows_appends_the_picks_to_the_labeled_prefix(data):
+    n = data.draw(st.integers(1, 40), "pool size")
+    n_labeled = data.draw(st.integers(0, n - 1), "labeled")
+    ids = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True), "ids")
+    ids = ids[:n_labeled] + sorted(ids[n_labeled:])  # the prefix in selection order, the rest ascending
+    picked = data.draw(picks_in_any_order(n - n_labeled), "picked")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), "seed"))
+    pool = Pool(ids, rng.random((n, 3, 2, 1)), rng.integers(0, 5, n))
+    x = pool.x
+    order = [*range(n_labeled), *(n_labeled + p for p in picked),
+             *(i for i in range(n_labeled, n) if i - n_labeled not in picked)]
+    want = pool.take(order)
+    assert loop._label_rows(pool, n_labeled, np.array(picked)) == n_labeled + len(picked)
+    assert pool.x is x
+    assert (pool.ids.tobytes(), pool.y.tobytes(), pool.x.tobytes()) == (want.ids.tobytes(), want.y.tobytes(),
+                                                                        want.x.tobytes())
+
+
+@pytest.mark.parametrize("strategy", ["random", "entropy", "pt4al"])
+def test_every_labeled_pool_lives_in_the_train_pool(monkeypatch, strategy):
+    # The labeled rows are a prefix of the train pool's own arrays, not a second copy of them.
+    build, train, pools, handed = loop.build_dataset, loop.train_main, [], []
+
+    def building(*args):
+        pools.extend(build(*args))
+        return pools[0], pools[1]
+
+    def training(config, labeled, *args):
+        handed.append((len(labeled), [np.shares_memory(a, b) for a, b in
+                                      zip((labeled.ids, labeled.x, labeled.y), (pools[0].ids, pools[0].x, pools[0].y))]))
+        return train(config, labeled, *args)
+
+    monkeypatch.setattr(loop, "build_dataset", building)
+    monkeypatch.setattr(loop, "train_main", training)
+    run_al(tiny_config(strategy=strategy))
+    assert handed == [(10, [True] * 3), (20, [True] * 3), (30, [True] * 3)]
+
+
 def test_an_id_picked_in_an_earlier_round_is_already_labeled(monkeypatch):
     draw, first = loop.random_sample, []
 
