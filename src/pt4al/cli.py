@@ -90,7 +90,7 @@ def write_manifest(path: Path, command: str, config: ALConfig, inputs: list[Path
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _read_losses(out_dir: Path, args, need: str) -> tuple[Path, list[pretext.LossRecord]]:
+def _read_losses(out_dir: Path, args, need: str) -> tuple[Path, pretext.LossArrays]:
     """The loss records at --losses, or else at <out_dir>/losses.csv; `need` names who wants them."""
     path = Path(args.losses) if args.losses else out_dir / "losses.csv"
     if not path.is_file():
@@ -267,6 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             manifest, inputs, files = args.handler(config, out_dir, args)
         out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / manifest).unlink(missing_ok=True)  # a write that fails must leave no manifest of an older run
         for name, write in files:
             write(out_dir / name)
         write_manifest(out_dir / manifest, args.command, config, inputs, [out_dir / name for name, _ in files])

@@ -272,10 +272,11 @@ def gen_synthetic(n_per_class: int, classes: int, size: int, noise: float, seed:
     near-duplicates); the rest draws a difficulty scalar d that scales a
     mild isotropic pixel-noise term plus a bounded blend of the body
     pattern toward another class's body, so hard samples sit near class
-    boundaries. A tiny fraction is inherently ambiguous: markerless
-    class-centroid bodies whose labels carry no visual signal, which no
-    model can resolve and which permanently bait uncertainty-style
-    samplers. At noise 0 every sample equals its class template exactly.
+    boundaries. A tiny fraction is inherently ambiguous: class-centroid
+    bodies under the same crisp marker, so the rotation task finds them
+    easy, whose labels carry no visual signal; no model can resolve them,
+    and they permanently bait uncertainty-style samplers. At noise 0 every
+    sample equals its class template exactly.
     """
     check_fields(DatasetSpec(n_per_class=n_per_class, classes=classes, size=size, noise=noise))
     everything = np.arange(classes * n_per_class)

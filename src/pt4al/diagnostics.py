@@ -31,14 +31,11 @@ def average_ranks(values) -> np.ndarray:
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("expected a nonempty 1-d sequence")
     order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # where each run of equal values starts
+    last = np.r_[first[1:], len(arr)] - 1
     ranks = np.empty(len(arr))
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 
@@ -85,7 +82,7 @@ def correlation_report(
     """
     if eval_pool.y is None:
         raise ValueError("correlation report requires a labeled evaluation pool")
-    pretext_losses = np.array([r.loss for r in pretext.extract_losses(pretext_model, eval_pool)])
+    pretext_losses = pretext.extract_losses(pretext_model, eval_pool).losses
     main_losses = learner.per_sample_losses(main_model, eval_pool.x, eval_pool.y)
     for role, model, losses in (("pretext", pretext_model, pretext_losses), ("main", main_model, main_losses)):
         if len(losses) > 1 and np.all(losses == losses[0]):

@@ -18,7 +18,7 @@ from . import learner
 from .config import ConfigError, check_fields, declare
 from .data import DatasetSpec, Pool, build_dataset, write_csv
 from .learner import LearnerConfig, LearnerState
-from .pretext import N_ORIENTATIONS, LossRecord, PretextReport, check_records_cover, train_pretext
+from .pretext import N_ORIENTATIONS, LossArrays, LossRecord, PretextReport, check_records_cover, train_pretext
 from .sampler import (
     ORDER_HIGH_FIRST,
     ORDER_LOW_FIRST,
@@ -216,7 +216,8 @@ def _label_rows(pool: Pool, n_labeled: int, picked: np.ndarray) -> int:
     return dst
 
 
-def _build_plan(config: ALConfig, unlabeled: Pool, loss_records: list[LossRecord] | None) -> BatchPlan | None:
+def _build_plan(config: ALConfig, unlabeled: Pool,
+                loss_records: LossArrays | list[LossRecord] | None) -> BatchPlan | None:
     order = STRATEGY_TABLE[config.strategy][0]
     if order is None:
         return None
@@ -224,11 +225,11 @@ def _build_plan(config: ALConfig, unlabeled: Pool, loss_records: list[LossRecord
         # The segmentation shares the iteration-1 sampling substream, so the
         # head of the first batch coincides with the random strategy's first
         # draw: the two first iterations are identical by construction.
-        return build_random_plan(unlabeled.ids.tolist(), config.iterations, derive_seed(config.seed, "sampling", 1))
+        return build_random_plan(unlabeled.ids, config.iterations, derive_seed(config.seed, "sampling", 1))
     if loss_records is None:
         loss_records = pretext_model(config, unlabeled)[1].records
     else:
-        check_records_cover(loss_records, unlabeled.ids.tolist())
+        check_records_cover(loss_records, unlabeled.ids)
     return build_batch_plan(loss_records, config.iterations, order)
 
 
@@ -255,7 +256,7 @@ def _select(config: ALConfig, iteration: int, remaining: Pool, batch, model: Lea
     return scorer(remaining if batch is None else remaining.take(batch), model, k, iteration)
 
 
-def run_al(config: ALConfig, loss_records: list[LossRecord] | None = None) -> list[IterationReport]:
+def run_al(config: ALConfig, loss_records: LossArrays | list[LossRecord] | None = None) -> list[IterationReport]:
     """Execute the full AL cycle and return one report per iteration.
 
     `loss_records` short-circuits the pretext phase for strategies that

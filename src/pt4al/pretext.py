@@ -8,7 +8,7 @@ batch splitting in the active-learning loop.
 from __future__ import annotations
 
 import csv
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +35,44 @@ _TURN_SLAB = 64
 
 @dataclass(frozen=True, slots=True)
 class LossRecord:
-    """Per-sample averaged rotation loss; the batch-split sorting key."""
+    """One sample's averaged rotation loss, the batch-split sorting key; a list of them may stand for LossArrays."""
 
     sample_id: int
     loss: float
+
+
+@dataclass(eq=False)
+class LossArrays:
+    """Loss records as two aligned 1-d arrays, the form pt4al keeps them in.
+
+    `ids` is int64, or an object array of Python ints when an id is past
+    int64 (a loss file may name any integer); `losses` is float64.
+    """
+
+    ids: np.ndarray
+    losses: np.ndarray
+
+    def __post_init__(self):
+        if not (isinstance(self.ids, np.ndarray) and self.ids.dtype == np.int64):
+            ids = [operator.index(i) for i in self.ids]  # a float id is a TypeError, not cut to an integer
+            try:
+                self.ids = np.array(ids, dtype=np.int64)
+            except OverflowError:  # an id past int64 stays a Python int
+                self.ids = np.array(ids, dtype=object)
+        self.losses = np.asarray(self.losses, dtype=np.float64)
+        if self.ids.ndim != 1 or self.ids.shape != self.losses.shape:
+            raise ValueError(f"loss records need ids and losses of one length, got {self.ids.shape} and "
+                             f"{self.losses.shape}")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def as_arrays(records: LossArrays | list[LossRecord]) -> LossArrays:
+    """`records` as LossArrays: a LossRecord sequence is converted in its order, LossArrays pass as they are."""
+    if isinstance(records, LossArrays):
+        return records
+    return LossArrays([r.sample_id for r in records], [r.loss for r in records])
 
 
 @dataclass
@@ -46,7 +80,7 @@ class PretextReport:
     best_epoch: int
     epochs_run: int
     rotation_accuracy: float
-    records: list[LossRecord]
+    records: LossArrays
 
 
 def _rotation_writer(x: np.ndarray):
@@ -135,11 +169,11 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
                              np.tile(np.arange(N_ORIENTATIONS), len(x)), group=N_ORIENTATIONS, on_epoch=keep_best)
     learner.check_converged(config, "pretext", f"kept epoch {best_epoch} has non-finite weights or losses",
                             (*best_state.weights, *best_state.biases, best_losses))
-    records = [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), best_losses.tolist())]
+    records = LossArrays(unlabeled.ids.copy(), best_losses)
     return best_state, PretextReport(best_epoch, len(trace), best_hits / (N_ORIENTATIONS * len(x)), records)
 
 
-def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
+def extract_losses(state: LearnerState, unlabeled: Pool) -> LossArrays:
     """Averaged rotation loss per sample, in pool order.
 
     For each sample all four orientations are fed through the model and
@@ -152,54 +186,67 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> list[LossRecord]:
     """
     x = unlabeled.x
     check_model(state.config, x.shape[1:])
-    return [LossRecord(sid, loss) for sid, loss in zip(unlabeled.ids.tolist(), _rotation_pass(state, x)[1].tolist())]
+    return LossArrays(unlabeled.ids.copy(), _rotation_pass(state, x)[1])
 
 
-def write_loss_records(path, records: list[LossRecord]) -> None:
-    """CSV contract file `sample_id,pretext_loss`."""
-    write_csv(path, ["sample_id", "pretext_loss"], [(rec.sample_id, rec.loss) for rec in records])
+_HEADER = ["sample_id", "pretext_loss"]
+
+
+def write_loss_records(path, records: LossArrays) -> None:
+    """CSV contract file `sample_id,pretext_loss`, one row per record, written straight from the arrays."""
+    write_csv(path, _HEADER, zip(records.ids, records.losses))
 
 
 class LossRecordError(ConfigError):
     """Loss records that break the contract: one finite, nonnegative loss per pool sample."""
 
 
-def read_loss_records(path) -> list[LossRecord]:
+def read_loss_records(path) -> LossArrays:
     """Parse a loss-record CSV, rejecting bad losses and repeated sample ids."""
+    ids, losses = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            # None under another header; unpacking rejects a row without exactly two fields
-            records = ([LossRecord(int(sid), float(loss)) for sid, loss in filter(None, reader)]
-                       if next(reader, None) == ["sample_id", "pretext_loss"] else None)
+            header = next(reader, None)
+            if header == _HEADER:
+                for sid, loss in filter(None, reader):  # unpacking rejects a row without exactly two fields
+                    ids.append(int(sid))
+                    losses.append(float(loss))
         except UnicodeDecodeError as exc:
             raise LossRecordError(f"{path}: not UTF-8 text: {exc}") from exc
         except ValueError as exc:
             raise LossRecordError(f"{path}: malformed loss record: {exc}") from exc
-    if records is None:
+    if header != _HEADER:
         raise LossRecordError(f"{path}: not a loss-record file")
+    records = LossArrays(ids, losses)
     _check_records(records, path)
     return records
 
 
-def _check_records(records: list[LossRecord], source) -> None:
-    """Raise LossRecordError, naming `source`, unless every loss is finite and >= 0 and no sample id repeats."""
-    seen: set[int] = set()
-    for rec in records:
-        if not (math.isfinite(rec.loss) and rec.loss >= 0):
-            raise LossRecordError(f"{source}: invalid loss for sample {rec.sample_id}")
-        if rec.sample_id in seen:
-            raise LossRecordError(f"{source}: repeated sample id {rec.sample_id}")
-        seen.add(rec.sample_id)
+def _check_records(records: LossArrays, source) -> None:
+    """Raise LossRecordError, naming `source`, unless every loss is finite and >= 0 and no sample id repeats.
+
+    The first faulty record in order is named, its loss checked before its id.
+    """
+    ids = records.ids
+    bad_loss = ~(np.isfinite(records.losses) & (records.losses >= 0))
+    by_id = np.argsort(ids, kind="stable")  # a repeat sorts after its first occurrence
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[by_id[1:]] = ids[by_id[1:]] == ids[by_id[:-1]]
+    faults = np.flatnonzero(bad_loss | repeat)
+    if faults.size:
+        i = faults[0]
+        raise LossRecordError(f"{source}: invalid loss for sample {ids[i]}" if bad_loss[i]
+                              else f"{source}: repeated sample id {ids[i]}")
 
 
-def check_records_cover(records: list[LossRecord], pool_ids: list[int]) -> None:
-    """Raise LossRecordError unless `records` hold exactly one valid entry per pool id."""
+def check_records_cover(records: LossArrays | list[LossRecord], pool_ids) -> None:
+    """Raise LossRecordError unless `records` hold exactly one valid entry per id of the unique `pool_ids`."""
+    records = as_arrays(records)
     _check_records(records, "loss records")
-    named, pool = {r.sample_id for r in records}, set(pool_ids)
-    missing, foreign = pool - named, named - pool
-    if missing or foreign:
+    covered = np.count_nonzero(np.isin(records.ids, pool_ids))
+    if covered != len(records) or covered != len(pool_ids):
         raise LossRecordError(
-            f"loss records do not cover the unlabeled pool: {len(missing)} pool samples have no record, "
-            f"{len(foreign)} records name samples outside the pool"
+            f"loss records do not cover the unlabeled pool: {len(pool_ids) - covered} pool samples have no record, "
+            f"{len(records) - covered} records name samples outside the pool"
         )

@@ -17,7 +17,7 @@ import numpy as np
 from . import learner
 from .data import Pool, write_csv
 from .learner import LearnerState
-from .pretext import LossRecord
+from .pretext import LossArrays, LossRecord, as_arrays
 
 ORDER_HIGH_FIRST = "high-loss-first"
 ORDER_LOW_FIRST = "low-loss-first"
@@ -47,31 +47,31 @@ class QueryResult:
             raise ValueError("scores must align with selected ids")
 
 
-def _split(ids: list[int], n_batches: int) -> list[list[int]]:
-    """Contiguous batches whose sizes differ by at most 1, the larger ones first."""
+def _split(ids: np.ndarray, n_batches: int) -> list[list[int]]:
+    """Contiguous batches of Python ints whose sizes differ by at most 1, the larger ones first."""
     if n_batches < 1:
         raise ValueError("need at least one batch")
     if n_batches > len(ids):
         raise ValueError(f"cannot split {len(ids)} ids into {n_batches} batches")
-    # Slicing the list keeps ids that do not fit in an int64.
-    base, extra = divmod(len(ids), n_batches)
-    starts = [b * base + min(b, extra) for b in range(n_batches + 1)]
-    return [ids[start:end] for start, end in zip(starts, starts[1:])]
+    return [batch.tolist() for batch in np.array_split(ids, n_batches)]
 
 
-def build_batch_plan(records: list[LossRecord], n_batches: int, order: str = ORDER_HIGH_FIRST) -> BatchPlan:
+def build_batch_plan(records: LossArrays | list[LossRecord], n_batches: int,
+                     order: str = ORDER_HIGH_FIRST) -> BatchPlan:
     """Sort records by loss and split them contiguously into equal batches."""
     if order not in (ORDER_HIGH_FIRST, ORDER_LOW_FIRST):
         raise ValueError(f"unknown batch order {order!r}")
+    records = as_arrays(records)
     sign = -1.0 if order == ORDER_HIGH_FIRST else 1.0
-    ranked = sorted(records, key=lambda r: (sign * r.loss, r.sample_id))
-    return BatchPlan(_split([r.sample_id for r in ranked], n_batches), order)
+    ranked = records.ids[np.lexsort((records.ids, sign * records.losses))]
+    return BatchPlan(_split(ranked, n_batches), order)
 
 
-def build_random_plan(ids: list[int], n_batches: int, seed: int) -> BatchPlan:
+def build_random_plan(ids: np.ndarray | list[int], n_batches: int, seed: int) -> BatchPlan:
     """Seeded random segmentation into equal batches (the sampling-only ablation)."""
     perm = np.random.default_rng(seed).permutation(len(ids))
-    return BatchPlan(_split([ids[i] for i in perm], n_batches), ORDER_RANDOM)
+    # dtype=object keeps every id as it is: numpy would make [2**63, -1] a float array.
+    return BatchPlan(_split(np.asarray(ids, dtype=object)[perm], n_batches), ORDER_RANDOM)
 
 
 def uniform_first_sample(batch: list[int], k: int, iteration: int = 1) -> QueryResult:

@@ -256,6 +256,49 @@ def test_plan_accepts_ids_beyond_int64(tmp_path, capsys):
         "sample_id,batch_index,rank_in_batch", f"{big},0,0", "2,0,1", "1,1,0", "3,2,0"]
 
 
+def test_run_with_an_id_beyond_int64_exits_1(tmp_path, capsys):
+    cfg = edit_loss_rows(tmp_path, lambda rows: rows[1:] + [f"{2**63 + 5},0.5"])
+    assert main(["run", str(cfg)]) == 1
+    assert ("loss records do not cover the unlabeled pool: 1 pool samples have no record, "
+            "1 records name samples outside the pool") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reports.csv").exists()
+
+
+# (data rows of losses.csv, the fault named). The first faulty row in file order is named, and a
+# row's loss is checked before its id; the smallest repeated id or the lowest loss is not named.
+NAMED_FAULTS = {"repeated": ("5,0.1\n3,0.2\n5,0.3\n3,0.4\n", "repeated sample id 5"),
+                "negative": ("4,1.0\n2,-1.0\n1,-2.0\n", "invalid loss for sample 2"),
+                "repeat-then-negative": ("3,0.5\n3,0.5\n1,-1\n", "repeated sample id 3"),
+                "negative-then-repeat": ("9,-0.5\n3,0.5\n3,0.5\n", "invalid loss for sample 9"),
+                "repeat-with-negative": ("7,0.1\n7,-1\n", "invalid loss for sample 7")}
+
+
+@pytest.mark.parametrize("case", NAMED_FAULTS)
+def test_a_faulty_loss_file_names_its_first_faulty_row(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, al={"iterations": 1})
+    out = tmp_path / "out"
+    out.mkdir()
+    rows, named = NAMED_FAULTS[case]
+    (out / "losses.csv").write_text("sample_id,pretext_loss\n" + rows)
+    assert main(["plan", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"pt4al plan: {out / 'losses.csv'}: {named}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["losses.csv"]
+
+
+def test_a_failed_run_leaves_no_stale_manifest(tmp_path, capsys):
+    cfg = write_config(tmp_path, al={"strategy": "random"})
+    out = tmp_path / "out"
+    assert main(["pretext", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--seed", "5"]) == 0
+    (out / "queries.csv").unlink()
+    (out / "queries.csv").mkdir()  # so that the second run's last write fails
+    assert main(["run", str(cfg), "--seed", "7"]) == 2
+    assert "queries.csv" in capsys.readouterr().err
+    # Seed 7's reports.csv is written, and no manifest says that seed 5 made it.
+    assert not (out / "run_manifest.json").exists()
+    assert json.loads((out / "pretext_manifest.json").read_text())["command"] == "pretext"
+
+
 def losses_elsewhere(tmp_path):
     """Run pretext, move its records to a file outside the output directory and spoil the default path."""
     cfg = write_config(tmp_path)

@@ -97,6 +97,29 @@ def test_tied_values_get_average_ranks():
     assert list(average_ranks([3.0, 1.0, 3.0, 3.0])) == [3.0, 1.0, 3.0, 3.0]
 
 
+def reference_average_ranks(values):
+    """The tie walk that the array ranking replaced."""
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(len(arr))
+    i = 0
+    while i < len(arr):
+        j = i
+        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0, float("inf"), float("-inf"), float("nan")])
+                | st.floats(allow_nan=True), min_size=1, max_size=40))
+def test_average_ranks_match_the_tie_walk(values):
+    # -0.0 ties 0.0, and each NaN is a run of its own, in both.
+    assert average_ranks(values).tobytes() == reference_average_ranks(values).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # normalized_rank
 # ---------------------------------------------------------------------------
@@ -141,8 +164,8 @@ def test_identical_loss_lists_give_rho_one():
     # per-sample loss lists, whose rank correlation is exactly 1.
     from pt4al.pretext import extract_losses
     pstate, _, test = _small_models_and_pool()
-    first = [r.loss for r in extract_losses(pstate, test)]
-    second = [r.loss for r in extract_losses(pstate, test)]
+    first = extract_losses(pstate, test).losses.tolist()
+    second = extract_losses(pstate, test).losses.tolist()
     assert first == second
     assert spearman_rho(first, second) == pytest.approx(1.0)
 

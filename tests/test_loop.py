@@ -377,7 +377,7 @@ def test_low_loss_first_reverses_batch_order():
     high_first = run_al(replace(cfg_high, strategy="pt4al"), loss_records=records)
     low_first = run_al(replace(cfg_high, strategy="pt4al-low-loss-first"), loss_records=records)
     # iteration 1 draws from opposite ends of the loss ordering
-    loss_by_id = {r.sample_id: r.loss for r in records}
+    loss_by_id = dict(zip(records.ids.tolist(), records.losses.tolist()))
     mean_high = np.mean([loss_by_id[i] for i in high_first[0].selected_ids])
     mean_low = np.mean([loss_by_id[i] for i in low_first[0].selected_ids])
     assert mean_high > mean_low

@@ -53,7 +53,7 @@ def test_constant_images_hit_chance_accuracy_and_ln4_loss(monkeypatch):
     lr_calls = count_calls(monkeypatch, "lr_at")
     _, report = train_pretext(pool, pretext_config(8))
     assert abs(report.rotation_accuracy - 0.25) <= 0.05
-    losses = np.array([r.loss for r in report.records])
+    losses = report.records.losses
     assert np.all(np.abs(losses - math.log(4.0)) < 0.05)
     # Never perfect, so every epoch runs.
     assert report.epochs_run == 6
@@ -96,7 +96,7 @@ def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
     for a, b in zip(state.weights + state.biases, kept.weights + kept.biases):
         assert np.array_equal(a, b)
     # The kept epoch's own pass is the loss records.
-    assert np.array([r.loss for r in report.records]).tobytes() == passes[report.best_epoch][1].tobytes()
+    assert report.records.losses.tobytes() == passes[report.best_epoch][1].tobytes()
 
 
 def reference_rotation_set(x):
@@ -186,8 +186,8 @@ def test_train_pretext_evaluates_in_rotation_pass_chunks_only(monkeypatch):
     assert len(predicts) == report.epochs_run * 4 * math.ceil(len(pool) / 7)
     assert len(forwards) == forwards_after_hook[-1]  # no forward pass after the last hook
     records = extract_losses(state, pool)
-    assert [r.sample_id for r in report.records] == [r.sample_id for r in records]
-    assert np.array([r.loss for r in report.records]).tobytes() == np.array([r.loss for r in records]).tobytes()
+    assert report.records.ids.tolist() == records.ids.tolist()
+    assert report.records.losses.tobytes() == records.losses.tobytes()
 
 
 def test_train_pretext_never_holds_the_rotation_set():
@@ -204,6 +204,32 @@ def test_train_pretext_never_holds_the_rotation_set():
     finally:
         tracemalloc.stop()
     assert peak < 0.75 * pool.x.nbytes
+
+
+def test_loss_records_hold_about_16_bytes_each(tmp_path):
+    # An int64 id and a float64 loss per record, plus numpy's small-allocation caches
+    # (about 12 KB). As LossRecord objects, each with a Python int and float, 4,000
+    # records held about 110 bytes each.
+    n = 4000
+    pool = Pool(np.arange(n), np.random.default_rng(3).random((n, 4, 4, 1)))
+    cfg = pretext_config(4, hidden=(4,), epochs=1, batch_size=256)
+    path = tmp_path / "losses.csv"
+    write_loss_records(path, train_pretext(pool, cfg)[1].records)  # warm: first-use caches stay
+    read_loss_records(path)
+    held = {}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = train_pretext(pool, cfg)[1].records
+        held["train_pretext"] = tracemalloc.get_traced_memory()[0] - before
+        del records
+        before = tracemalloc.get_traced_memory()[0]
+        records = read_loss_records(path)
+        held["read_loss_records"] = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == n
+    assert max(held.values()) <= 16 * n + 32768, held
 
 
 def multi_epoch_setup(channels):
@@ -226,7 +252,7 @@ def test_rotation_pass_gives_the_pool_back_bit_for_bit(monkeypatch, channels):
     assert pool.x.tobytes() == before
     records = extract_losses(state, pool)
     assert pool.x.tobytes() == before
-    assert [r.loss for r in records] == [r.loss for r in report.records]
+    assert records.losses.tolist() == report.records.losses.tolist()
 
 
 def test_rotation_pass_that_raises_gives_the_pool_back(monkeypatch):
@@ -254,12 +280,11 @@ def test_read_only_pool_gives_the_records_of_a_writable_copy():
     frozen.setflags(write=False)
     state, report = train_pretext(Pool(pool.ids, frozen), cfg)
     writable_state, writable_report = train_pretext(pool, cfg)
-    assert np.array([r.loss for r in report.records]).tobytes() == \
-        np.array([r.loss for r in writable_report.records]).tobytes()
+    assert report.records.losses.tobytes() == writable_report.records.losses.tobytes()
     assert report.best_epoch == writable_report.best_epoch
     assert report.rotation_accuracy == writable_report.rotation_accuracy
     frozen_records = extract_losses(state, Pool(pool.ids, frozen))
-    assert [r.loss for r in frozen_records] == [r.loss for r in extract_losses(writable_state, pool)]
+    assert frozen_records.losses.tolist() == extract_losses(writable_state, pool).losses.tolist()
     assert frozen.tobytes() == pool.x.tobytes()
 
 
@@ -298,7 +323,8 @@ def test_train_pretext_same_seed_identical_checkpoint():
     assert r1.rotation_accuracy == r2.rotation_accuracy
     for a, b in zip(s1.weights + s1.biases, s2.weights + s2.biases):
         assert np.array_equal(a, b)
-    assert [(r.sample_id, r.loss) for r in r1.records] == [(r.sample_id, r.loss) for r in r2.records]
+    assert r1.records.ids.tolist() == r2.records.ids.tolist()
+    assert r1.records.losses.tolist() == r2.records.losses.tolist()
 
 
 def test_train_pretext_rejects_empty_and_non_square():
@@ -321,8 +347,8 @@ def test_extract_losses_zero_weight_model_gives_ln4():
     state = learner.init_learner(cfg)
     records = extract_losses(state, pool)
     assert len(records) == 10
-    for rec in records:
-        assert abs(rec.loss - math.log(4.0)) < 1e-12
+    for loss in records.losses:
+        assert abs(loss - math.log(4.0)) < 1e-12
 
 
 def test_extract_losses_matches_per_sample_loss_oracle():
@@ -330,14 +356,14 @@ def test_extract_losses_matches_per_sample_loss_oracle():
     cfg = pretext_config(10, seed=13)
     state = learner.init_learner(cfg)
     records = extract_losses(state, pool)
-    for sid, image, rec in zip(pool.ids.tolist(), pool.x, records):
-        assert rec.sample_id == sid
+    assert records.ids.tolist() == pool.ids.tolist()
+    for image, loss in zip(pool.x, records.losses):
         oracle = np.mean([
             learner.per_sample_loss(state, rotate(image, y), y)
             for y in range(4)
         ])
-        assert abs(rec.loss - oracle) < 1e-10
-        assert rec.loss >= 0.0
+        assert abs(loss - oracle) < 1e-10
+        assert loss >= 0.0
 
 
 def test_extract_losses_permutation_equivariance():
@@ -348,9 +374,9 @@ def test_extract_losses_permutation_equivariance():
     perm = [5, 2, 7, 0, 1, 6, 3, 4, 9, 8, 12, 10, 11, 14, 13, 15]
     shuffled = pool.take(perm)
     out = extract_losses(state, shuffled)
-    by_id = {r.sample_id: r.loss for r in base}
-    for rec in out:
-        assert rec.loss == by_id[rec.sample_id]
+    by_id = dict(zip(base.ids.tolist(), base.losses.tolist()))
+    for sid, loss in zip(out.ids.tolist(), out.losses.tolist()):
+        assert loss == by_id[sid]
 
 
 def test_extract_losses_pure_bitwise():
@@ -359,12 +385,14 @@ def test_extract_losses_pure_bitwise():
     state = learner.init_learner(cfg)
     a = extract_losses(state, pool)
     b = extract_losses(state, pool)
-    assert [(r.sample_id, r.loss) for r in a] == [(r.sample_id, r.loss) for r in b]
+    assert a.ids.tolist() == b.ids.tolist()
+    assert a.losses.tobytes() == b.losses.tobytes()
 
 
 def test_extract_losses_of_an_empty_pool_is_empty():
     state = learner.init_learner(pretext_config(8))
-    assert extract_losses(state, Pool([], np.zeros((0, 8, 8, 1)))) == []
+    records = extract_losses(state, Pool([], np.zeros((0, 8, 8, 1))))
+    assert records.ids.tolist() == records.losses.tolist() == []
 
 
 def test_extract_losses_rejects_non_rotation_model():
@@ -378,13 +406,13 @@ def test_loss_record_csv_round_trip(tmp_path):
     records = [LossRecord(3, 1.3862943611198906), LossRecord(1, 0.0001234567890123),
                LossRecord(7, 2.5)]
     path = tmp_path / "losses.csv"
-    write_loss_records(path, records)
+    write_loss_records(path, pretext.as_arrays(records))
     text = path.read_text()
     assert text.splitlines()[0] == "sample_id,pretext_loss"
     back = read_loss_records(path)
-    assert [r.sample_id for r in back] == [3, 1, 7]
-    for orig, rt in zip(records, back):
-        assert abs(rt.loss - orig.loss) <= 1e-12 * max(1.0, abs(orig.loss))
+    assert back.ids.tolist() == [3, 1, 7]
+    for orig, loss in zip(records, back.losses):
+        assert abs(loss - orig.loss) <= 1e-12 * max(1.0, abs(orig.loss))
 
 
 def test_loss_record_csv_rejects_foreign_files(tmp_path):
@@ -400,6 +428,6 @@ def test_loss_record_csv_rejects_foreign_files(tmp_path):
 
 def test_loss_record_csv_rejects_repeated_ids(tmp_path):
     path = tmp_path / "losses.csv"
-    write_loss_records(path, [LossRecord(3, 0.5), LossRecord(1, 0.2), LossRecord(3, 0.5)])
+    write_loss_records(path, pretext.LossArrays([3, 1, 3], [0.5, 0.2, 0.5]))
     with pytest.raises(LossRecordError, match="repeated sample id 3"):
         read_loss_records(path)

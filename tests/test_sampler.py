@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pt4al import learner
+from pt4al import learner, pretext
 from pt4al.data import Pool
 from pt4al.learner import LearnerConfig
-from pt4al.pretext import LossRecord
+from pt4al.pretext import LossRecord, LossRecordError, as_arrays, check_records_cover
 from pt4al.sampler import (
     ORDER_HIGH_FIRST,
     ORDER_LOW_FIRST,
@@ -97,6 +97,15 @@ def test_plan_rejects_bad_batch_counts():
         build_batch_plan(records, 1, "sideways")
 
 
+def test_an_id_is_never_cut_or_wrapped():
+    # A cast to int64 would cut 2.5 to the id 2 and wrap the uint64 2**63 to -2**63.
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        build_batch_plan([LossRecord(2.5, 1.0), LossRecord(3, 0.5)], 1)
+    with pytest.raises(TypeError):
+        pretext.LossArrays(np.array([2.7]), [0.5])
+    assert pretext.LossArrays(np.array([2**63], dtype=np.uint64), [0.5]).ids.tolist() == [2**63]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 2.0, 3.5]) | st.floats(0, 100),
@@ -150,6 +159,83 @@ def test_plans_match_reference_split_for_every_batch_count(quanta, ids, seed):
         plan = build_random_plan([r.sample_id for r in records], n_batches, seed)
         assert plan.batches == reference_split(shuffled, n_batches)
         assert plan.order == ORDER_RANDOM
+
+
+def reference_check(records, source):
+    """The per-record check that the array check replaced: the first faulty record, its loss before its id."""
+    seen = set()
+    for rec in records:
+        if not (math.isfinite(rec.loss) and rec.loss >= 0):
+            raise LossRecordError(f"{source}: invalid loss for sample {rec.sample_id}")
+        if rec.sample_id in seen:
+            raise LossRecordError(f"{source}: repeated sample id {rec.sample_id}")
+        seen.add(rec.sample_id)
+
+
+def reference_cover(records, pool_ids):
+    """The set-based cover check that the array check replaced."""
+    reference_check(records, "loss records")
+    named, pool = {r.sample_id for r in records}, set(pool_ids)
+    missing, foreign = pool - named, named - pool
+    if missing or foreign:
+        raise LossRecordError(
+            f"loss records do not cover the unlabeled pool: {len(missing)} pool samples have no record, "
+            f"{len(foreign)} records name samples outside the pool"
+        )
+
+
+def raised(check, *args):
+    """The message of the LossRecordError that `check(*args)` raises, or None."""
+    try:
+        check(*args)
+    except LossRecordError as exc:
+        return str(exc)
+    return None
+
+
+# Few distinct ids and losses, so ties and repeats are common; -0.0 sits beside 0.0.
+RECORD_IDS = st.integers(-3, 12) | st.integers(-2**70, 2**70)
+RECORD_LOSSES = (st.sampled_from([0.0, -0.0, 0.5, 0.5, 1.0, 2.5, math.inf, -math.inf, math.nan, -1.0])
+                 | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(RECORD_IDS, RECORD_LOSSES), max_size=30),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([ORDER_HIGH_FIRST, ORDER_LOW_FIRST]),
+    st.integers(min_value=0, max_value=3),
+    st.lists(RECORD_IDS, max_size=3),
+)
+def test_array_records_match_the_per_record_path(tmp_path_factory, pairs, n_batches, order, dropped, extra):
+    records = [LossRecord(sid, loss) for sid, loss in pairs]
+    assert raised(pretext._check_records, as_arrays(records), "f.csv") == raised(reference_check, records, "f.csv")
+    pool_ids = list(dict.fromkeys([sid for sid, _ in pairs[dropped:]] + extra))  # unique, like a Pool's
+    assert raised(check_records_cover, records, pool_ids) == raised(reference_cover, records, pool_ids)
+    # Through the file: the same parse, the same named sample, and the same bits when it is read.
+    path = tmp_path_factory.mktemp("losses") / "losses.csv"
+    pretext.write_loss_records(path, as_arrays(records))
+    parsed = [LossRecord(int(sid), float(loss)) for sid, loss in
+              (line.split(",") for line in path.read_text().splitlines()[1:])]
+    assert raised(pretext.read_loss_records, path) == raised(reference_check, parsed, path)
+    if raised(reference_check, parsed, path) is None:
+        back = pretext.read_loss_records(path)
+        assert back.ids.tolist() == [r.sample_id for r in parsed]
+        assert back.losses.tobytes() == np.array([r.loss for r in parsed]).tobytes()
+    # Python's sort has no defined order for NaN keys, so the plans are compared without them.
+    if n_batches <= len(records) and not any(math.isnan(r.loss) for r in records):
+        plan = build_batch_plan(records, n_batches, order)
+        assert plan.batches == reference_plan(records, n_batches, order)
+        assert all(type(sid) is int for batch in plan.batches for sid in batch)
+
+
+def test_plans_keep_ids_past_int64_beside_negative_ones():
+    # numpy infers float64 for a list that holds both 2**63 + 1 and -5.
+    ids = [2**63 + 1, -5, 3]
+    plan = build_random_plan(ids, 3, seed=0)
+    assert sorted(sid for batch in plan.batches for sid in batch) == sorted(ids)
+    records = [LossRecord(sid, loss) for sid, loss in zip(ids, [0.5, 0.25, 0.5])]
+    assert build_batch_plan(records, 3).batches == [[3], [2**63 + 1], [-5]]
 
 
 def test_random_plan_is_partition_and_deterministic():
