@@ -21,7 +21,7 @@ from .loop import (
     run_ablation,
     run_al,
 )
-from .pretext import LossRecord, PretextReport, extract_losses, train_pretext
+from .pretext import LossArrays, LossRecord, PretextReport, extract_losses, train_pretext
 from .sampler import (
     BatchPlan,
     QueryResult,
@@ -36,7 +36,7 @@ __all__ = [
     "__version__",
     "ALConfig", "BatchPlan", "ColdStartSummary", "ConvSpec", "CorrelationReport",
     "DatasetSpec", "IterationReport", "LearnerConfig", "LearnerState",
-    "LossRecord", "Pool", "PretextReport", "QueryResult",
+    "LossArrays", "LossRecord", "Pool", "PretextReport", "QueryResult",
     "build_batch_plan", "cold_start_experiment", "correlation_report",
     "entropy_sample", "extract_losses", "gen_synthetic", "init_learner",
     "load_idx", "normalized_rank", "per_sample_loss", "predict_proba",

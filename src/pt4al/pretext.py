@@ -8,14 +8,13 @@ batch splitting in the active-learning loop.
 from __future__ import annotations
 
 import csv
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import learner
 from .config import ConfigError
-from .data import Pool, rotate_batch, write_csv
+from .data import Pool, rotate_batch, whole_numbers, write_csv
 from .learner import LearnerConfig, LearnerState
 
 N_ORIENTATIONS = 4
@@ -45,24 +44,18 @@ class LossRecord:
 class LossArrays:
     """Loss records as two aligned 1-d arrays, the form pt4al keeps them in.
 
-    `ids` is int64, or an object array of Python ints when an id is past
-    int64 (a loss file may name any integer); `losses` is float64.
+    `ids` is int64 under `Pool`'s rule (`data.whole_numbers`): 2.0 is id 2, and 2.5 or an id
+    outside int64 is a ValueError naming it. `losses` is float64.
     """
 
     ids: np.ndarray
     losses: np.ndarray
 
     def __post_init__(self):
-        if not (isinstance(self.ids, np.ndarray) and self.ids.dtype == np.int64):
-            ids = [operator.index(i) for i in self.ids]  # a float id is a TypeError, not cut to an integer
-            try:
-                self.ids = np.array(ids, dtype=np.int64)
-            except OverflowError:  # an id past int64 stays a Python int
-                self.ids = np.array(ids, dtype=object)
+        self.ids = whole_numbers(self.ids, "sample ids")
         self.losses = np.asarray(self.losses, dtype=np.float64)
         if self.ids.ndim != 1 or self.ids.shape != self.losses.shape:
-            raise ValueError(f"loss records need ids and losses of one length, got {self.ids.shape} and "
-                             f"{self.losses.shape}")
+            raise ValueError(f"loss ids and losses need one 1-d shape, got {self.ids.shape} and {self.losses.shape}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -212,13 +205,15 @@ def read_loss_records(path) -> LossArrays:
                 for sid, loss in filter(None, reader):  # unpacking rejects a row without exactly two fields
                     ids.append(int(sid))
                     losses.append(float(loss))
+            records = LossArrays(ids, losses)  # an id outside int64 is malformed like one that int() rejects
         except UnicodeDecodeError as exc:
             raise LossRecordError(f"{path}: not UTF-8 text: {exc}") from exc
         except ValueError as exc:
             raise LossRecordError(f"{path}: malformed loss record: {exc}") from exc
+    if header and header[0].startswith("\ufeff"):
+        raise LossRecordError(f"{path}: unexpected UTF-8 byte-order mark; save the file as UTF-8 without one")
     if header != _HEADER:
         raise LossRecordError(f"{path}: not a loss-record file")
-    records = LossArrays(ids, losses)
     _check_records(records, path)
     return records
 

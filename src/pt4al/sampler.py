@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner
-from .data import Pool, write_csv
+from .data import Pool, whole_numbers, write_csv
 from .learner import LearnerState
 from .pretext import LossArrays, LossRecord, as_arrays
 
@@ -68,10 +68,9 @@ def build_batch_plan(records: LossArrays | list[LossRecord], n_batches: int,
 
 
 def build_random_plan(ids: np.ndarray | list[int], n_batches: int, seed: int) -> BatchPlan:
-    """Seeded random segmentation into equal batches (the sampling-only ablation)."""
+    """Seeded random segmentation of the ids (`data.whole_numbers`) into equal batches (the sampling-only ablation)."""
     perm = np.random.default_rng(seed).permutation(len(ids))
-    # dtype=object keeps every id as it is: numpy would make [2**63, -1] a float array.
-    return BatchPlan(_split(np.asarray(ids, dtype=object)[perm], n_batches), ORDER_RANDOM)
+    return BatchPlan(_split(whole_numbers(ids, "sample ids")[perm], n_batches), ORDER_RANDOM)
 
 
 def uniform_first_sample(batch: list[int], k: int, iteration: int = 1) -> QueryResult:

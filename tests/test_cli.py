@@ -245,23 +245,47 @@ def test_plan_with_fewer_records_than_iterations_exits_1(tmp_path, capsys, rows)
     assert sorted(p.name for p in out.iterdir()) == ["losses.csv"]
 
 
-def test_plan_accepts_ids_beyond_int64(tmp_path, capsys):
-    cfg = write_config(tmp_path, al={"iterations": 3})
+# A loss file's id past int64 is malformed, alone or beside a negative id (numpy would round that pair to float64).
+BIG_ID_ROWS = ["9223372036854775813,0.5", "-5,0.25\n9223372036854775813,0.5"]
+
+
+def test_plan_rejects_ids_beyond_int64(tmp_path, capsys):
+    cfg = write_config(tmp_path, al={"iterations": 1})
     out = tmp_path / "out"
     out.mkdir()
-    big = 2**63 + 5
-    (out / "losses.csv").write_text(f"sample_id,pretext_loss\n1,0.25\n{big},0.75\n2,0.5\n3,0.125\n")
-    assert main(["plan", str(cfg)]) == 0
-    assert (out / "plan.csv").read_text().splitlines() == [
-        "sample_id,batch_index,rank_in_batch", f"{big},0,0", "2,0,1", "1,1,0", "3,2,0"]
+    for rows in BIG_ID_ROWS:
+        (out / "losses.csv").write_text(f"sample_id,pretext_loss\n{rows}\n")
+        assert main(["plan", str(cfg)]) == 1
+        assert capsys.readouterr().err == (f"pt4al plan: {out / 'losses.csv'}: malformed loss record: sample ids "
+                                           f"must be whole numbers within int64, got 9223372036854775813\n")
+        assert sorted(p.name for p in out.iterdir()) == ["losses.csv"]
 
 
-def test_run_with_an_id_beyond_int64_exits_1(tmp_path, capsys):
-    cfg = edit_loss_rows(tmp_path, lambda rows: rows[1:] + [f"{2**63 + 5},0.5"])
-    assert main(["run", str(cfg)]) == 1
-    assert ("loss records do not cover the unlabeled pool: 1 pool samples have no record, "
-            "1 records name samples outside the pool") in capsys.readouterr().err
-    assert not (tmp_path / "out" / "reports.csv").exists()
+def test_run_with_an_id_beyond_int64_exits_1(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["pretext", str(cfg)]) == 0
+    out = tmp_path / "out"
+    written = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    monkeypatch.setattr(loop, "build_dataset", lambda *args: pytest.fail("run built its dataset"))
+    for rows in BIG_ID_ROWS:
+        (out / "losses.csv").write_text(f"sample_id,pretext_loss\n{rows}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert capsys.readouterr().err == (f"pt4al run: {out / 'losses.csv'}: malformed loss record: sample ids "
+                                           f"must be whole numbers within int64, got 9223372036854775813\n")
+        assert sorted(p.name for p in out.iterdir()) == written
+
+
+def test_a_loss_file_behind_a_byte_order_mark_exits_1_naming_it(tmp_path, capsys):
+    # A spreadsheet may save the CSV as UTF-8 with a BOM; the header then no longer reads as the header.
+    cfg = write_config(tmp_path, al={"iterations": 1})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "losses.csv").write_text("sample_id,pretext_loss\n1,0.5\n", encoding="utf-8-sig")
+    assert main(["plan", str(cfg)]) == 1
+    assert capsys.readouterr().err == (f"pt4al plan: {out / 'losses.csv'}: unexpected UTF-8 byte-order mark; "
+                                       f"save the file as UTF-8 without one\n")
+    assert sorted(p.name for p in out.iterdir()) == ["losses.csv"]
 
 
 # (data rows of losses.csv, the fault named). The first faulty row in file order is named, and a

@@ -69,6 +69,15 @@ def test_pool_rejects_unsigned_ids_beyond_int64():
     assert Pool(np.array([2**63 - 1, 5], dtype=np.uint64), np.zeros((2, 2, 2, 1))).ids.tolist() == [2**63 - 1, 5]
 
 
+@pytest.mark.parametrize("ids, value", [([-5, 2**63 + 1], 2**63 + 1), ([2**63 - 1, -1, 2**63], 2**63)],
+                         ids=["beside-negative", "beside-largest"])
+def test_a_list_numpy_rounds_names_the_exact_id(ids, value):
+    # numpy makes these lists float64, where 2**63 - 1, 2**63 and 2**63 + 1 all read 9.223372036854776e+18.
+    with pytest.raises(ValueError, match=f"sample ids must be whole numbers within int64, got {value}$"):
+        Pool(ids, np.zeros((len(ids), 2, 2, 1)))
+    assert Pool([2.0, 2**63 - 1, -1], np.zeros((3, 2, 2, 1))).ids.tolist() == [2, 2**63 - 1, -1]
+
+
 def test_pool_takes_whole_floats_and_empty_inputs():
     pool = Pool([0.0, 7.0, 2.0], np.zeros((3, 2, 2, 1)), [2.0, 0.0, 1.0])
     assert pool.ids.tolist() == [0, 7, 2] and pool.y.tolist() == [2, 0, 1]

@@ -43,3 +43,14 @@ def test_code_references_resolve():
             checked += 1
     assert checked >= 30
     assert not unresolved, unresolved
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    package = importlib.import_module("pt4al")
+    assert sorted(package.__all__) == sorted(imported | {"__version__"})
+    assert len(set(package.__all__)) == len(package.__all__)
+    assert all(hasattr(package, name) for name in package.__all__)
+    assert {"LossArrays", "LossRecord"} <= imported

@@ -98,12 +98,18 @@ def test_plan_rejects_bad_batch_counts():
 
 
 def test_an_id_is_never_cut_or_wrapped():
-    # A cast to int64 would cut 2.5 to the id 2 and wrap the uint64 2**63 to -2**63.
-    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
-        build_batch_plan([LossRecord(2.5, 1.0), LossRecord(3, 0.5)], 1)
-    with pytest.raises(TypeError):
+    # A cast to int64 would cut 2.5 to the id 2 and wrap the uint64 2**63 to -2**63. Ids follow
+    # Pool's rule instead: each of these is a ValueError that names it.
+    for sid in (2.5, 2**63, -2**63 - 1):
+        with pytest.raises(ValueError, match=f"sample ids must be whole numbers within int64, got {sid}$"):
+            build_batch_plan([LossRecord(sid, 1.0), LossRecord(3, 0.5)], 1)
+    with pytest.raises(ValueError, match="got 2.7$"):
         pretext.LossArrays(np.array([2.7]), [0.5])
-    assert pretext.LossArrays(np.array([2**63], dtype=np.uint64), [0.5]).ids.tolist() == [2**63]
+    with pytest.raises(ValueError, match=f"got {2**63}$"):
+        pretext.LossArrays(np.array([2**63], dtype=np.uint64), [0.5])
+    assert build_batch_plan([LossRecord(2.0, 1.0), LossRecord(3, 0.5)], 1).batches == [[2, 3]]
+    for ids in ([2.0, 2**63 - 1], np.array([2**63 - 1], dtype=np.uint64), [], [-2**63]):
+        assert pretext.LossArrays(ids, [0.5] * len(ids)).ids.dtype == np.int64
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,7 +149,7 @@ def reference_plan(records, n_batches, order):
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=40),
-    st.lists(st.integers(min_value=-2**70, max_value=2**70), min_size=40, max_size=40, unique=True),
+    st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1), min_size=40, max_size=40, unique=True),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_plans_match_reference_split_for_every_batch_count(quanta, ids, seed):
@@ -194,7 +200,7 @@ def raised(check, *args):
 
 
 # Few distinct ids and losses, so ties and repeats are common; -0.0 sits beside 0.0.
-RECORD_IDS = st.integers(-3, 12) | st.integers(-2**70, 2**70)
+RECORD_IDS = st.integers(-3, 12) | st.integers(-2**63, 2**63 - 1)
 RECORD_LOSSES = (st.sampled_from([0.0, -0.0, 0.5, 0.5, 1.0, 2.5, math.inf, -math.inf, math.nan, -1.0])
                  | st.floats(allow_nan=True, allow_infinity=True))
 
@@ -229,13 +235,35 @@ def test_array_records_match_the_per_record_path(tmp_path_factory, pairs, n_batc
         assert all(type(sid) is int for batch in plan.batches for sid in batch)
 
 
-def test_plans_keep_ids_past_int64_beside_negative_ones():
-    # numpy infers float64 for a list that holds both 2**63 + 1 and -5.
-    ids = [2**63 + 1, -5, 3]
+@pytest.mark.parametrize("sid", [2**63, -2**63 - 1, 2**70, -2**70])
+def test_an_id_outside_int64_is_rejected_on_every_path(tmp_path, sid):
+    records = [LossRecord(-5, 0.5), LossRecord(sid, 0.25)]
+    message = f"sample ids must be whole numbers within int64, got {sid}$"
+    for check in (as_arrays, lambda r: check_records_cover(r, [-5, 1]), lambda r: build_batch_plan(r, 1)):
+        with pytest.raises(ValueError, match=message):
+            check(records)
+    with pytest.raises(ValueError, match=message):
+        build_random_plan([-5, sid], 1, seed=0)
+    path = tmp_path / "losses.csv"
+    path.write_text(f"sample_id,pretext_loss\n-5,0.5\n{sid},0.25\n")
+    with pytest.raises(LossRecordError, match="malformed loss record: " + message):
+        pretext.read_loss_records(path)
+
+
+def test_plans_reject_ids_past_int64_beside_negative_ones():
+    # numpy infers float64 for a list that holds both 2**63 + 1 and -5, where 2**63 - 1 reads the same.
+    ids = [2**63 - 1, -5, 2**63 + 1]
+    message = f"sample ids must be whole numbers within int64, got {2**63 + 1}$"
+    with pytest.raises(ValueError, match=message):
+        build_random_plan(ids, 3, seed=0)
+    with pytest.raises(ValueError, match=message):
+        build_batch_plan([LossRecord(sid, 0.5) for sid in ids], 3)
+    # The largest int64 id keeps its value beside a negative one.
+    ids = [2**63 - 1, -5, 3]
     plan = build_random_plan(ids, 3, seed=0)
     assert sorted(sid for batch in plan.batches for sid in batch) == sorted(ids)
     records = [LossRecord(sid, loss) for sid, loss in zip(ids, [0.5, 0.25, 0.5])]
-    assert build_batch_plan(records, 3).batches == [[3], [2**63 + 1], [-5]]
+    assert build_batch_plan(records, 3).batches == [[3], [2**63 - 1], [-5]]
 
 
 def test_random_plan_is_partition_and_deterministic():
