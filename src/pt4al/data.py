@@ -32,17 +32,13 @@ LABEL_MAGIC = 0x00000801
 
 
 def whole_numbers(values, name: str) -> np.ndarray:
-    """`values` as int64; ValueError naming `name` and the first value that is not a whole number int64 holds."""
+    """`values` as int64; ValueError naming `name` unless every value is a whole number that int64 holds."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "f" and arr.ndim == 1 and not isinstance(values, np.ndarray):
-        for v in values:  # numpy rounds [-5, 2**63 + 1] to float64, 2**63 - 1 alike: check each as given
-            if not (-2**63 <= v < 2**63 and v % 1 == 0):
-                raise ValueError(f"{name} must be whole numbers within int64, got {v}")
-        return np.array([int(v) for v in values], dtype=np.int64)
-    if arr.dtype.kind in "fuO":
-        # NaN fails both bounds. An unsigned value past int64 would wrap, and
-        # Python ints past it come as an object array, which int64 cannot take.
-        bad = ~((arr >= -2**63) & (arr < 2**63))
+    if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        arr = np.asarray(values, dtype=object)  # float64 reads 2**63 - 1, 2**63 and 2**63 + 1 alike
+    if arr.dtype.kind in "fuO":  # an unsigned value past int64 would wrap; int64 cannot take a Python int past it
+        with np.errstate(invalid="ignore"):  # NaN fails both bounds, and as an object it warns
+            bad = ~((arr >= -2**63) & (arr < 2**63))
         held = np.where(bad, 0, arr).astype(np.float64)
         bad |= held != np.trunc(held)
         if bad.any():

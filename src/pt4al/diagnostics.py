@@ -74,12 +74,13 @@ def correlation_report(
 ) -> CorrelationReport:
     """Spearman rho between per-sample pretext and main-task losses.
 
-    Both losses are computed on the same evaluation pool, which must be labeled. rho uses the
-    full pool; the scatter is a seeded subsample of at most `scatter_cap` normalized-rank pairs
-    for plotting. If either model gives every sample the same loss, rho is undefined: that raises
-    ConfigError naming the model and its `learning_rate` and `init_scale`. The pretext pass
-    (`pretext.extract_losses`) turns `eval_pool`'s pixels in place and back bit for bit, so no
-    other thread may use the pool during the call.
+    Both losses are computed on the same evaluation pool, which must be
+    labeled. rho uses the full pool; the scatter is a seeded subsample of
+    at most `scatter_cap` normalized-rank pairs for plotting. If either
+    model gives every sample the same loss, rho is undefined: that raises
+    ConfigError naming the model and its `learning_rate` and `init_scale`.
+    `pretext.extract_losses` turns `eval_pool`'s pixels in place and back,
+    so no other thread may use the pool during the call.
     """
     if eval_pool.y is None:
         raise ValueError("correlation report requires a labeled evaluation pool")

@@ -159,9 +159,10 @@ def as_batch(config: LearnerConfig, x) -> np.ndarray:
 
 
 def _as_labels(config: LearnerConfig, y, n: int) -> np.ndarray:
-    arr = whole_numbers(y, "labels")
+    arr = np.asarray(y)
     if arr.ndim != 1 or len(arr) != n:
         raise ValueError(f"labels must be a length-{n} vector, got shape {arr.shape}")
+    arr = whole_numbers(arr, "labels")
     if arr.min(initial=0) < 0 or (len(arr) and arr.max() >= config.n_classes):
         raise ValueError(f"labels must lie in [0, {config.n_classes})")
     return arr

@@ -55,7 +55,8 @@ class LossArrays:
         self.ids = whole_numbers(self.ids, "sample ids")
         self.losses = np.asarray(self.losses, dtype=np.float64)
         if self.ids.ndim != 1 or self.ids.shape != self.losses.shape:
-            raise ValueError(f"loss ids and losses need one 1-d shape, got {self.ids.shape} and {self.losses.shape}")
+            raise ValueError(f"loss records need ids and losses of one length, got {self.ids.shape} and "
+                             f"{self.losses.shape}")
 
     def __len__(self) -> int:
         return len(self.ids)
