@@ -169,28 +169,38 @@ def _as_labels(config: LearnerConfig, y, n: int) -> np.ndarray:
 
 
 # Rows per piece of a forward-only pass. OpenBLAS rounds a product by its row count, so a pass
-# is cut only where each piece keeps the bits of the whole pass (OpenBLAS 0.3.31, one thread):
-# the Haswell and Prescott kernels change bits when a piece starts off a multiple of their
-# 4-row unroll, and SkylakeX sends a product of at most 10^6 multiply-adds down a small-matrix
-# path that rounds differently. So pieces start at multiples of 512 rows, the last one takes
-# the remainder, and every hidden product of a 512-row piece must do more than 10^6
-# multiply-adds. The output product is never cut: classes are few, so it would be small.
+# is cut only where each piece keeps the bits of the whole pass (OpenBLAS 0.3.31, one thread,
+# and two on SkylakeX): the Haswell and Prescott kernels change bits when a piece starts off a
+# multiple of their 4-row unroll, SkylakeX sends a product of at most 10^6 multiply-adds down a
+# small-matrix path that rounds differently, and pieces of 35 and 100 rows changed bits with two
+# threads (a 1-row one on every kernel, through numpy's vector path). So pieces start at
+# multiples of 512 rows, the last one takes the 256-767-row remainder, and every hidden product
+# of every piece must do more than 10^6 multiply-adds. The output product is cut along the same
+# pieces only when the whole of it takes the small-matrix path, since every piece then does too.
 _PIECE_ROWS = 512
 _SMALL_PRODUCT_MADDS = 10**6
 
 
-def _piece_starts(config: LearnerConfig, m: int) -> range:
-    """First rows of the pieces a forward-only pass over `m` rows runs its hidden layers in.
+def _piece_starts(config: LearnerConfig, m: int) -> tuple[range, bool]:
+    """First rows of the pieces of a forward-only pass over `m` rows, and whether its output product is cut.
 
-    One piece, the whole pass, unless every dense hidden product of a
-    _PIECE_ROWS-row piece leaves the small-matrix path and there are two
-    pieces or more. The conv layer does not count: its products are one
-    small product per image row, the same however many images a pass holds.
+    The hidden layers run in one piece, the whole pass, unless every dense
+    hidden product of a _PIECE_ROWS-row piece leaves the small-matrix path
+    and there are two pieces or more. A last piece with a product on that
+    path joins the piece before it. The conv layer does not count: its
+    products are one small product per image row, the same however many
+    images a pass holds. The output product is cut only when its whole
+    takes the small-matrix path.
     """
     dims = [config.feature_dim, *config.hidden]
-    if m < 2 * _PIECE_ROWS or any(_PIECE_ROWS * k * n <= _SMALL_PRODUCT_MADDS for k, n in zip(dims, dims[1:])):
-        return range(1)
-    return range(0, m - _PIECE_ROWS + 1, _PIECE_ROWS)
+    # Multiply-adds per row of the smallest dense hidden product.
+    per_row = min((k * n for k, n in zip(dims, dims[1:])), default=math.inf)
+    starts = range(0, max(m - _PIECE_ROWS // 2 + 1, 1), _PIECE_ROWS)
+    if len(starts) > 1 and (m - starts[-1]) * per_row <= _SMALL_PRODUCT_MADDS:
+        starts = starts[:-1]
+    if len(starts) == 1 or _PIECE_ROWS * per_row <= _SMALL_PRODUCT_MADDS:
+        return range(1), False
+    return starts, m * dims[-1] * config.n_classes <= _SMALL_PRODUCT_MADDS
 
 
 class _Workspace:
@@ -199,20 +209,24 @@ class _Workspace:
     `acts[l]` holds the activation of hidden layer l as rows of its width.
     `pieces` lists (rows, acts of those rows) per piece of the forward pass.
     With `backward` there is one piece and every `acts[l]` has all m rows;
-    without it only the last hidden layer does, and the others hold one
-    piece, since only the output product needs every row at once.
-    `dacts[l]` holds the loss gradient with respect to `acts[l]`. `x` and `y`
-    are the gathered rows and labels of the batch when training.
+    without it each layer holds the largest piece, except that the last
+    hidden layer keeps every row when the output product runs whole
+    (`cut_output` false). `dacts[l]` holds the loss gradient with respect to
+    `acts[l]`. `x` and `y` are the gathered rows and labels of the batch when
+    training.
     """
 
     def __init__(self, config: LearnerConfig, m: int, backward: bool = True):
         widths = list(config.hidden) if config.conv is None else [config.feature_dim, *config.hidden]
-        starts = _piece_starts(config, m) if widths and not backward else range(1)
-        largest = m - starts[-1]
-        self.acts = [np.empty((largest, d)) for d in widths[:-1]] + [np.empty((m, d)) for d in widths[-1:]]
+        starts, self.cut_output = _piece_starts(config, m) if widths and not backward else (range(1), False)
+        bounds = list(zip(starts, [*starts[1:], m]))
+        largest = max(stop - start for start, stop in bounds)
+        last = largest if self.cut_output else m
+        self.acts = [np.empty((largest, d)) for d in widths[:-1]] + [np.empty((last, d)) for d in widths[-1:]]
         self.pieces = []
-        for start, stop in zip(starts, [*starts[1:], m]):
-            acts = [a[:stop - start] for a in self.acts[:-1]] + [a[start:stop] for a in self.acts[-1:]]
+        for start, stop in bounds:
+            at = 0 if self.cut_output else start
+            acts = [a[:stop - start] for a in self.acts[:-1]] + [a[at:at + stop - start] for a in self.acts[-1:]]
             self.pieces.append((slice(start, stop), acts))
         self.logits = np.empty((m, config.n_classes))
         if backward:
@@ -276,10 +290,16 @@ def _hidden(config: LearnerConfig, weights, biases, x: np.ndarray, acts) -> None
 
 
 def _forward(config: LearnerConfig, weights, biases, x: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Logits of the (m, input_dim) rows `x`: hidden layers piece by piece into `ws`, then one output product."""
+    """Logits of the (m, input_dim) rows `x`: hidden layers piece by piece into `ws`, then the output product.
+
+    The output product writes each piece's logits when `ws.cut_output`, else it runs once on every row.
+    """
     for rows, acts in ws.pieces:
         _hidden(config, weights, biases, x[rows], acts)
-    np.matmul(ws.acts[-1] if ws.acts else x, weights[-1], out=ws.logits)
+        if ws.cut_output:
+            np.matmul(acts[-1], weights[-1], out=ws.logits[rows])
+    if not ws.cut_output:
+        np.matmul(ws.acts[-1] if ws.acts else x, weights[-1], out=ws.logits)
     ws.logits += biases[-1]
     return ws.logits
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import learner
+from . import learner, pretext
 from .config import ConfigError, check_fields, declare
 from .data import DatasetSpec, Pool, build_dataset, write_csv
 from .learner import LearnerConfig, LearnerState
@@ -229,6 +229,7 @@ def _build_plan(config: ALConfig, unlabeled: Pool,
     if loss_records is None:
         loss_records = pretext_model(config, unlabeled)[1].records
     else:
+        loss_records = pretext.as_arrays(loss_records)
         check_records_cover(loss_records, unlabeled.ids)
     return build_batch_plan(loss_records, config.iterations, order)
 

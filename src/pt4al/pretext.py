@@ -24,8 +24,9 @@ N_ORIENTATIONS = 4
 # by its row count: the default model's (.x64)(64x4) layer done in pieces under
 # 4,096 rows differs in the last bits from one 8,192-row product. So these chunks
 # are part of the output and must not change. Inside a chunk, the forward pass runs
-# the hidden layers in 512-row pieces only where that keeps every bit (see
-# learner._PIECE_ROWS), and the output product always takes the whole chunk.
+# in 512-row pieces only where that keeps every bit (see learner._PIECE_ROWS): the
+# output product takes the whole chunk unless all of it takes the small-matrix path,
+# as it does for the default model below 3,907 samples.
 _EVAL_CHUNK = 8192
 
 # Images per step of the in-place quarter turn: the one temporary of the rotation pass.

@@ -13,9 +13,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from pt4al import learner
+from pt4al import learner, loop
 from pt4al.learner import ConvSpec, LearnerConfig
 from pt4al.seeds import derive_seed
 
@@ -148,9 +148,26 @@ def test_predict_logits_cuts_a_long_pass_into_pieces():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The last hidden layer and the logits on every row, the 128-wide layer for one piece
-    # (its last, rows 4096-4999); the whole pass would hold m * (128 + 64 + 4) * 8 B.
-    wanted = m * (64 + 4) * 8 + (m - 4096) * 128 * 8
+    # The output product (1.28M multiply-adds) runs whole, so the last hidden layer and the logits
+    # hold every row and the 128-wide layer one 512-row piece; the whole pass would hold
+    # m * (128 + 64 + 4) * 8 B.
+    wanted = m * (64 + 4) * 8 + 512 * 128 * 8
+    assert wanted <= peak < wanted + 128 * 1024
+
+
+def test_predict_logits_cuts_the_output_product_on_the_small_matrix_path():
+    cfg = replace(loop.default_main_config(), input_shape=(12, 12, 1), n_classes=4, seed=3)
+    state = learner.init_learner(cfg)
+    m = 3850  # entropy-long's round-2 scoring pass: the output product does 985,600 multiply-adds
+    xs = np.random.default_rng(0).random((m, 12, 12, 1))
+    tracemalloc.start()
+    try:
+        learner.predict_logits(state, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Both hidden layers for one 512-row piece, and the logits on every row.
+    wanted = 512 * (128 + 64) * 8 + m * 4 * 8
     assert wanted <= peak < wanted + 128 * 1024
 
 
@@ -516,37 +533,45 @@ def test_train_and_predict_match_references(case):
     assert np.array_equal(learner.predict_logits(got, x), reference_logits(got, x))
 
 
-# id -> (LearnerConfig overrides on 12x12x1 inputs, rows, pieces of the forward pass). A piece
-# starts at a multiple of 512 rows, the last one takes the remainder, and a pass is cut only
-# when each dense hidden product of a 512-row piece does more than 10^6 multiply-adds.
+# id -> (LearnerConfig overrides on 12x12x1 inputs, rows, pieces of the forward pass, whether
+# its output product is cut). Pieces start at multiples of 512 rows, the last one takes the
+# 256-767-row remainder and joins the piece before it when one of its dense hidden products
+# does at most 10^6 multiply-adds, and a pass is cut only when each dense hidden product of a
+# 512-row piece does more. The output product is cut along the same pieces when the whole of
+# it does at most 10^6 multiply-adds.
 FORWARD_CASES = {
-    "default-1023": (dict(hidden=(128, 64)), 1023, 1),
-    "default-1024": (dict(hidden=(128, 64)), 1024, 2),
-    "default-2047": (dict(hidden=(128, 64)), 2047, 3),
-    "default-relu": (dict(hidden=(128, 64), activation="relu"), 1100, 2),
-    "classes-2": (dict(hidden=(128, 64), n_classes=2), 1536, 3),
-    "classes-3": (dict(hidden=(130, 40), n_classes=3), 1600, 3),
-    "classes-12": (dict(hidden=(128, 64), n_classes=12), 2000, 3),
-    "width-14": (dict(hidden=(14,)), 1537, 3),
-    "width-13": (dict(hidden=(13,)), 1537, 1),
-    "narrow-12-4": (dict(hidden=(130, 12, 4)), 1800, 1),
-    "depth-3": (dict(hidden=(130, 64, 40)), 1800, 3),
-    "no-hidden": (dict(hidden=()), 2047, 1),
-    "conv-c1": (dict(conv=ConvSpec(filters=8, kernel=3), hidden=(64,)), 1300, 2),
-    "conv-c2-only": (dict(input_shape=(10, 10, 2), conv=ConvSpec(filters=4, kernel=3), hidden=()), 1100, 2),
+    "default-1000": (dict(hidden=(128, 64)), 1000, 2, True),
+    "default-1023": (dict(hidden=(128, 64)), 1023, 2, True),
+    "default-1024": (dict(hidden=(128, 64)), 1024, 2, True),
+    "default-2047": (dict(hidden=(128, 64)), 2047, 4, True),
+    "default-3850": (dict(hidden=(128, 64)), 3850, 8, True),
+    "default-3906": (dict(hidden=(128, 64)), 3906, 8, True),  # 999,936 output multiply-adds
+    "default-3907": (dict(hidden=(128, 64)), 3907, 8, False),  # 1,000,192
+    "default-relu": (dict(hidden=(128, 64), activation="relu"), 1100, 2, True),
+    "classes-2": (dict(hidden=(128, 64), n_classes=2), 1536, 3, True),
+    "classes-3": (dict(hidden=(130, 40), n_classes=3), 1600, 3, True),
+    "classes-12": (dict(hidden=(128, 64), n_classes=12), 2000, 4, False),
+    "width-14": (dict(hidden=(14,)), 1537, 3, True),
+    "width-13": (dict(hidden=(13,)), 1537, 1, False),
+    "narrow-12-4": (dict(hidden=(130, 12, 4)), 1800, 1, False),
+    "depth-3": (dict(hidden=(130, 64, 40)), 1800, 3, True),  # a 264-row remainder joins the piece before it
+    "no-hidden": (dict(hidden=()), 2047, 1, False),
+    "conv-c1": (dict(conv=ConvSpec(filters=8, kernel=3), hidden=(64,)), 1300, 3, True),
+    "conv-c2-only": (dict(input_shape=(10, 10, 2), conv=ConvSpec(filters=4, kernel=3), hidden=()), 1100, 2, False),
     "conv-c2-relu": (dict(input_shape=(10, 10, 2), conv=ConvSpec(filters=3, kernel=2), hidden=(70, 40),
-                          activation="relu"), 1700, 3),
+                          activation="relu"), 1700, 3, True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FORWARD_CASES))
 def test_forward_pieces_match_reference(case):
-    overrides, m, pieces = FORWARD_CASES[case]
+    overrides, m, pieces, cut_output = FORWARD_CASES[case]
     cfg = LearnerConfig(**{"input_shape": (12, 12, 1), "n_classes": 4, "seed": 5, **overrides})
     state = learner.init_learner(cfg)
     x = np.random.default_rng(m).random((m, *cfg.input_shape))
-    starts = [rows.start for rows, _ in learner._Workspace(cfg, m, backward=False).pieces]
-    assert starts == list(range(0, 512 * pieces, 512))
+    ws = learner._Workspace(cfg, m, backward=False)
+    assert [rows.start for rows, _ in ws.pieces] == list(range(0, 512 * pieces, 512))
+    assert ws.cut_output == cut_output
     assert learner.predict_logits(state, x).tobytes() == reference_logits(state, x).tobytes()
 
 
@@ -561,21 +586,23 @@ def test_forward_pieces_match_reference_under_other_blas_kernels(env):
     between the threads by its row count, so even the whole pass changes bits with it.
     Two threads run on the kernel OpenBLAS picks for this CPU.
     """
-    node = f"{__file__}::test_forward_pieces_match_reference"
+    nodes = [f"{__file__}::{name}" for name in ("test_forward_pieces_match_reference",
+                                                "test_predict_logits_in_pieces_equals_the_whole_pass")]
     inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
                           env={**inherited, **env}, cwd=Path(__file__).parents[1],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert f"{len(FORWARD_CASES)} passed" in done.stdout
+    assert f"{len(FORWARD_CASES) + 1} passed" in done.stdout
 
 
 @st.composite
 def forward_cases(draw):
-    """(state, rows) for the piecewise forward pass: 0-3 dense layers after an optional conv, 1 to 2,047 rows.
+    """(state, rows) for the piecewise forward pass: 0-3 dense layers after an optional conv, 1 to 4,095 rows.
 
-    Half the draws take only widths of 48 or more, and depths and whole pieces are sampled, not
-    drawn as integers (which hypothesis keeps small), so that about a quarter of the passes are cut.
+    Half the draws take only widths of 48 or more, and depths, whole pieces and the remainder's
+    edges are sampled, not drawn as integers (which hypothesis keeps small), so that about half
+    of the passes are cut, a fifth to a third of all passes with their output product (see the events).
     """
     size, c = draw(st.integers(8, 12)), draw(st.integers(1, 2))
     conv = None
@@ -585,7 +612,8 @@ def forward_cases(draw):
     cfg = LearnerConfig(input_shape=(size, size, c), n_classes=draw(st.sampled_from([2, 3, 4, 12])), conv=conv,
                         hidden=tuple(draw(width) for _ in range(draw(st.sampled_from([3, 2, 1, 0])))),
                         activation=draw(st.sampled_from(["tanh", "relu"])), seed=draw(st.integers(0, 2**16)))
-    m = max(1, 512 * draw(st.sampled_from([3, 2, 1, 0])) + draw(st.integers(0, 511)))
+    remainder = draw(st.sampled_from([255, 256, 511]) | st.integers(0, 511))
+    m = max(1, 512 * draw(st.sampled_from([7, 3, 2, 1, 0])) + remainder)
     x = np.random.default_rng(draw(st.integers(0, 2**16))).random((m, size, size, c))
     return learner.init_learner(cfg), x
 
@@ -594,6 +622,8 @@ def forward_cases(draw):
 @given(forward_cases())
 def test_predict_logits_in_pieces_equals_the_whole_pass(case):
     state, x = case
+    ws = learner._Workspace(state.config, len(x), backward=False)
+    event("output product cut" if ws.cut_output else "cut, output whole" if len(ws.pieces) > 1 else "whole pass")
     assert learner.predict_logits(state, x).tobytes() == reference_logits(state, x).tobytes()
 
 

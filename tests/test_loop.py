@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from pt4al import loop
 from pt4al.data import Pool
 from pt4al.learner import LearnerConfig
 from pt4al.loop import ALConfig, DatasetSpec, cold_start_experiment, run_ablation, run_al
-from pt4al.pretext import LossRecord, LossRecordError
-from pt4al.sampler import QueryResult, random_sample, uniform_first_sample
+from pt4al.pretext import LossArrays, LossRecord, LossRecordError
+from pt4al.sampler import QueryResult, build_batch_plan, random_sample, uniform_first_sample
 from pt4al.seeds import derive_seed
 
 
@@ -308,6 +309,16 @@ def test_loss_records_must_cover_pool():
         run_al(cfg, loss_records=covering + covering[:1])
 
 
+def test_a_loss_record_list_is_converted_to_arrays_once():
+    cfg = tiny_config()
+    train_pool, _ = loop.build_dataset(cfg.dataset, cfg.seed)
+    records = [LossRecord(sid, float(sid % 7)) for sid in train_pool.ids.tolist()]
+    with mock.patch.object(LossArrays, "__post_init__", autospec=True, side_effect=LossArrays.__post_init__) as made:
+        plan = loop._build_plan(cfg, train_pool.unlabeled(), records)
+    assert made.call_count == 1
+    assert plan.batches == build_batch_plan(records, cfg.iterations).batches
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
 def test_loss_records_must_hold_valid_losses(bad):
     cfg = tiny_config()
@@ -351,7 +362,6 @@ def test_pretext_only_high_takes_batch_head():
     cfg = tiny_config(strategy="pt4al-pretext-only-high")
     train, _ = loop.build_dataset(cfg.dataset, cfg.seed)
     records = loop.pretext_model(cfg, train.unlabeled())[1].records
-    from pt4al.sampler import build_batch_plan
     plan = build_batch_plan(records, cfg.iterations)
     reports = run_al(cfg, loss_records=records)
     for r, batch in zip(reports, plan.batches):
@@ -362,7 +372,6 @@ def test_pretext_only_low_takes_batch_tail():
     cfg = tiny_config(strategy="pt4al-pretext-only-low")
     train, _ = loop.build_dataset(cfg.dataset, cfg.seed)
     records = loop.pretext_model(cfg, train.unlabeled())[1].records
-    from pt4al.sampler import build_batch_plan
     plan = build_batch_plan(records, cfg.iterations)
     reports = run_al(cfg, loss_records=records)
     for r, batch in zip(reports, plan.batches):
