@@ -168,6 +168,11 @@ def _as_labels(config: LearnerConfig, y, n: int) -> np.ndarray:
     return arr
 
 
+def _widths(config: LearnerConfig) -> list[int]:
+    """Width of each hidden layer's rows, the conv layer first when present."""
+    return list(config.hidden) if config.conv is None else [config.feature_dim, *config.hidden]
+
+
 # Rows per piece of a forward-only pass. OpenBLAS rounds a product by its row count, so a pass
 # is cut only where each piece keeps the bits of the whole pass (OpenBLAS 0.3.31, one thread,
 # and two on SkylakeX): the Haswell and Prescott kernels change bits when a piece starts off a
@@ -184,13 +189,13 @@ _SMALL_PRODUCT_MADDS = 10**6
 def _piece_starts(config: LearnerConfig, m: int) -> tuple[range, bool]:
     """First rows of the pieces of a forward-only pass over `m` rows, and whether its output product is cut.
 
-    The hidden layers run in one piece, the whole pass, unless every dense
-    hidden product of a _PIECE_ROWS-row piece leaves the small-matrix path
-    and there are two pieces or more. A last piece with a product on that
-    path joins the piece before it. The conv layer does not count: its
-    products are one small product per image row, the same however many
-    images a pass holds. The output product is cut only when its whole
-    takes the small-matrix path.
+    The hidden layers run in one piece, the whole pass, unless the model has
+    a hidden layer, every dense hidden product of a _PIECE_ROWS-row piece
+    leaves the small-matrix path and there are two pieces or more. A last
+    piece with a product on that path joins the piece before it. The conv
+    layer does not count: its products are one small product per image row,
+    the same however many images a pass holds. The output product is cut
+    only when its whole takes the small-matrix path.
     """
     dims = [config.feature_dim, *config.hidden]
     # Multiply-adds per row of the smallest dense hidden product.
@@ -198,43 +203,28 @@ def _piece_starts(config: LearnerConfig, m: int) -> tuple[range, bool]:
     starts = range(0, max(m - _PIECE_ROWS // 2 + 1, 1), _PIECE_ROWS)
     if len(starts) > 1 and (m - starts[-1]) * per_row <= _SMALL_PRODUCT_MADDS:
         starts = starts[:-1]
-    if len(starts) == 1 or _PIECE_ROWS * per_row <= _SMALL_PRODUCT_MADDS:
+    if len(starts) == 1 or not _widths(config) or _PIECE_ROWS * per_row <= _SMALL_PRODUCT_MADDS:
         return range(1), False
     return starts, m * dims[-1] * config.n_classes <= _SMALL_PRODUCT_MADDS
 
 
 class _Workspace:
-    """Buffers for one forward and, unless `backward` is false, one backward pass over `m` rows.
+    """Buffers for one training step over `m` rows.
 
-    `acts[l]` holds the activation of hidden layer l as rows of its width.
-    `pieces` lists (rows, acts of those rows) per piece of the forward pass.
-    With `backward` there is one piece and every `acts[l]` has all m rows;
-    without it each layer holds the largest piece, except that the last
-    hidden layer keeps every row when the output product runs whole
-    (`cut_output` false). `dacts[l]` holds the loss gradient with respect to
-    `acts[l]`. `x` and `y` are the gathered rows and labels of the batch when
-    training.
+    `acts[l]` holds the activation of hidden layer l as rows of its width and
+    `dacts[l]` the loss gradient with respect to it. `x` and `y` are the
+    gathered rows and labels of the batch.
     """
 
-    def __init__(self, config: LearnerConfig, m: int, backward: bool = True):
-        widths = list(config.hidden) if config.conv is None else [config.feature_dim, *config.hidden]
-        starts, self.cut_output = _piece_starts(config, m) if widths and not backward else (range(1), False)
-        bounds = list(zip(starts, [*starts[1:], m]))
-        largest = max(stop - start for start, stop in bounds)
-        last = largest if self.cut_output else m
-        self.acts = [np.empty((largest, d)) for d in widths[:-1]] + [np.empty((last, d)) for d in widths[-1:]]
-        self.pieces = []
-        for start, stop in bounds:
-            at = 0 if self.cut_output else start
-            acts = [a[:stop - start] for a in self.acts[:-1]] + [a[at:at + stop - start] for a in self.acts[-1:]]
-            self.pieces.append((slice(start, stop), acts))
+    def __init__(self, config: LearnerConfig, m: int):
+        widths = _widths(config)
+        self.acts = [np.empty((m, d)) for d in widths]
         self.logits = np.empty((m, config.n_classes))
-        if backward:
-            self.x = np.empty((m, config.input_dim))
-            self.y = np.empty(m, dtype=np.int64)
-            self.rows = np.arange(m)
-            self.dacts = [np.empty((m, d)) for d in widths]
-            self.delta = np.empty((m, config.n_classes))
+        self.x = np.empty((m, config.input_dim))
+        self.y = np.empty(m, dtype=np.int64)
+        self.rows = np.arange(m)
+        self.dacts = [np.empty((m, d)) for d in widths]
+        self.delta = np.empty((m, config.n_classes))
 
 
 def _activate(z: np.ndarray, kind: str) -> None:
@@ -289,21 +279,6 @@ def _hidden(config: LearnerConfig, weights, biases, x: np.ndarray, acts) -> None
         h = a
 
 
-def _forward(config: LearnerConfig, weights, biases, x: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Logits of the (m, input_dim) rows `x`: hidden layers piece by piece into `ws`, then the output product.
-
-    The output product writes each piece's logits when `ws.cut_output`, else it runs once on every row.
-    """
-    for rows, acts in ws.pieces:
-        _hidden(config, weights, biases, x[rows], acts)
-        if ws.cut_output:
-            np.matmul(acts[-1], weights[-1], out=ws.logits[rows])
-    if not ws.cut_output:
-        np.matmul(ws.acts[-1] if ws.acts else x, weights[-1], out=ws.logits)
-    ws.logits += biases[-1]
-    return ws.logits
-
-
 def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarray,
               ws: _Workspace, gws, gbs) -> float:
     """Mean cross-entropy of one batch; writes its gradient into `gws` / `gbs`.
@@ -314,7 +289,9 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
     network never computes the one with respect to `x`.
     """
     m = len(x)
-    logits = _forward(config, weights, biases, x, ws)
+    _hidden(config, weights, biases, x, ws.acts)
+    logits = np.matmul(ws.acts[-1] if ws.acts else x, weights[-1], out=ws.logits)
+    logits += biases[-1]
     lse = logsumexp(logits)
     loss = float(np.add.reduce(lse - logits[ws.rows, y]) / m)
 
@@ -344,10 +321,30 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
 
 
 def predict_logits(state: LearnerState, xs) -> np.ndarray:
-    """Logits of a batch, with forward-only buffers of its own."""
+    """Logits of a batch, forward only, in the pieces that `_piece_starts` lays out.
+
+    Each hidden buffer holds the largest piece, the last one every row when the output product runs whole.
+    """
     cfg = state.config
     xb = as_batch(cfg, xs)
-    return _forward(cfg, state.weights, state.biases, xb.reshape(len(xb), -1), _Workspace(cfg, len(xb), backward=False))
+    x, m = xb.reshape(len(xb), -1), len(xb)
+    starts, cut_output = _piece_starts(cfg, m)
+    bounds = list(zip(starts, [*starts[1:], m]))
+    largest = max(stop - start for start, stop in bounds)
+    widths = _widths(cfg)
+    last = largest if cut_output else m
+    acts = [np.empty((largest, d)) for d in widths[:-1]] + [np.empty((last, d)) for d in widths[-1:]]
+    logits = np.empty((m, cfg.n_classes))
+    for start, stop in bounds:
+        at = 0 if cut_output else start
+        piece = [a[:stop - start] for a in acts[:-1]] + [a[at:at + stop - start] for a in acts[-1:]]
+        _hidden(cfg, state.weights, state.biases, x[start:stop], piece)
+        if cut_output:
+            np.matmul(piece[-1], state.weights[-1], out=logits[start:stop])
+    if not cut_output:
+        np.matmul(acts[-1] if acts else x, state.weights[-1], out=logits)
+    logits += state.biases[-1]
+    return logits
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

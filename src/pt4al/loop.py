@@ -243,18 +243,17 @@ def _select(config: ALConfig, iteration: int, remaining: Pool, batch, model: Lea
     _, first, later = STRATEGY_TABLE[config.strategy]
     rule = first if iteration == 1 else later
     k = config.budget
+    if rule in ("confidence", "entropy"):
+        scorer = uncertainty_sample if rule == "confidence" else entropy_sample
+        return scorer(remaining if batch is None else remaining.take(batch), model, k, iteration)
     ids = (remaining.ids if batch is None else remaining.ids[batch]).tolist()
     if rule == "random":
         return random_sample(ids, k, derive_seed(config.seed, "sampling", iteration), iteration)
     if rule == "uniform":
         return uniform_first_sample(ids, k, iteration)
-    if rule in ("head", "tail"):
-        if k > len(ids):
-            raise ValueError(f"K={k} exceeds batch size {len(ids)}")
-        picked = ids[:k] if rule == "head" else ids[len(ids) - k:]
-        return QueryResult(iteration, picked, [float(r) for r in range(k)])
-    scorer = uncertainty_sample if rule == "confidence" else entropy_sample
-    return scorer(remaining if batch is None else remaining.take(batch), model, k, iteration)
+    # _prepare's budget check leaves every plan batch at least k ids.
+    picked = ids[:k] if rule == "head" else ids[len(ids) - k:]
+    return QueryResult(iteration, picked, [float(r) for r in range(k)])
 
 
 def run_al(config: ALConfig, loss_records: LossArrays | list[LossRecord] | None = None) -> list[IterationReport]:

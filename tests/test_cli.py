@@ -440,6 +440,36 @@ def test_bad_config_values_exit_1_before_work(tmp_path, monkeypatch, capsys, cas
     assert not (tmp_path / "out").exists()
 
 
+# case -> (edit of write_config's config, command, the whole of stderr). Each exit 1 here
+# is reached by no other test.
+CONFIG_FAULTS = {
+    "root-not-an-object": (lambda cfg: [cfg], ["run"], "pt4al run: config root must be a JSON object"),
+    "no-output-dir": (lambda cfg: {k: v for k, v in cfg.items() if k != "output_dir"}, ["run"],
+                      "pt4al run: output_dir must be set in the config or via --output-dir"),
+    "seeds-not-integers": (lambda cfg: cfg, ["coldstart", "--seeds", "1,x"],
+                           "pt4al coldstart: --seeds must be a comma-separated list of integers: "
+                           "invalid literal for int() with base 10: 'x'"),
+    "unknown-key-in-section": (lambda cfg: {**cfg, "al": {**cfg["al"], "foo": 1}}, ["run"],
+                               "pt4al run: unknown config key al.foo"),
+    "derived-key-in-section": (lambda cfg: {**cfg, "al": {**cfg["al"], "seed": 1}}, ["run"],
+                               "pt4al run: al.seed is derived at run time or set at the top level, not in al"),
+    "idx-without-paths": (lambda cfg: {**cfg, "dataset": {**cfg["dataset"], "kind": "idx"}}, ["run"],
+                          "pt4al run: idx dataset requires both image and label paths"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
+def test_config_faults_exit_1_with_one_line_and_write_nothing(tmp_path, monkeypatch, capsys, case):
+    edit, (command, *flags), line = CONFIG_FAULTS[case]
+    cfg = write_config(tmp_path)
+    cfg.write_text(json.dumps(edit(json.loads(cfg.read_text()))))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(learner, "train", no_training)
+    assert main([command, str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # dataset section -> key the message must name. The imbalance values are valid
 # numbers that do not fit a corpus of 3 classes x 20 samples.
 IMBALANCE_MISFITS = {

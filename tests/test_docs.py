@@ -45,6 +45,23 @@ def test_code_references_resolve():
     assert not unresolved, unresolved
 
 
+def test_cited_readme_sections_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    headings = {line.lstrip("#").strip() for line in readme.splitlines() if line.startswith("#")}
+    # A section is cited as `see "Name"` in README and as `README, "Name"` in the source.
+    sources = [("README.md", readme, r'see "([^"]+)"')]
+    sources += [(path.name, path.read_text(encoding="utf-8"), r'README, "([^"]+)"') for path in sorted(SRC.glob("*.py"))]
+    cited, missing = 0, []
+    for where, text, citation in sources:
+        # A name may wrap onto the next line, behind a comment's "#" in the source.
+        for name in re.findall(citation, re.sub(r"\s*\n\s*(?:#\s*)?", " ", text)):
+            cited += 1
+            if name not in headings:
+                missing.append(f"{where}: {name!r}")
+    assert cited >= 10
+    assert not missing, missing
+
+
 def test_the_package_exports_exactly_what_it_imports():
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)

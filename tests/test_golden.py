@@ -27,7 +27,6 @@ kernel of the run.
 """
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
@@ -44,19 +43,9 @@ from pt4al.cli import main
 from pt4al.data import gen_synthetic
 from pt4al.learner import ConvSpec, LearnerConfig
 
+from conftest import blas_core
+
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def blas_core() -> str:
-    """Name of the OpenBLAS kernel numpy's bundled library runs on this CPU, or "unknown"."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return "unknown"
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
-
 
 KERNEL = f"digests recorded on the SkylakeX OpenBLAS kernel; this run uses {blas_core()}"
 

@@ -569,9 +569,7 @@ def test_forward_pieces_match_reference(case):
     cfg = LearnerConfig(**{"input_shape": (12, 12, 1), "n_classes": 4, "seed": 5, **overrides})
     state = learner.init_learner(cfg)
     x = np.random.default_rng(m).random((m, *cfg.input_shape))
-    ws = learner._Workspace(cfg, m, backward=False)
-    assert [rows.start for rows, _ in ws.pieces] == list(range(0, 512 * pieces, 512))
-    assert ws.cut_output == cut_output
+    assert learner._piece_starts(cfg, m) == (range(0, 512 * pieces, 512), cut_output)
     assert learner.predict_logits(state, x).tobytes() == reference_logits(state, x).tobytes()
 
 
@@ -622,8 +620,8 @@ def forward_cases(draw):
 @given(forward_cases())
 def test_predict_logits_in_pieces_equals_the_whole_pass(case):
     state, x = case
-    ws = learner._Workspace(state.config, len(x), backward=False)
-    event("output product cut" if ws.cut_output else "cut, output whole" if len(ws.pieces) > 1 else "whole pass")
+    starts, cut_output = learner._piece_starts(state.config, len(x))
+    event("output product cut" if cut_output else "cut, output whole" if len(starts) > 1 else "whole pass")
     assert learner.predict_logits(state, x).tobytes() == reference_logits(state, x).tobytes()
 
 

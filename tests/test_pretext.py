@@ -172,7 +172,7 @@ def test_train_pretext_evaluates_in_rotation_pass_chunks_only(monkeypatch):
     cfg = pretext_config(10, hidden=(16,), batch_size=16, learning_rate=0.005)
     monkeypatch.setattr(pretext, "_EVAL_CHUNK", 7)
     predicts = count_calls(monkeypatch, "predict_logits")
-    forwards = count_calls(monkeypatch, "_forward")
+    forwards = count_calls(monkeypatch, "_hidden")
     forwards_after_hook, measure = [], pretext._rotation_pass
 
     def marking(state, x):
