@@ -466,10 +466,13 @@ class DatasetSpec:
     imbalance_factor: float | None = declare(None, "(0, inf)")
 
     def validate(self) -> None:
-        """Check the declared values, then the idx paths and the choice of one imbalance key."""
+        """Check the declared values, then the idx paths (both set for idx, none otherwise) and the imbalance key."""
         check_fields(self)
         if self.kind == "idx" and (self.images is None or self.labels is None):
             raise ConfigError("idx dataset requires both image and label paths")
+        for key in ("images", "labels"):
+            if self.kind != "idx" and getattr(self, key) is not None:
+                raise ConfigError(f'dataset.{key} is set, but a "{self.kind}" dataset reads no files')
         if self.imbalance_counts is not None and self.imbalance_factor is not None:
             raise ConfigError("set either imbalance_counts or imbalance_factor, not both")
 

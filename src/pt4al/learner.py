@@ -506,11 +506,11 @@ def train(state: LearnerState, x, y, *, group: int = 1, on_epoch=None):
                 ws = workspaces[m] = _Workspace(cfg, m)
             if fill is None:
                 # idx is part of a permutation of range(n): "clip" never clips, and
-                # unlike "raise" it lets np.take write straight into the buffer.
-                np.take(rows, idx, axis=0, out=ws.x, mode="clip")
+                # unlike "raise" it lets take write straight into the buffer.
+                rows.take(idx, axis=0, out=ws.x, mode="clip")
             else:
                 fill(idx[::group] // group, ws.x)
-            np.take(yb, idx, out=ws.y, mode="clip")
+            yb.take(idx, out=ws.y, mode="clip")
             step_mean = _backprop(cfg, weights, biases, ws.x, ws.y, ws, gws, gbs)
             grads *= lr
             params -= grads

@@ -89,36 +89,37 @@ def _rotation_writer(x: np.ndarray):
     return lambda samples, out: np.take(flat[samples], order, axis=1, out=out.reshape(-1, *order.shape), mode="clip")
 
 
-def _quarter_turn(x: np.ndarray) -> None:
-    """Turn every (S, S) image of `x` one quarter counter-clockwise, in place, _TURN_SLAB images at a time."""
-    for start in range(0, len(x), _TURN_SLAB):
-        images = x[start:start + _TURN_SLAB]
-        images[...] = rotate_batch(images, 1)
-
-
 def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]:
     """(hits, per-sample mean loss) of `state` over the four rotations of every image in `x`.
 
     Orientation r outer, _EVAL_CHUNK samples inner; one forward pass per chunk gives both its
     argmax hits and its cross-entropies against r. The chunks are slices of `x` itself, which is
-    turned a quarter in place after each orientation, so four turns give it back bit for bit (in
-    a `finally`, also when a pass raises). Read-only pixels are turned in a private copy.
+    turned a quarter in place, _TURN_SLAB images at a time, after each orientation, so four turns
+    give it back bit for bit. When a pass or a turn raises, a `finally` turns on, slab by slab,
+    until every image has turned zero or four times. Read-only pixels are turned in a private copy.
     """
     if not x.flags.writeable:
         x = x.copy()
     hits, totals = 0, np.zeros(len(x))
-    turns = 0
+    turned = 0  # images turned a quarter so far, slab by slab in pool order, pass after pass
+
+    def turn_until(total: int) -> None:
+        nonlocal turned
+        while turned < total:
+            images = x[turned % len(x):turned % len(x) + _TURN_SLAB]
+            images[...] = rotate_batch(images, 1)
+            turned += len(images)
+
     try:
         for r in range(N_ORIENTATIONS):
             for start in range(0, len(x), _EVAL_CHUNK):
                 logits = learner.predict_logits(state, x[start:start + _EVAL_CHUNK])
                 hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
                 totals[start:start + len(logits)] += learner.logsumexp(logits) - logits[:, r]
-            _quarter_turn(x)
-            turns += 1
+            turn_until((r + 1) * len(x))
     finally:
-        for _ in range(-turns % N_ORIENTATIONS):
-            _quarter_turn(x)
+        if turned:
+            turn_until(N_ORIENTATIONS * len(x))
     totals /= N_ORIENTATIONS
     return hits, totals
 

@@ -81,28 +81,24 @@ def uniform_first_sample(batch: list[int], k: int, iteration: int = 1) -> QueryR
     return QueryResult(iteration, [batch[p] for p in positions], [float(p) for p in positions])
 
 
-def _ranked_pick(batch: Pool, scores: np.ndarray, sign: float, k: int, iteration: int) -> QueryResult:
-    """The K ids with the smallest `sign * scores`, ties by ascending id, with their scores."""
+def _scored_pick(batch: Pool, model: LearnerState, k: int, iteration: int, score, sign: int) -> QueryResult:
+    """The K ids with the smallest `sign * score(posteriors under model)`, ties by ascending id, with their scores."""
+    if not 1 <= k <= len(batch):
+        raise ValueError(f"K={k} outside [1, {len(batch)}]")
+    scores = score(learner.predict_proba_batch(model, batch.x))
     order = np.lexsort((batch.ids, sign * scores))[:k]
-    return QueryResult(iteration, [int(batch.ids[i]) for i in order], [float(scores[i]) for i in order])
+    return QueryResult(iteration, batch.ids[order].tolist(), scores[order].tolist())
 
 
 def uncertainty_sample(batch: Pool, model: LearnerState, k: int, iteration: int = 0) -> QueryResult:
     """K samples with the smallest top-1 posterior probability under `model`."""
-    if not 1 <= k <= len(batch):
-        raise ValueError(f"K={k} outside [1, {len(batch)}]")
-    probs = learner.predict_proba_batch(model, batch.x)
-    conf = probs.max(axis=1)
-    return _ranked_pick(batch, conf, 1.0, k, iteration)
+    return _scored_pick(batch, model, k, iteration, lambda probs: probs.max(axis=1), 1)
 
 
 def entropy_sample(batch: Pool, model: LearnerState, k: int, iteration: int = 0) -> QueryResult:
     """K samples with the highest Shannon entropy of the posterior (natural log)."""
-    if not 1 <= k <= len(batch):
-        raise ValueError(f"K={k} outside [1, {len(batch)}]")
-    probs = learner.predict_proba_batch(model, batch.x)
-    ent = -np.sum(probs * np.log(probs, out=np.zeros_like(probs), where=probs > 0), axis=1)  # 0 log 0 = 0
-    return _ranked_pick(batch, ent, -1.0, k, iteration)
+    return _scored_pick(batch, model, k, iteration,  # 0 log 0 = 0
+                        lambda p: -np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0), axis=1), -1)
 
 
 def random_sample(ids: list[int], k: int, seed: int, iteration: int = 0) -> QueryResult:

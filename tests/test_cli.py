@@ -455,6 +455,10 @@ CONFIG_FAULTS = {
                                "pt4al run: al.seed is derived at run time or set at the top level, not in al"),
     "idx-without-paths": (lambda cfg: {**cfg, "dataset": {**cfg["dataset"], "kind": "idx"}}, ["run"],
                           "pt4al run: idx dataset requires both image and label paths"),
+    "paths-without-idx": (lambda cfg: {**cfg, "dataset": {**cfg["dataset"], "images": "no.idx", "labels": "no.idx"}},
+                          ["run"], 'pt4al run: dataset.images is set, but a "synthetic" dataset reads no files'),
+    "labels-without-idx": (lambda cfg: {**cfg, "dataset": {**cfg["dataset"], "labels": "no.idx"}}, ["pretext"],
+                           'pt4al pretext: dataset.labels is set, but a "synthetic" dataset reads no files'),
 }
 
 

@@ -582,7 +582,8 @@ def test_forward_pieces_match_reference_under_other_blas_kernels(env):
 
     Haswell and Prescott run on one thread: with two, they split a product's rows
     between the threads by its row count, so even the whole pass changes bits with it.
-    Two threads run on the kernel OpenBLAS picks for this CPU.
+    Two threads run on the kernel OpenBLAS picks for this CPU. OpenBLAS 0.3.31 reports a
+    forced Prescott as Katmai, so the child's pytest header names Katmai for the `prescott` id.
     """
     nodes = [f"{__file__}::{name}" for name in ("test_forward_pieces_match_reference",
                                                 "test_predict_logits_in_pieces_equals_the_whole_pass")]

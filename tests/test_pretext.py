@@ -273,6 +273,25 @@ def test_rotation_pass_that_raises_gives_the_pool_back(monkeypatch):
     assert seen == [rotate_batch(pool.x, r).tobytes() for r in range(3)]
     assert pool.x.tobytes() == before
 
+    # A turn that raises partway: 60 images in five-image slabs, so a turn is 12 slab calls,
+    # and the third and the 29th call fall inside the first and the third turn.
+    monkeypatch.setattr(learner, "predict_logits", predict)
+    monkeypatch.setattr(pretext, "_TURN_SLAB", 5)
+    for fail_at in (3, 29):
+        calls = []
+
+        def failing_turn(images, k):
+            calls.append(len(images))
+            if len(calls) == fail_at:
+                raise KeyboardInterrupt
+            return rotate_batch(images, k)
+
+        monkeypatch.setattr(pretext, "rotate_batch", failing_turn)
+        with pytest.raises(KeyboardInterrupt):
+            extract_losses(state, pool)
+        assert pool.x.tobytes() == before
+        assert calls == [5] * (4 * 12 + 1)  # every slab turned four times, the failed call besides
+
 
 def test_read_only_pool_gives_the_records_of_a_writable_copy():
     pool, cfg = multi_epoch_setup(1)
