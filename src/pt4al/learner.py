@@ -173,39 +173,19 @@ def _widths(config: LearnerConfig) -> list[int]:
     return list(config.hidden) if config.conv is None else [config.feature_dim, *config.hidden]
 
 
-# Rows per piece of a forward-only pass. OpenBLAS rounds a product by its row count, so a pass
-# is cut only where each piece keeps the bits of the whole pass (OpenBLAS 0.3.31, one thread,
-# and two on SkylakeX): the Haswell and Prescott kernels change bits when a piece starts off a
-# multiple of their 4-row unroll, SkylakeX sends a product of at most 10^6 multiply-adds down a
-# small-matrix path that rounds differently, and pieces of 35 and 100 rows changed bits with two
-# threads (a 1-row one on every kernel, through numpy's vector path). So pieces start at
-# multiples of 512 rows, the last one takes the 256-767-row remainder, and every hidden product
-# of every piece must do more than 10^6 multiply-adds. The output product is cut along the same
-# pieces only when the whole of it takes the small-matrix path, since every piece then does too.
+# Rows per piece of a forward-only pass. OpenBLAS rounds a product by its row count, so the pieces
+# are part of the output, and a pass is cut by its row count alone. Pieces start at multiples of
+# 512 rows, since Haswell and Prescott change bits when a piece starts off their 4-row unroll, and
+# the last one takes the 256-767-row remainder, since shorter pieces changed bits (a 1-row one on
+# every kernel, through numpy's vector path; 35 and 100 rows with two threads). So every pass of the
+# default models of at most 3,906 rows keeps the bits of the whole pass (OpenBLAS 0.3.31, SkylakeX,
+# Haswell and Prescott); above that the output product leaves SkylakeX's small-matrix path.
 _PIECE_ROWS = 512
-_SMALL_PRODUCT_MADDS = 10**6
 
 
-def _piece_starts(config: LearnerConfig, m: int) -> tuple[range, bool]:
-    """First rows of the pieces of a forward-only pass over `m` rows, and whether its output product is cut.
-
-    The hidden layers run in one piece, the whole pass, unless the model has
-    a hidden layer, every dense hidden product of a _PIECE_ROWS-row piece
-    leaves the small-matrix path and there are two pieces or more. A last
-    piece with a product on that path joins the piece before it. The conv
-    layer does not count: its products are one small product per image row,
-    the same however many images a pass holds. The output product is cut
-    only when its whole takes the small-matrix path.
-    """
-    dims = [config.feature_dim, *config.hidden]
-    # Multiply-adds per row of the smallest dense hidden product.
-    per_row = min((k * n for k, n in zip(dims, dims[1:])), default=math.inf)
-    starts = range(0, max(m - _PIECE_ROWS // 2 + 1, 1), _PIECE_ROWS)
-    if len(starts) > 1 and (m - starts[-1]) * per_row <= _SMALL_PRODUCT_MADDS:
-        starts = starts[:-1]
-    if len(starts) == 1 or not _widths(config) or _PIECE_ROWS * per_row <= _SMALL_PRODUCT_MADDS:
-        return range(1), False
-    return starts, m * dims[-1] * config.n_classes <= _SMALL_PRODUCT_MADDS
+def _piece_starts(m: int) -> range:
+    """First rows of the pieces of a forward-only pass over `m` rows: one piece below 768 rows."""
+    return range(0, max(m - _PIECE_ROWS // 2 + 1, 1), _PIECE_ROWS)
 
 
 class _Workspace:
@@ -321,28 +301,22 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
 
 
 def predict_logits(state: LearnerState, xs) -> np.ndarray:
-    """Logits of a batch, forward only, in the pieces that `_piece_starts` lays out.
+    """Logits of a batch, forward only, piece by piece as `_piece_starts` lays them out.
 
-    Each hidden buffer holds the largest piece, the last one every row when the output product runs whole.
+    Each hidden buffer holds the largest piece; only the logits hold every row.
     """
     cfg = state.config
     xb = as_batch(cfg, xs)
     x, m = xb.reshape(len(xb), -1), len(xb)
-    starts, cut_output = _piece_starts(cfg, m)
+    starts = _piece_starts(m)
     bounds = list(zip(starts, [*starts[1:], m]))
     largest = max(stop - start for start, stop in bounds)
-    widths = _widths(cfg)
-    last = largest if cut_output else m
-    acts = [np.empty((largest, d)) for d in widths[:-1]] + [np.empty((last, d)) for d in widths[-1:]]
+    acts = [np.empty((largest, d)) for d in _widths(cfg)]
     logits = np.empty((m, cfg.n_classes))
     for start, stop in bounds:
-        at = 0 if cut_output else start
-        piece = [a[:stop - start] for a in acts[:-1]] + [a[at:at + stop - start] for a in acts[-1:]]
+        piece = [a[:stop - start] for a in acts]
         _hidden(cfg, state.weights, state.biases, x[start:stop], piece)
-        if cut_output:
-            np.matmul(piece[-1], state.weights[-1], out=logits[start:stop])
-    if not cut_output:
-        np.matmul(acts[-1] if acts else x, state.weights[-1], out=logits)
+        np.matmul(piece[-1] if piece else x[start:stop], state.weights[-1], out=logits[start:stop])
     logits += state.biases[-1]
     return logits
 

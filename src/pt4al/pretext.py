@@ -20,13 +20,12 @@ from .learner import LearnerConfig, LearnerState
 N_ORIENTATIONS = 4
 
 # Samples per forward pass of the one rotation pass that is both evaluation and
-# extraction (the kept epoch's pass writes losses.csv). OpenBLAS rounds a product
-# by its row count: the default model's (.x64)(64x4) layer done in pieces under
-# 4,096 rows differs in the last bits from one 8,192-row product. So these chunks
-# are part of the output and must not change. Inside a chunk, the forward pass runs
-# in 512-row pieces only where that keeps every bit (see learner._PIECE_ROWS): the
-# output product takes the whole chunk unless all of it takes the small-matrix path,
-# as it does for the default model below 3,907 samples.
+# extraction (the kept epoch's pass writes losses.csv). A pass runs in 512-row
+# pieces (see learner._PIECE_ROWS), so it holds its logits and one piece of each
+# hidden layer. The chunks are still part of the output: one pass over a pool with
+# 1-255 samples past an 8,192-row boundary would add them to its last piece, where
+# the chunks give them a piece of their own. The golden `pretext-two-extract-chunks`
+# (8,320 samples) is such a pool.
 _EVAL_CHUNK = 8192
 
 # Images per step of the in-place quarter turn: the one temporary of the rotation pass.

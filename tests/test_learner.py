@@ -121,52 +121,46 @@ def test_single_input_accepts_image_grid_and_flat_shapes():
             learner.per_sample_loss(state, bad, 1)
 
 
-def test_predict_logits_allocates_activations_and_logits_only():
-    cfg = LearnerConfig(input_shape=(10, 10, 1), n_classes=4, hidden=(32, 16), seed=3)
-    state = learner.init_learner(cfg)
-    m = 2000
-    xs = np.random.default_rng(0).random((m, 10, 10, 1))
+def peak_of_predict_logits(state, xs) -> int:
+    """Peak bytes that tracemalloc sees while `learner.predict_logits` runs on `xs`."""
     tracemalloc.start()
     try:
         learner.predict_logits(state, xs)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    wanted = m * (32 + 16 + 4) * 8
+
+
+def test_predict_logits_allocates_activations_and_logits_only():
+    cfg = LearnerConfig(input_shape=(10, 10, 1), n_classes=4, hidden=(32, 16), seed=3)
+    m = 2000
+    peak = peak_of_predict_logits(learner.init_learner(cfg), np.random.default_rng(0).random((m, 10, 10, 1)))
+    # Each hidden layer for one 512-row piece, and the logits for every row.
+    wanted = 512 * (32 + 16) * 8 + m * 4 * 8
     # numpy's ufunc buffers add a fixed 64 KiB; a copy of the inputs alone would add 1.6 MB.
     assert wanted <= peak < wanted + 128 * 1024
 
 
 def test_predict_logits_cuts_a_long_pass_into_pieces():
     cfg = LearnerConfig(input_shape=(12, 12, 1), n_classes=4, hidden=(128, 64), seed=3)
-    state = learner.init_learner(cfg)
     m = 5000
-    xs = np.random.default_rng(0).random((m, 12, 12, 1))
-    tracemalloc.start()
-    try:
-        learner.predict_logits(state, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # The output product (1.28M multiply-adds) runs whole, so the last hidden layer and the logits
-    # hold every row and the 128-wide layer one 512-row piece; the whole pass would hold
-    # m * (128 + 64 + 4) * 8 B.
-    wanted = m * (64 + 4) * 8 + 512 * 128 * 8
+    peak = peak_of_predict_logits(learner.init_learner(cfg), np.random.default_rng(0).random((m, 12, 12, 1)))
+    # Ten pieces, the last of 392 rows; the whole pass would hold m * (128 + 64 + 4) * 8 B.
+    wanted = 512 * (128 + 64) * 8 + m * 4 * 8
     assert wanted <= peak < wanted + 128 * 1024
 
 
-def test_predict_logits_cuts_the_output_product_on_the_small_matrix_path():
-    cfg = replace(loop.default_main_config(), input_shape=(12, 12, 1), n_classes=4, seed=3)
-    state = learner.init_learner(cfg)
-    m = 3850  # entropy-long's round-2 scoring pass: the output product does 985,600 multiply-adds
-    xs = np.random.default_rng(0).random((m, 12, 12, 1))
-    tracemalloc.start()
-    try:
-        learner.predict_logits(state, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Both hidden layers for one 512-row piece, and the logits on every row.
+# id -> (default config, rows): entropy-long's round-2 scoring pass and a pretext chunk of the default pool.
+DEFAULT_PASSES = {"main-3850": (loop.default_main_config, 3850), "pretext-4000": (loop.default_pretext_config, 4000)}
+
+
+@pytest.mark.parametrize("case", sorted(DEFAULT_PASSES))
+def test_predict_logits_holds_one_piece_of_each_hidden_layer(case):
+    default, m = DEFAULT_PASSES[case]
+    cfg = replace(default(), input_shape=(12, 12, 1), n_classes=4, seed=3)
+    peak = peak_of_predict_logits(learner.init_learner(cfg), np.random.default_rng(0).random((m, 12, 12, 1)))
+    # Both hidden layers for one 512-row piece, and the logits on every row. A pass that ran its
+    # output product whole held the 64-wide layer for every row, 2.77 MB at pretext-4000.
     wanted = 512 * (128 + 64) * 8 + m * 4 * 8
     assert wanted <= peak < wanted + 128 * 1024
 
@@ -533,12 +527,25 @@ def test_train_and_predict_match_references(case):
     assert np.array_equal(learner.predict_logits(got, x), reference_logits(got, x))
 
 
-# id -> (LearnerConfig overrides on 12x12x1 inputs, rows, pieces of the forward pass, whether
-# its output product is cut). Pieces start at multiples of 512 rows, the last one takes the
-# 256-767-row remainder and joins the piece before it when one of its dense hidden products
-# does at most 10^6 multiply-adds, and a pass is cut only when each dense hidden product of a
-# 512-row piece does more. The output product is cut along the same pieces when the whole of
-# it does at most 10^6 multiply-adds.
+def reference_pieces(state, x):
+    """`reference_logits` run on each piece that `learner._piece_starts` lays out, concatenated."""
+    starts = learner._piece_starts(len(x))
+    bounds = zip(starts, [*starts[1:], len(x)])
+    return np.concatenate([reference_logits(state, x[start:stop]) for start, stop in bounds])
+
+
+def test_piece_starts_cut_a_pass_by_its_row_count_alone():
+    for m in range(4 * 512 + 768):
+        starts = learner._piece_starts(m)
+        assert starts.start == 0 and starts.step == 512
+        assert len(starts) == 1 if m < 768 else 256 <= m - starts[-1] < 768
+
+
+# id -> (LearnerConfig overrides on 12x12x1 inputs, rows, pieces of the forward pass, whether the
+# pieces keep the bits of the whole pass). Pieces start at multiples of 512 rows and the last one
+# takes the 256-767-row remainder. The pieces keep the whole pass's bits where each dense hidden
+# product of a 512-row piece does more than 10^6 multiply-adds and the whole output product at
+# most 10^6 (SkylakeX's small-matrix bound), as in every run-side pass of the default models.
 FORWARD_CASES = {
     "default-1000": (dict(hidden=(128, 64)), 1000, 2, True),
     "default-1023": (dict(hidden=(128, 64)), 1023, 2, True),
@@ -552,10 +559,10 @@ FORWARD_CASES = {
     "classes-3": (dict(hidden=(130, 40), n_classes=3), 1600, 3, True),
     "classes-12": (dict(hidden=(128, 64), n_classes=12), 2000, 4, False),
     "width-14": (dict(hidden=(14,)), 1537, 3, True),
-    "width-13": (dict(hidden=(13,)), 1537, 1, False),
-    "narrow-12-4": (dict(hidden=(130, 12, 4)), 1800, 1, False),
-    "depth-3": (dict(hidden=(130, 64, 40)), 1800, 3, True),  # a 264-row remainder joins the piece before it
-    "no-hidden": (dict(hidden=()), 2047, 1, False),
+    "width-13": (dict(hidden=(13,)), 1537, 3, False),
+    "narrow-12-4": (dict(hidden=(130, 12, 4)), 1800, 4, False),
+    "depth-3": (dict(hidden=(130, 64, 40)), 1800, 4, False),  # a 264-row last piece
+    "no-hidden": (dict(hidden=()), 2047, 4, False),
     "conv-c1": (dict(conv=ConvSpec(filters=8, kernel=3), hidden=(64,)), 1300, 3, True),
     "conv-c2-only": (dict(input_shape=(10, 10, 2), conv=ConvSpec(filters=4, kernel=3), hidden=()), 1100, 2, False),
     "conv-c2-relu": (dict(input_shape=(10, 10, 2), conv=ConvSpec(filters=3, kernel=2), hidden=(70, 40),
@@ -565,12 +572,15 @@ FORWARD_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FORWARD_CASES))
 def test_forward_pieces_match_reference(case):
-    overrides, m, pieces, cut_output = FORWARD_CASES[case]
+    overrides, m, pieces, whole = FORWARD_CASES[case]
     cfg = LearnerConfig(**{"input_shape": (12, 12, 1), "n_classes": 4, "seed": 5, **overrides})
     state = learner.init_learner(cfg)
     x = np.random.default_rng(m).random((m, *cfg.input_shape))
-    assert learner._piece_starts(cfg, m) == (range(0, 512 * pieces, 512), cut_output)
-    assert learner.predict_logits(state, x).tobytes() == reference_logits(state, x).tobytes()
+    assert learner._piece_starts(m) == range(0, 512 * pieces, 512)
+    got = learner.predict_logits(state, x).tobytes()
+    assert got == reference_pieces(state, x).tobytes()
+    if whole:
+        assert got == reference_logits(state, x).tobytes()
 
 
 @pytest.mark.slow
@@ -581,12 +591,12 @@ def test_forward_pieces_match_reference_under_other_blas_kernels(env):
     """OpenBLAS picks its kernel and thread count when it loads, so each setting gets a fresh process.
 
     Haswell and Prescott run on one thread: with two, they split a product's rows
-    between the threads by its row count, so even the whole pass changes bits with it.
+    between the threads by its row count, so a pass changes bits with the thread count.
     Two threads run on the kernel OpenBLAS picks for this CPU. OpenBLAS 0.3.31 reports a
     forced Prescott as Katmai, so the child's pytest header names Katmai for the `prescott` id.
     """
     nodes = [f"{__file__}::{name}" for name in ("test_forward_pieces_match_reference",
-                                                "test_predict_logits_in_pieces_equals_the_whole_pass")]
+                                                "test_predict_logits_equals_the_reference_on_each_piece")]
     inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *nodes],
                           env={**inherited, **env}, cwd=Path(__file__).parents[1],
@@ -599,15 +609,14 @@ def test_forward_pieces_match_reference_under_other_blas_kernels(env):
 def forward_cases(draw):
     """(state, rows) for the piecewise forward pass: 0-3 dense layers after an optional conv, 1 to 4,095 rows.
 
-    Half the draws take only widths of 48 or more, and depths, whole pieces and the remainder's
-    edges are sampled, not drawn as integers (which hypothesis keeps small), so that about half
-    of the passes are cut, a fifth to a third of all passes with their output product (see the events).
+    Whole pieces and the remainder's edges are sampled, not drawn as integers (which hypothesis
+    keeps small), so that about half of the passes are cut (see the events).
     """
     size, c = draw(st.integers(8, 12)), draw(st.integers(1, 2))
     conv = None
     if draw(st.booleans()):
         conv = ConvSpec(filters=draw(st.integers(1, 8)), kernel=draw(st.integers(1, 3)))
-    width = st.integers(48, 130) if draw(st.booleans()) else st.sampled_from([2, 3, 4, 12]) | st.integers(1, 130)
+    width = st.sampled_from([2, 3, 4, 12, 64, 128]) | st.integers(1, 130)
     cfg = LearnerConfig(input_shape=(size, size, c), n_classes=draw(st.sampled_from([2, 3, 4, 12])), conv=conv,
                         hidden=tuple(draw(width) for _ in range(draw(st.sampled_from([3, 2, 1, 0])))),
                         activation=draw(st.sampled_from(["tanh", "relu"])), seed=draw(st.integers(0, 2**16)))
@@ -619,11 +628,10 @@ def forward_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(forward_cases())
-def test_predict_logits_in_pieces_equals_the_whole_pass(case):
+def test_predict_logits_equals_the_reference_on_each_piece(case):
     state, x = case
-    starts, cut_output = learner._piece_starts(state.config, len(x))
-    event("output product cut" if cut_output else "cut, output whole" if len(starts) > 1 else "whole pass")
-    assert learner.predict_logits(state, x).tobytes() == reference_logits(state, x).tobytes()
+    event("one piece" if len(learner._piece_starts(len(x))) == 1 else "cut")
+    assert learner.predict_logits(state, x).tobytes() == reference_pieces(state, x).tobytes()
 
 
 def test_lr_schedule_multi_stage():
