@@ -1,10 +1,8 @@
 """Dataset plumbing: the spec and its build, IDX ingestion, synthetic corpus, rotations, splits, CSV.
 
 All operations are pure and deterministic per seed and never mutate a
-pool. Two callers do, on pools they own: the pretext rotation pass turns a
-pool's pixels in place and back (`pretext._rotation_pass`), and `run_al`
-moves each round's picks into the labeled prefix of its train pool
-(`loop._label_rows`).
+pool. One caller does, on a pool it owns: `run_al` moves each round's picks
+into the labeled prefix of its train pool (`loop._label_rows`).
 
 `build_dataset` holds each split's pixels once. `split_positions` draws the
 imbalance subsample and the stratified split from the labels alone, so the

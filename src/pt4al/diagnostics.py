@@ -79,8 +79,6 @@ def correlation_report(
     at most `scatter_cap` normalized-rank pairs for plotting. If either
     model gives every sample the same loss, rho is undefined: that raises
     ConfigError naming the model and its `learning_rate` and `init_scale`.
-    `pretext.extract_losses` turns `eval_pool`'s pixels in place and back,
-    so no other thread may use the pool during the call.
     """
     if eval_pool.y is None:
         raise ValueError("correlation report requires a labeled evaluation pool")

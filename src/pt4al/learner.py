@@ -300,10 +300,12 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
     return loss
 
 
-def predict_logits(state: LearnerState, xs) -> np.ndarray:
+def predict_logits(state: LearnerState, xs, pixels=None) -> np.ndarray:
     """Logits of a batch, forward only, piece by piece as `_piece_starts` lays them out.
 
-    Each hidden buffer holds the largest piece; only the logits hold every row.
+    With `pixels`, input_dim positions in range, the model sees each flat row of `xs` read
+    through them, row[pixels]: each piece is gathered into one buffer, and `xs` is only read.
+    Each buffer holds the largest piece; only the logits hold every row.
     """
     cfg = state.config
     xb = as_batch(cfg, xs)
@@ -312,11 +314,16 @@ def predict_logits(state: LearnerState, xs) -> np.ndarray:
     bounds = list(zip(starts, [*starts[1:], m]))
     largest = max(stop - start for start, stop in bounds)
     acts = [np.empty((largest, d)) for d in _widths(cfg)]
+    gathered = None if pixels is None else np.empty((largest, cfg.input_dim))
     logits = np.empty((m, cfg.n_classes))
     for start, stop in bounds:
+        rows = x[start:stop]
+        if pixels is not None:
+            # In-range positions: "clip" never clips, and unlike "raise" it lets take write into the buffer.
+            rows = np.take(rows, pixels, axis=1, out=gathered[:stop - start], mode="clip")
         piece = [a[:stop - start] for a in acts]
-        _hidden(cfg, state.weights, state.biases, x[start:stop], piece)
-        np.matmul(piece[-1] if piece else x[start:stop], state.weights[-1], out=logits[start:stop])
+        _hidden(cfg, state.weights, state.biases, rows, piece)
+        np.matmul(piece[-1] if piece else rows, state.weights[-1], out=logits[start:stop])
     logits += state.biases[-1]
     return logits
 

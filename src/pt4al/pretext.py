@@ -21,15 +21,12 @@ N_ORIENTATIONS = 4
 
 # Samples per forward pass of the one rotation pass that is both evaluation and
 # extraction (the kept epoch's pass writes losses.csv). A pass runs in 512-row
-# pieces (see learner._PIECE_ROWS), so it holds its logits and one piece of each
-# hidden layer. The chunks are still part of the output: one pass over a pool with
-# 1-255 samples past an 8,192-row boundary would add them to its last piece, where
-# the chunks give them a piece of their own. The golden `pretext-two-extract-chunks`
-# (8,320 samples) is such a pool.
+# pieces (see learner._PIECE_ROWS), so it holds its logits, one piece of rotated
+# input and one piece of each hidden layer. The chunks are still part of the output:
+# one pass over a pool with 1-255 samples past an 8,192-row boundary would add them
+# to its last piece, where the chunks give them a piece of their own. The golden
+# `pretext-two-extract-chunks` (8,320 samples) is such a pool.
 _EVAL_CHUNK = 8192
-
-# Images per step of the in-place quarter turn: the one temporary of the rotation pass.
-_TURN_SLAB = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,48 +74,36 @@ class PretextReport:
     records: LossArrays
 
 
+def _rotation_table(shape) -> np.ndarray:
+    """(4, H*W*C) pixel positions, turned by `rotate_batch`: flat pixels read through row r are turned r quarters."""
+    pixels = np.arange(np.prod(shape)).reshape(shape)
+    return np.stack([rotate_batch(pixels[None], r).ravel() for r in range(N_ORIENTATIONS)])
+
+
 def _rotation_writer(x: np.ndarray):
     """write(samples, out): row 4*i + r of `out` becomes image x[samples][i] turned r quarter-turns.
 
-    One gather per call; `order` holds in-range pixel positions, so "clip" only unbuffers np.take.
+    One gather per call; the table holds in-range pixel positions, so "clip" only unbuffers np.take.
     """
-    pixels = np.arange(np.prod(x.shape[1:])).reshape(x.shape[1:])
-    order = np.stack([rotate_batch(pixels[None], r).ravel() for r in range(N_ORIENTATIONS)])
-    flat = x.reshape(len(x), pixels.size)
-    return lambda samples, out: np.take(flat[samples], order, axis=1, out=out.reshape(-1, *order.shape), mode="clip")
+    table = _rotation_table(x.shape[1:])
+    flat = x.reshape(len(x), table.shape[1])
+    return lambda samples, out: np.take(flat[samples], table, axis=1, out=out.reshape(-1, *table.shape), mode="clip")
 
 
 def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]:
     """(hits, per-sample mean loss) of `state` over the four rotations of every image in `x`.
 
-    Orientation r outer, _EVAL_CHUNK samples inner; one forward pass per chunk gives both its
-    argmax hits and its cross-entropies against r. The chunks are slices of `x` itself, which is
-    turned a quarter in place, _TURN_SLAB images at a time, after each orientation, so four turns
-    give it back bit for bit. When a pass or a turn raises, a `finally` turns on, slab by slab,
-    until every image has turned zero or four times. Read-only pixels are turned in a private copy.
+    Orientation r outer, _EVAL_CHUNK samples inner; one forward pass per chunk reads the chunk's
+    images turned r quarter-turns through `_rotation_table` and gives both its argmax hits and its
+    cross-entropies against r. `x` is only read.
     """
-    if not x.flags.writeable:
-        x = x.copy()
+    table = _rotation_table(x.shape[1:])
     hits, totals = 0, np.zeros(len(x))
-    turned = 0  # images turned a quarter so far, slab by slab in pool order, pass after pass
-
-    def turn_until(total: int) -> None:
-        nonlocal turned
-        while turned < total:
-            images = x[turned % len(x):turned % len(x) + _TURN_SLAB]
-            images[...] = rotate_batch(images, 1)
-            turned += len(images)
-
-    try:
-        for r in range(N_ORIENTATIONS):
-            for start in range(0, len(x), _EVAL_CHUNK):
-                logits = learner.predict_logits(state, x[start:start + _EVAL_CHUNK])
-                hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
-                totals[start:start + len(logits)] += learner.logsumexp(logits) - logits[:, r]
-            turn_until((r + 1) * len(x))
-    finally:
-        if turned:
-            turn_until(N_ORIENTATIONS * len(x))
+    for r in range(N_ORIENTATIONS):
+        for start in range(0, len(x), _EVAL_CHUNK):
+            logits = learner.predict_logits(state, x[start:start + _EVAL_CHUNK], pixels=table[r])
+            hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
+            totals[start:start + len(logits)] += learner.logsumexp(logits) - logits[:, r]
     totals /= N_ORIENTATIONS
     return hits, totals
 
@@ -144,9 +129,9 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     epoch with rotation accuracy 1.0, since no later epoch can beat it.
     The four orientations of one sample always share a minibatch. Returns
     the best state and a report whose loss records, in pool order, are the
-    kept epoch's `extract_losses` pass. Rotated rows are written straight into
-    each minibatch, and each epoch's pass turns the pool's own pixels in place
-    and back (a read-only pool is turned in a copy), so the pool is held once.
+    kept epoch's `extract_losses` pass. Rotated rows are gathered straight from
+    the pool into each minibatch and each forward piece, so the pool is held
+    once and only read.
     `check_model` runs first; non-finite kept weights or losses raise RuntimeError.
     """
     x = unlabeled.x
@@ -174,10 +159,8 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> LossArrays:
     For each sample all four orientations are fed through the model and
     the four cross-entropies against the true orientation are averaged,
     one orientation and _EVAL_CHUNK samples at a time, in the pass that
-    `train_pretext` evaluates every epoch with. A function of (state, pool):
-    the pool's pixels are turned in place during the pass and are bit for bit
-    the same when it returns or raises; read-only pixels are turned in a copy.
-    `check_model` runs before any forward pass.
+    `train_pretext` evaluates every epoch with. A function of (state, pool)
+    that only reads the pool. `check_model` runs before any forward pass.
     """
     x = unlabeled.x
     check_model(state.config, x.shape[1:])

@@ -40,9 +40,9 @@ def count_calls(monkeypatch, name):
     calls = []
     fn = getattr(learner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(learner, name, counted)
     return calls
@@ -126,9 +126,8 @@ def test_rotation_rows_match_the_built_rotation_set(data):
 
 
 def test_every_rotation_in_the_package_is_rotate_batch():
-    # One rotation routine: the rotation writer, the in-place quarter turn and the template
-    # check all call data.rotate_batch, so the rotation tests of test_data.py cover every
-    # rotation that the pretext model sees.
+    # One rotation routine: the rotation table and the template check call data.rotate_batch,
+    # so the rotation tests of test_data.py cover every rotation that the pretext model sees.
     callers = set()
     for path in sorted(Path(pretext.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -144,24 +143,30 @@ def test_rotation_pass_chunks_hits_and_losses_match_references(data):
     size = data.draw(st.integers(1, max(1, len(x) - 1)))  # two or more chunks when len(x) > 1
     cfg = LearnerConfig(input_shape=x.shape[1:], n_classes=4, hidden=(5,), seed=data.draw(st.integers(0, 99)))
     state = learner.init_learner(cfg)
-    chunks, outputs, predict = [], [], learner.predict_logits
+    before = x.tobytes()
+    pieces, outputs, predict, hidden = [], [], learner.predict_logits, learner._hidden
 
-    def recording(state, xs):
-        chunks.append(np.array(xs))  # a copy: the buffer is reused
-        outputs.append(predict(state, xs))
+    def recording(state, xs, pixels=None):
+        outputs.append(predict(state, xs, pixels=pixels))
         return outputs[-1]
 
-    with mock.patch.object(pretext, "_EVAL_CHUNK", size), mock.patch.object(learner, "predict_logits", recording):
+    def recording_hidden(config, weights, biases, rows, acts):
+        pieces.append(rows.copy())  # a copy: the gather buffer is reused
+        hidden(config, weights, biases, rows, acts)
+
+    with mock.patch.object(pretext, "_EVAL_CHUNK", size), mock.patch.object(learner, "predict_logits", recording), \
+            mock.patch.object(learner, "_hidden", recording_hidden):
         hits, losses = pretext._rotation_pass(state, x)
-    # Orientation outer, chunks of `size` samples inner.
+    assert x.tobytes() == before
+    # Orientation outer, chunks of `size` samples inner; a chunk of at most 12 samples is one piece.
     spans = [(r, start, min(start + size, len(x))) for r in range(4) for start in range(0, len(x), size)]
-    assert len(chunks) == len(spans)
-    for chunk, (r, a, b) in zip(chunks, spans):
-        assert chunk.tobytes() == rotate_batch(x[a:b], r).tobytes()
+    assert len(pieces) == len(outputs) == len(spans)
+    for piece, (r, a, b) in zip(pieces, spans):
+        assert piece.tobytes() == rotate_batch(x[a:b], r).tobytes()
     assert hits == sum(int(np.sum(logits.argmax(axis=1) == r)) for logits, (r, _, _) in zip(outputs, spans))
     per_r = np.zeros((4, len(x)))
-    for chunk, (r, a, b) in zip(chunks, spans):
-        per_r[r, a:b] = learner.per_sample_losses(state, chunk, np.full(b - a, r))
+    for piece, (r, a, b) in zip(pieces, spans):
+        per_r[r, a:b] = learner.per_sample_losses(state, piece, np.full(b - a, r))
     assert losses.tobytes() == per_r.mean(axis=0).tobytes()
 
 
@@ -193,8 +198,8 @@ def test_train_pretext_evaluates_in_rotation_pass_chunks_only(monkeypatch):
 def test_train_pretext_never_holds_the_rotation_set():
     # The built rotation set alone is 4x the pool; building it peaked near 7x,
     # a separate evaluation pass in 8,192-row chunks near 2.6x, and a reused
-    # buffer for the rotated chunk near 1.43x. Turning the pool in place leaves
-    # the chunk's activations and one small slab.
+    # buffer for the rotated chunk near 1.43x. Gathering each 512-row piece
+    # leaves one piece of rotated rows and the chunk's activations.
     pool = gen_synthetic(1000, 4, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, hidden=(16,), epochs=1, batch_size=64)
     tracemalloc.start()
@@ -242,9 +247,8 @@ def multi_epoch_setup(channels):
 
 @pytest.mark.parametrize("channels", [1, 3])
 def test_rotation_pass_gives_the_pool_back_bit_for_bit(monkeypatch, channels):
-    # Seven-sample chunks and five-image turn slabs, so both fall off the pool's length.
+    # Seven-sample chunks, so the last one falls off the pool's length; every pass only reads the pool.
     monkeypatch.setattr(pretext, "_EVAL_CHUNK", 7)
-    monkeypatch.setattr(pretext, "_TURN_SLAB", 5)
     pool, cfg = multi_epoch_setup(channels)
     before = pool.x.tobytes()
     state, report = train_pretext(pool, cfg)
@@ -261,11 +265,11 @@ def test_rotation_pass_that_raises_gives_the_pool_back(monkeypatch):
     before = pool.x.tobytes()
     predict, seen = learner.predict_logits, []
 
-    def failing(state, xs):
-        seen.append(xs.tobytes())
-        if len(seen) == 3:  # orientation 2: the pool has been turned twice
+    def failing(state, xs, pixels=None):
+        seen.append(np.take(xs.reshape(len(xs), -1), pixels, axis=1).tobytes())
+        if len(seen) == 3:  # orientation 2
             raise FloatingPointError("boom")
-        return predict(state, xs)
+        return predict(state, xs, pixels=pixels)
 
     monkeypatch.setattr(learner, "predict_logits", failing)
     with pytest.raises(FloatingPointError, match="boom"):
@@ -273,37 +277,28 @@ def test_rotation_pass_that_raises_gives_the_pool_back(monkeypatch):
     assert seen == [rotate_batch(pool.x, r).tobytes() for r in range(3)]
     assert pool.x.tobytes() == before
 
-    # A turn that raises partway: 60 images in five-image slabs, so a turn is 12 slab calls,
-    # and the third and the 29th call fall inside the first and the third turn.
-    monkeypatch.setattr(learner, "predict_logits", predict)
-    monkeypatch.setattr(pretext, "_TURN_SLAB", 5)
-    for fail_at in (3, 29):
-        calls = []
-
-        def failing_turn(images, k):
-            calls.append(len(images))
-            if len(calls) == fail_at:
-                raise KeyboardInterrupt
-            return rotate_batch(images, k)
-
-        monkeypatch.setattr(pretext, "rotate_batch", failing_turn)
-        with pytest.raises(KeyboardInterrupt):
-            extract_losses(state, pool)
-        assert pool.x.tobytes() == before
-        assert calls == [5] * (4 * 12 + 1)  # every slab turned four times, the failed call besides
-
 
 def test_read_only_pool_gives_the_records_of_a_writable_copy():
-    pool, cfg = multi_epoch_setup(1)
+    # Read where it lies: the rotated rows are gathered a 512-row piece at a time (410 KB
+    # here) from the 3.2 MB pool, so nothing pool-sized is allocated; a copy peaked at 1.26x.
+    pool = gen_synthetic(1000, 4, 10, 1.0, seed=5).unlabeled()
+    cfg = pretext_config(10, hidden=(16,), epochs=2, batch_size=64)
     frozen = pool.x.copy()
     frozen.setflags(write=False)
-    state, report = train_pretext(Pool(pool.ids, frozen), cfg)
+    frozen_pool = Pool(pool.ids, frozen)
+    tracemalloc.start()
+    try:
+        state, report = train_pretext(frozen_pool, cfg)
+        frozen_records = extract_losses(state, frozen_pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * frozen.nbytes
     writable_state, writable_report = train_pretext(pool, cfg)
     assert report.records.losses.tobytes() == writable_report.records.losses.tobytes()
     assert report.best_epoch == writable_report.best_epoch
     assert report.rotation_accuracy == writable_report.rotation_accuracy
-    frozen_records = extract_losses(state, Pool(pool.ids, frozen))
-    assert frozen_records.losses.tolist() == extract_losses(writable_state, pool).losses.tolist()
+    assert frozen_records.losses.tobytes() == extract_losses(writable_state, pool).losses.tobytes()
     assert frozen.tobytes() == pool.x.tobytes()
 
 
