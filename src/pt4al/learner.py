@@ -300,6 +300,20 @@ def _backprop(config: LearnerConfig, weights, biases, x: np.ndarray, y: np.ndarr
     return loss
 
 
+def _pixel_table(config: LearnerConfig, pixels, ndim: int) -> np.ndarray:
+    """`pixels` as an `ndim`-d integer table of positions in [0, input_dim) with a last axis of input_dim.
+
+    A ValueError names the fault, so `np.take(..., mode="clip")` through the table never clips.
+    """
+    table, d = np.asarray(pixels), config.input_dim
+    if table.dtype.kind not in "iu" or table.ndim != ndim or table.shape[-1] != d or table.size == 0:
+        raise ValueError(f"pixels must be a nonempty {ndim}-d integer table with a last axis of {d} "
+                         f"positions, got {table.dtype} of shape {table.shape}")
+    if table.min() < 0 or table.max() >= d:
+        raise ValueError(f"pixels must lie in [0, {d}), got positions {table.min()} to {table.max()}")
+    return table
+
+
 def predict_logits(state: LearnerState, xs, pixels=None) -> np.ndarray:
     """Logits of a batch, forward only, piece by piece as `_piece_starts` lays them out.
 
@@ -309,7 +323,8 @@ def predict_logits(state: LearnerState, xs, pixels=None) -> np.ndarray:
     """
     cfg = state.config
     xb = as_batch(cfg, xs)
-    x, m = xb.reshape(len(xb), -1), len(xb)
+    x, m = xb.reshape(len(xb), cfg.input_dim), len(xb)
+    pixels = None if pixels is None else _pixel_table(cfg, pixels, 1)
     starts = _piece_starts(m)
     bounds = list(zip(starts, [*starts[1:], m]))
     largest = max(stop - start for start, stop in bounds)
@@ -364,6 +379,8 @@ def per_sample_losses(state: LearnerState, xs, ys) -> np.ndarray:
 
 def accuracy(state: LearnerState, xs, ys) -> float:
     xb = as_batch(state.config, xs)
+    if len(xb) == 0:
+        raise ValueError("accuracy of an empty batch is undefined")
     yb = _as_labels(state.config, ys, len(xb))
     preds = predict_logits(state, xb).argmax(axis=1)
     return float(np.mean(preds == yb))
@@ -432,37 +449,34 @@ def _packed(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-def train(state: LearnerState, x, y, *, group: int = 1, on_epoch=None):
+def train(state: LearnerState, x, y, *, pixels=None, on_epoch=None):
     """Minibatch SGD from `state`; returns (final state, per-epoch mean loss trace).
 
     Architecture and schedule (epochs, learning rate, decay, batch size,
     shuffle seed) come from `state.config`; identical (state, data) pairs
     reproduce bit-identical results, and the input state is not mutated.
 
-    Rows come in runs of `group` that always share a minibatch: each epoch
-    permutes the n // group runs and a step takes max(1, batch_size // group)
-    of them. After each epoch `on_epoch(epoch, state)` sees the current
-    weights, which later epochs overwrite in place; a true return ends
-    training, and the trace with it.
+    With a (G, input_dim) table `pixels`, image i of `x` gives the G rows
+    G*i + r, its flat pixels read through pixels[r], and `y` labels all
+    len(x) * G rows; without one, G is 1 and the rows are `x`. The G rows of
+    an image always share a minibatch: each epoch permutes the images and a
+    step takes max(1, batch_size // G) of them. After each epoch
+    `on_epoch(epoch, state)` sees the current weights, which later epochs
+    overwrite in place; a true return ends training, and the trace with it.
 
-    `x` holds the n inputs, or is a callable `fill(runs, out)` that writes
-    the inputs of the runs `runs` (run j is rows j*group..j*group+group-1),
-    in order, into the rows of the buffer `out`. Then `y` alone gives n.
-
-    The result equals a loop of `sgd_step` over the same runs bit for bit.
+    The result equals a loop of `sgd_step` over the same rows bit for bit.
     The inputs are validated once; the weights and the gradient each live
     in one flat vector, so a step's update is two in-place ops, and every
     batch size gets its own preallocated buffers.
     """
     cfg = state.config
     cfg.validate()
-    fill = x if callable(x) else None
-    rows = None if fill else as_batch(cfg, x).reshape(-1, cfg.input_dim)
-    n = len(y) if fill else len(rows)
+    flat = as_batch(cfg, x).reshape(-1, cfg.input_dim)
+    pixels = None if pixels is None else _pixel_table(cfg, pixels, 2)
+    group = 1 if pixels is None else len(pixels)
+    n = len(flat) * group
     if n == 0:
         raise ValueError("empty dataset")
-    if group < 1 or n % group:
-        raise ValueError(f"{n} rows do not split into runs of {group}")
     yb = _as_labels(cfg, y, n)
     arrays = [*state.weights, *state.biases]
     params, views = _packed(arrays)
@@ -477,7 +491,7 @@ def train(state: LearnerState, x, y, *, group: int = 1, on_epoch=None):
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         lr = lr_at(cfg, epoch)
-        order = (rng.permutation(n // group)[:, None] * group + offsets).ravel()
+        order = (rng.permutation(len(flat))[:, None] * group + offsets).ravel()
         total = 0.0
         for start in range(0, n, step_rows):
             idx = order[start:start + step_rows]
@@ -485,12 +499,12 @@ def train(state: LearnerState, x, y, *, group: int = 1, on_epoch=None):
             ws = workspaces.get(m)
             if ws is None:
                 ws = workspaces[m] = _Workspace(cfg, m)
-            if fill is None:
-                # idx is part of a permutation of range(n): "clip" never clips, and
-                # unlike "raise" it lets take write straight into the buffer.
-                rows.take(idx, axis=0, out=ws.x, mode="clip")
+            # idx is part of a permutation of range(n) and the table is checked: "clip" never clips,
+            # and unlike "raise" it lets take write straight into the buffer.
+            if pixels is None:
+                flat.take(idx, axis=0, out=ws.x, mode="clip")
             else:
-                fill(idx[::group] // group, ws.x)
+                np.take(flat[idx[::group] // group], pixels, axis=1, out=ws.x.reshape(-1, *pixels.shape), mode="clip")
             yb.take(idx, out=ws.y, mode="clip")
             step_mean = _backprop(cfg, weights, biases, ws.x, ws.y, ws, gws, gbs)
             grads *= lr

@@ -19,16 +19,6 @@ from .learner import LearnerConfig, LearnerState
 
 N_ORIENTATIONS = 4
 
-# Samples per forward pass of the one rotation pass that is both evaluation and
-# extraction (the kept epoch's pass writes losses.csv). A pass runs in 512-row
-# pieces (see learner._PIECE_ROWS), so it holds its logits, one piece of rotated
-# input and one piece of each hidden layer. The chunks are still part of the output:
-# one pass over a pool with 1-255 samples past an 8,192-row boundary would add them
-# to its last piece, where the chunks give them a piece of their own. The golden
-# `pretext-two-extract-chunks` (8,320 samples) is such a pool.
-_EVAL_CHUNK = 8192
-
-
 @dataclass(frozen=True, slots=True)
 class LossRecord:
     """One sample's averaged rotation loss, the batch-split sorting key; a list of them may stand for LossArrays."""
@@ -80,30 +70,17 @@ def _rotation_table(shape) -> np.ndarray:
     return np.stack([rotate_batch(pixels[None], r).ravel() for r in range(N_ORIENTATIONS)])
 
 
-def _rotation_writer(x: np.ndarray):
-    """write(samples, out): row 4*i + r of `out` becomes image x[samples][i] turned r quarter-turns.
-
-    One gather per call; the table holds in-range pixel positions, so "clip" only unbuffers np.take.
-    """
-    table = _rotation_table(x.shape[1:])
-    flat = x.reshape(len(x), table.shape[1])
-    return lambda samples, out: np.take(flat[samples], table, axis=1, out=out.reshape(-1, *table.shape), mode="clip")
-
-
-def _rotation_pass(state: LearnerState, x: np.ndarray) -> tuple[int, np.ndarray]:
+def _rotation_pass(state: LearnerState, x: np.ndarray, table: np.ndarray) -> tuple[int, np.ndarray]:
     """(hits, per-sample mean loss) of `state` over the four rotations of every image in `x`.
 
-    Orientation r outer, _EVAL_CHUNK samples inner; one forward pass per chunk reads the chunk's
-    images turned r quarter-turns through `_rotation_table` and gives both its argmax hits and its
-    cross-entropies against r. `x` is only read.
+    One forward pass per orientation r reads every image turned r quarter-turns through row r of
+    `_rotation_table` and gives both its argmax hits and its cross-entropies against r. `x` is only read.
     """
-    table = _rotation_table(x.shape[1:])
     hits, totals = 0, np.zeros(len(x))
     for r in range(N_ORIENTATIONS):
-        for start in range(0, len(x), _EVAL_CHUNK):
-            logits = learner.predict_logits(state, x[start:start + _EVAL_CHUNK], pixels=table[r])
-            hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
-            totals[start:start + len(logits)] += learner.logsumexp(logits) - logits[:, r]
+        logits = learner.predict_logits(state, x, pixels=table[r])
+        hits += int(np.count_nonzero(logits.argmax(axis=1) == r))
+        totals += learner.logsumexp(logits) - logits[:, r]
     totals /= N_ORIENTATIONS
     return hits, totals
 
@@ -136,17 +113,18 @@ def train_pretext(unlabeled: Pool, config: LearnerConfig) -> tuple[LearnerState,
     """
     x = unlabeled.x
     check_model(config, x.shape[1:])
+    table = _rotation_table(x.shape[1:])
     best_hits, best_epoch, best_state, best_losses = -1, -1, None, None
 
     def keep_best(epoch: int, state: LearnerState) -> bool:
         nonlocal best_hits, best_epoch, best_state, best_losses
-        hits, losses = _rotation_pass(state, x)
+        hits, losses = _rotation_pass(state, x, table)
         if hits > best_hits:
             best_hits, best_epoch, best_state, best_losses = hits, epoch, state.copy(), losses
         return hits == N_ORIENTATIONS * len(x)
 
-    _, trace = learner.train(learner.init_learner(config), _rotation_writer(x),
-                             np.tile(np.arange(N_ORIENTATIONS), len(x)), group=N_ORIENTATIONS, on_epoch=keep_best)
+    _, trace = learner.train(learner.init_learner(config), x, np.tile(np.arange(N_ORIENTATIONS), len(x)),
+                             pixels=table, on_epoch=keep_best)
     learner.check_converged(config, "pretext", f"kept epoch {best_epoch} has non-finite weights or losses",
                             (*best_state.weights, *best_state.biases, best_losses))
     records = LossArrays(unlabeled.ids.copy(), best_losses)
@@ -158,13 +136,13 @@ def extract_losses(state: LearnerState, unlabeled: Pool) -> LossArrays:
 
     For each sample all four orientations are fed through the model and
     the four cross-entropies against the true orientation are averaged,
-    one orientation and _EVAL_CHUNK samples at a time, in the pass that
-    `train_pretext` evaluates every epoch with. A function of (state, pool)
+    one forward pass per orientation, in the pass that `train_pretext`
+    evaluates every epoch with. A function of (state, pool)
     that only reads the pool. `check_model` runs before any forward pass.
     """
     x = unlabeled.x
     check_model(state.config, x.shape[1:])
-    return LossArrays(unlabeled.ids.copy(), _rotation_pass(state, x)[1])
+    return LossArrays(unlabeled.ids.copy(), _rotation_pass(state, x, _rotation_table(x.shape[1:]))[1])
 
 
 _HEADER = ["sample_id", "pretext_loss"]

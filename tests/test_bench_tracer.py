@@ -50,4 +50,5 @@ def test_traced_pretext_writes_the_untraced_losses_and_counts_every_rotation_row
     pool_size = len(losses.splitlines()) - 1
     assert (epochs_run, pool_size) == (3, 120)
     rows = [attrs["rows"] for _, _, name, _, _, attrs in recorded["spans"] if name == "learner.predict_logits"]
-    assert sum(rows) == 4 * pool_size * epochs_run
+    # One forward call per orientation and epoch, each over the whole pool; no pass after training.
+    assert rows == [pool_size] * (4 * epochs_run)

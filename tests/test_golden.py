@@ -9,10 +9,10 @@ untouched. A second table pins `coldstart`, `correlate`, `ablate` and runs
 on an IDX-file dataset; it was recorded before the switch to array pools
 and the strategy table, from the code that still had per-image objects.
 Its `pretext-two-eval-chunks` row was recorded later, from the code that
-still built the whole rotation set, before rotated rows were written
-straight into each minibatch and evaluation chunk. Its
-`pretext-two-extract-chunks` row was recorded from the code that still ran
-a separate loss-extraction pass after training.
+still built the whole rotation set. Its `pretext-two-extract-chunks` row
+was recorded from the code that still ran a separate loss-extraction pass
+after training, in 8,192-sample chunks. The case keys keep the names of
+that layout; the rotation pass now makes one forward call per orientation.
 A third table pins the JSON manifest of every case, with the case's tmp
 directory replaced by a fixed token.
 A change that alters an output byte on purpose re-records the affected
@@ -188,16 +188,17 @@ COMMAND_CASES: dict[str, tuple[dict, list[list[str]], tuple[str, ...]]] = {
                   ("losses.csv", "reports.csv", "queries.csv", "pretext_checkpoint.json")),
     "idx-entropy": ({"dataset": IDX_DATASET, "al": {"strategy": "entropy"}}, [["pretext"], ["run"]],
                     ("losses.csv", "reports.csv", "queries.csv", "pretext_checkpoint.json")),
-    # 2,240 unlabeled samples: 8,960 rotation rows, so each pretext epoch is
-    # evaluated in two chunks (8,192 + 768 rows). The slow learning rate keeps
+    # 2,240 unlabeled samples: each epoch's rotation pass runs every
+    # orientation over 2,240 rows, in four pieces. The slow learning rate keeps
     # the accuracy below 1.0 (0.888 at epoch 3), so all four epochs run and
-    # the two-chunk count picks the kept one.
+    # the pass's hit count picks the kept one.
     "pretext-two-eval-chunks": ({"dataset": {"classes": 4, "n_per_class": 700},
                                  "pretext": {"learning_rate": 0.0002, "epochs": 4}},
                                 [["pretext"]], ("losses.csv", "pretext_checkpoint.json")),
-    # 8,320 unlabeled samples, more than one 8,192-sample chunk: loss
-    # extraction feeds each orientation in two chunks (8,192 + 128). Best
-    # epoch 1 of 2.
+    # 8,320 unlabeled samples, 128 past an 8,192-row boundary: each
+    # orientation's pass ends in one 640-row piece, where the 8,192-sample
+    # chunks of the earlier layout gave those 128 a piece of their own; the
+    # bits are the same. Best epoch 1 of 2.
     "pretext-two-extract-chunks": ({"dataset": {"classes": 4, "n_per_class": 2600, "size": 10},
                                     "pretext": {"hidden": [16], "learning_rate": 0.0002, "epochs": 2}},
                                    [["pretext"]], ("losses.csv", "pretext_checkpoint.json")),

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from pt4al import learner, loop
+from pt4al import learner, loop, pretext
 from pt4al.learner import ConvSpec, LearnerConfig
 from pt4al.seeds import derive_seed
 
@@ -121,6 +121,57 @@ def test_single_input_accepts_image_grid_and_flat_shapes():
             learner.per_sample_loss(state, bad, 1)
 
 
+# id -> (LearnerConfig, forward-only entry point over zero rows, the empty result's shape)
+ZERO_ROW_CASES = {
+    f"{name}-{model}": (cfg, fn, shape)
+    for model, cfg in (("dense", small_config()),
+                       ("conv", small_config(input_shape=(3, 3, 2), conv=ConvSpec(filters=2, kernel=2))))
+    for name, fn, shape in (
+        ("predict_logits", learner.predict_logits, (0, 3)),
+        ("predict_proba_batch", learner.predict_proba_batch, (0, 3)),
+        ("per_sample_losses", lambda state, xs: learner.per_sample_losses(state, xs, []), (0,)),
+    )
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_ROW_CASES))
+def test_forward_pass_over_zero_rows_is_empty(case):
+    cfg, fn, shape = ZERO_ROW_CASES[case]
+    out = fn(learner.init_learner(cfg), np.zeros((0, *cfg.input_shape)))
+    assert out.shape == shape and out.dtype == np.float64
+
+
+def test_accuracy_of_zero_rows_names_the_empty_batch():
+    state = learner.init_learner(small_config())
+    with pytest.raises(ValueError, match="empty batch"):
+        learner.accuracy(state, np.zeros((0, 4)), [])
+
+
+# id -> (pixels table for a 16-pixel input, the fault its ValueError names)
+BAD_PIXELS = {
+    "out-of-range": (np.arange(16) + 100, r"lie in \[0, 16\)"),
+    "negative": (np.arange(16) - 1, r"lie in \[0, 16\)"),
+    "wrong-width": (np.arange(15), "last axis of 16"),
+    "float": (np.arange(16.0), "integer table"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PIXELS))
+def test_predict_logits_rejects_bad_pixel_tables(case):
+    table, fault = BAD_PIXELS[case]
+    state = learner.init_learner(small_config(input_shape=(4, 4, 1)))
+    with pytest.raises(ValueError, match=fault):
+        learner.predict_logits(state, np.zeros((3, 4, 4, 1)), pixels=table)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PIXELS))
+def test_train_rejects_bad_pixel_tables(case):
+    table, fault = BAD_PIXELS[case]
+    state = learner.init_learner(small_config(input_shape=(4, 4, 1)))
+    with pytest.raises(ValueError, match=fault):
+        learner.train(state, np.zeros((3, 4, 4, 1)), np.zeros(6, dtype=int), pixels=np.stack([table, table]))
+
+
 def peak_of_predict_logits(state, xs) -> int:
     """Peak bytes that tracemalloc sees while `learner.predict_logits` runs on `xs`."""
     tracemalloc.start()
@@ -150,7 +201,8 @@ def test_predict_logits_cuts_a_long_pass_into_pieces():
     assert wanted <= peak < wanted + 128 * 1024
 
 
-# id -> (default config, rows): entropy-long's round-2 scoring pass and a pretext chunk of the default pool.
+# id -> (default config, rows): entropy-long's round-2 scoring pass and one orientation of the default
+# pool's rotation pass.
 DEFAULT_PASSES = {"main-3850": (loop.default_main_config, 3850), "pretext-4000": (loop.default_pretext_config, 4000)}
 
 
@@ -376,11 +428,12 @@ def test_train_empty_dataset_rejected():
         learner.train(state, np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
-def test_train_rejects_rows_not_in_whole_groups():
-    cfg = small_config()
-    state = learner.init_learner(cfg)
-    with pytest.raises(ValueError, match="runs of 4"):
-        learner.train(state, np.zeros((6, 4)), np.zeros(6, dtype=int), group=4)
+def test_train_rejects_labels_not_one_per_gathered_row():
+    state = learner.init_learner(small_config())
+    pixels = np.stack([np.arange(4), np.arange(4)[::-1]])
+    for n_labels in (3, 5, 7):
+        with pytest.raises(ValueError, match="length-6"):
+            learner.train(state, np.zeros((3, 4)), np.zeros(n_labels, dtype=int), pixels=pixels)
 
 
 def reference_train(state, x, y, config, group=1, stop=None):
@@ -469,20 +522,12 @@ def test_train_equals_sgd_step_loop(case):
         assert np.array_equal(a, b)
 
 
-def run_source(x, group):
-    """`x` as a row source for `learner.train`: fill(runs, out) copies whole runs of `group` rows."""
-    runs_of_x = x.reshape(len(x) // group, group, -1)
-
-    def fill(runs, out):
-        out.reshape(len(runs), group, -1)[...] = runs_of_x[runs]
-
-    return fill
-
-
 @st.composite
 def train_cases(draw):
-    """(config, group, early-stop epoch or None, images, labels, pass a row source) for the equivalence property."""
-    h, w, c = draw(st.integers(3, 5)), draw(st.integers(3, 5)), draw(st.integers(1, 2))
+    """(config, pixels table or None, early-stop epoch or None, images, labels) for the equivalence property."""
+    h, c = draw(st.integers(3, 5)), draw(st.integers(1, 2))
+    table_kind = draw(st.sampled_from(["none", "permutations", "rotation"]))
+    w = h if table_kind == "rotation" else draw(st.integers(3, 5))
     conv = None
     if draw(st.booleans()):
         conv = ConvSpec(filters=draw(st.integers(1, 3)), kernel=draw(st.integers(1, min(h, w))))
@@ -491,8 +536,14 @@ def train_cases(draw):
                          activation=draw(st.sampled_from(["tanh", "relu"])),
                          learning_rate=draw(st.sampled_from([0.05, 0.3])),
                          epochs=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**16)))
-    group = draw(st.sampled_from([1, 4]))
-    n = group * draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pixels = None
+    if table_kind == "rotation":
+        pixels = pretext._rotation_table(arch.input_shape)
+    elif table_kind == "permutations":
+        pixels = np.stack([rng.permutation(arch.input_dim) for _ in range(draw(st.sampled_from([1, 4])))])
+    images = draw(st.integers(3, 6))
+    n = images * (1 if pixels is None else len(pixels))
     batch = draw(st.one_of(
         st.just(1),
         st.sampled_from([d for d in range(2, n + 1) if n % d == 0]),
@@ -501,16 +552,21 @@ def train_cases(draw):
     ))
     arch = replace(arch, batch_size=batch)
     stop = draw(st.none() | st.integers(0, arch.epochs - 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    x = rng.standard_normal((n, h, w, c))
+    x = rng.standard_normal((images, h, w, c))
     y = rng.integers(0, arch.n_classes, size=n)
-    return arch, group, stop, x, y, draw(st.booleans())
+    return arch, pixels, stop, x, y
+
+
+def built_rows(x, pixels):
+    """The rows `learner.train` reads through `pixels`, built: row G*i + r is image i's flat pixels at pixels[r]."""
+    flat = x.reshape(len(x), -1)
+    return np.array([row[positions] for row in flat for positions in pixels])
 
 
 @settings(max_examples=40, deadline=None)
 @given(train_cases())
 def test_train_and_predict_match_references(case):
-    arch, group, stop, x, y, from_source = case
+    arch, pixels, stop, x, y = case
     state = learner.init_learner(arch)
     epochs_seen = []
 
@@ -518,13 +574,16 @@ def test_train_and_predict_match_references(case):
         epochs_seen.append(epoch)
         return epoch == stop
 
-    got, got_trace = learner.train(state, run_source(x, group) if from_source else x, y, group=group, on_epoch=hook)
-    want, want_trace = reference_train(state, x, y, arch, group=group, stop=stop)
+    got, got_trace = learner.train(state, x, y, pixels=pixels, on_epoch=hook)
+    rows, group = (x, 1) if pixels is None else (built_rows(x, pixels), len(pixels))
+    want, want_trace = reference_train(state, rows, y, arch, group=group, stop=stop)
     assert got_trace == want_trace
     assert epochs_seen == list(range(len(got_trace)))
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         assert np.array_equal(a, b)
     assert np.array_equal(learner.predict_logits(got, x), reference_logits(got, x))
+    for r in range(group if pixels is not None else 0):
+        assert np.array_equal(learner.predict_logits(got, x, pixels=pixels[r]), reference_logits(got, rows[r::group]))
 
 
 def reference_pieces(state, x):

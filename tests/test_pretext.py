@@ -80,9 +80,9 @@ def test_pretext_keeps_best_epoch_below_perfect(monkeypatch):
     snapshots, passes = [], []
     measure = pretext._rotation_pass
 
-    def recording(state, x):
+    def recording(state, x, table):
         snapshots.append(state.copy())
-        passes.append(measure(state, x))
+        passes.append(measure(state, x, table))
         return passes[-1]
 
     monkeypatch.setattr(pretext, "_rotation_pass", recording)
@@ -116,11 +116,11 @@ def rotation_pools(draw, min_size=1):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_rotation_rows_match_the_built_rotation_set(data):
-    # Training steps hold random sets of whole runs 4s..4s+3.
+    # Training steps hold random sets of whole runs 4s..4s+3, gathered as learner.train gathers them.
     x = data.draw(rotation_pools())
     samples = np.array(data.draw(st.permutations(range(len(x))))[:data.draw(st.integers(1, len(x)))])
-    out = np.empty((4 * len(samples), x[0].size))
-    pretext._rotation_writer(x)(samples, out)
+    table = pretext._rotation_table(x.shape[1:])
+    out = np.take(x.reshape(len(x), -1)[samples], table, axis=1).reshape(4 * len(samples), -1)
     idx = (samples[:, None] * 4 + np.arange(4)).ravel()
     assert out.tobytes() == reference_rotation_set(x)[idx].tobytes()
 
@@ -140,7 +140,7 @@ def test_every_rotation_in_the_package_is_rotate_batch():
 @given(st.data())
 def test_rotation_pass_chunks_hits_and_losses_match_references(data):
     x = data.draw(rotation_pools())
-    size = data.draw(st.integers(1, max(1, len(x) - 1)))  # two or more chunks when len(x) > 1
+    size = data.draw(st.integers(2, max(2, len(x) // 2)))  # two or more pieces when len(x) > 2
     cfg = LearnerConfig(input_shape=x.shape[1:], n_classes=4, hidden=(5,), seed=data.draw(st.integers(0, 99)))
     state = learner.init_learner(cfg)
     before = x.tobytes()
@@ -154,41 +154,51 @@ def test_rotation_pass_chunks_hits_and_losses_match_references(data):
         pieces.append(rows.copy())  # a copy: the gather buffer is reused
         hidden(config, weights, biases, rows, acts)
 
-    with mock.patch.object(pretext, "_EVAL_CHUNK", size), mock.patch.object(learner, "predict_logits", recording), \
+    with mock.patch.object(learner, "_PIECE_ROWS", size), mock.patch.object(learner, "predict_logits", recording), \
             mock.patch.object(learner, "_hidden", recording_hidden):
-        hits, losses = pretext._rotation_pass(state, x)
+        hits, losses = pretext._rotation_pass(state, x, pretext._rotation_table(x.shape[1:]))
+        starts = learner._piece_starts(len(x))
     assert x.tobytes() == before
-    # Orientation outer, chunks of `size` samples inner; a chunk of at most 12 samples is one piece.
-    spans = [(r, start, min(start + size, len(x))) for r in range(4) for start in range(0, len(x), size)]
-    assert len(pieces) == len(outputs) == len(spans)
+    # One pass per orientation over the whole pool, each in the pieces that _piece_starts lays out.
+    assert len(outputs) == 4 and all(len(logits) == len(x) for logits in outputs)
+    spans = [(r, a, b) for r in range(4) for a, b in zip(starts, [*starts[1:], len(x)])]
+    assert len(pieces) == len(spans)
     for piece, (r, a, b) in zip(pieces, spans):
         assert piece.tobytes() == rotate_batch(x[a:b], r).tobytes()
-    assert hits == sum(int(np.sum(logits.argmax(axis=1) == r)) for logits, (r, _, _) in zip(outputs, spans))
+    assert hits == sum(int(np.sum(logits.argmax(axis=1) == r)) for r, logits in enumerate(outputs))
     per_r = np.zeros((4, len(x)))
     for piece, (r, a, b) in zip(pieces, spans):
         per_r[r, a:b] = learner.per_sample_losses(state, piece, np.full(b - a, r))
     assert losses.tobytes() == per_r.mean(axis=0).tobytes()
 
 
+def test_rotation_pass_makes_one_forward_call_per_orientation_past_8192_samples(monkeypatch):
+    pool = Pool(np.arange(8200), np.random.default_rng(5).random((8200, 2, 2, 1)))
+    state = learner.init_learner(pretext_config(2, hidden=()))
+    predicts = count_calls(monkeypatch, "predict_logits")
+    extract_losses(state, pool)
+    assert len(predicts) == 4 and all(args[1] is pool.x for args in predicts)
+
+
 def test_train_pretext_evaluates_in_rotation_pass_chunks_only(monkeypatch):
     # The slow learner above: all six epochs run and an earlier one is kept.
-    # 60 samples in chunks of 7 are 9 chunks per orientation.
+    # 60 samples in 7-row pieces are 9 pieces per orientation, all in one predict_logits call.
     pool = gen_synthetic(20, 3, 10, 1.0, seed=5).unlabeled()
     cfg = pretext_config(10, hidden=(16,), batch_size=16, learning_rate=0.005)
-    monkeypatch.setattr(pretext, "_EVAL_CHUNK", 7)
+    monkeypatch.setattr(learner, "_PIECE_ROWS", 7)
     predicts = count_calls(monkeypatch, "predict_logits")
     forwards = count_calls(monkeypatch, "_hidden")
     forwards_after_hook, measure = [], pretext._rotation_pass
 
-    def marking(state, x):
-        result = measure(state, x)
+    def marking(state, x, table):
+        result = measure(state, x, table)
         forwards_after_hook.append(len(forwards))
         return result
 
     monkeypatch.setattr(pretext, "_rotation_pass", marking)
     state, report = train_pretext(pool, cfg)
     assert report.best_epoch < report.epochs_run - 1 == cfg.epochs - 1
-    assert len(predicts) == report.epochs_run * 4 * math.ceil(len(pool) / 7)
+    assert len(predicts) == report.epochs_run * 4 and all(len(args[1]) == len(pool) for args in predicts)
     assert len(forwards) == forwards_after_hook[-1]  # no forward pass after the last hook
     records = extract_losses(state, pool)
     assert report.records.ids.tolist() == records.ids.tolist()
@@ -247,8 +257,8 @@ def multi_epoch_setup(channels):
 
 @pytest.mark.parametrize("channels", [1, 3])
 def test_rotation_pass_gives_the_pool_back_bit_for_bit(monkeypatch, channels):
-    # Seven-sample chunks, so the last one falls off the pool's length; every pass only reads the pool.
-    monkeypatch.setattr(pretext, "_EVAL_CHUNK", 7)
+    # Seven-row pieces, so the pool's 60 samples do not split evenly; every pass only reads the pool.
+    monkeypatch.setattr(learner, "_PIECE_ROWS", 7)
     pool, cfg = multi_epoch_setup(channels)
     before = pool.x.tobytes()
     state, report = train_pretext(pool, cfg)
